@@ -111,7 +111,7 @@ pub mod codes {
     pub const IDLE_GAPS: &str = "LM202";
     /// `LM210` (Info): search-effort counters of the scheduler run that
     /// produced the schedule (LoCBS passes, memo hits, aborted probes,
-    /// pruned branches, look-ahead cutoffs, pool tasks, commits).
+    /// pruned branches, look-ahead cutoffs, commits).
     pub const SEARCH_EFFORT: &str = "LM210";
     /// `LM300` (Info): fault/recovery summary of an execution trace.
     pub const FAULT_SUMMARY: &str = "LM300";

@@ -415,7 +415,6 @@ pub fn search_effort_diagnostic(counters: &locmps_core::SearchCounters) -> Optio
         .with("probes_aborted", counters.probes_aborted)
         .with("branches_pruned", counters.branches_pruned)
         .with("lookahead_cutoffs", counters.lookahead_cutoffs)
-        .with("pool_tasks", counters.pool_tasks)
         .with("commits", counters.commits),
     )
 }

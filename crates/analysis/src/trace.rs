@@ -433,7 +433,7 @@ pub fn analyze_trace(trace: &ExecutionTrace, g: &TaskGraph, cluster: &Cluster) -
 mod tests {
     use super::*;
     use locmps_runtime::{
-        FailStop, FaultPlan, OnlineConfig, PlanFollower, Replan, RetryShrink, RuntimeEngine,
+        FailStop, FaultPlan, OnlineConfig, PlanFollower, Remold, RetryShrink, RuntimeEngine,
         TraceEvent,
     };
     use locmps_speedup::ExecutionProfile;
@@ -472,7 +472,7 @@ mod tests {
                 RuntimeEngine::new(&g, &cluster, OnlineConfig::default()).run_with_faults(
                     &mut PlanFollower::locmps(),
                     &faults,
-                    &mut Replan::locmps(),
+                    &mut Remold::replan(),
                 )
             };
             assert!(trace.is_complete());

@@ -18,7 +18,7 @@ use locmps_core::{Allocation, CommModel, SchedError, Scheduler, SchedulerOutput,
 use locmps_platform::Cluster;
 use locmps_taskgraph::TaskGraph;
 
-use crate::listsched::PlainListScheduler;
+use crate::listsched::{PlainListScheduler, ReadyRule};
 
 /// The CPA scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -76,7 +76,7 @@ impl Scheduler for Cpa {
         }
 
         // Scheduling phase.
-        let res = PlainListScheduler.run(g, &alloc, cluster)?;
+        let res = PlainListScheduler.run(g, &alloc, cluster, ReadyRule::BottomLevel)?;
         Ok(SchedulerOutput {
             schedule: res.schedule,
             allocation: alloc,

@@ -23,7 +23,7 @@ use locmps_core::{Allocation, CommModel, SchedError, Scheduler, SchedulerOutput,
 use locmps_platform::Cluster;
 use locmps_taskgraph::{TaskGraph, TaskId};
 
-use crate::listsched::PlainListScheduler;
+use crate::listsched::{PlainListScheduler, ReadyRule};
 
 /// The CPR scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,7 +41,7 @@ impl Scheduler for Cpr {
         let lister = PlainListScheduler;
 
         let mut alloc = Allocation::ones(g.n_tasks());
-        let mut best = lister.run(g, &alloc, cluster)?;
+        let mut best = lister.run(g, &alloc, cluster, ReadyRule::BottomLevel)?;
         let mut frozen: HashSet<TaskId> = HashSet::new();
 
         loop {
@@ -66,7 +66,7 @@ impl Scheduler for Cpr {
 
             let mut trial = alloc.clone();
             trial.widen(t, p);
-            let res = lister.run(g, &trial, cluster)?;
+            let res = lister.run(g, &trial, cluster, ReadyRule::BottomLevel)?;
             if res.makespan < best.makespan * (1.0 - 1e-12) - 1e-12 {
                 alloc = trial;
                 best = res;

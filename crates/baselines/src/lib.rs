@@ -18,9 +18,10 @@
 //!   the communication model disabled and lives in `locmps-core`
 //!   ([`locmps_core::LocMpsConfig::icaslb`]).
 //!
-//! CPR and CPA model inter-task communication with the aggregate-bandwidth
-//! estimate but are *not locality aware*: they place tasks on the
-//! earliest-available processors via the [`listsched`] plain list scheduler
+//! CPR, CPA, TSAS and PS-ONLINE model inter-task communication with the
+//! aggregate-bandwidth estimate but are *not locality aware*: they place
+//! tasks on the earliest-available processors via the [`listsched`] plain
+//! list scheduler
 //! (no backfilling, no data-locality subset selection), exactly the
 //! distinction the paper draws in §IV ("they do not use a locality aware
 //! scheduling algorithm").
@@ -35,7 +36,7 @@ pub mod tsas;
 
 pub use cpa::Cpa;
 pub use cpr::Cpr;
-pub use listsched::PlainListScheduler;
+pub use listsched::{PlainListScheduler, ReadyRule};
 pub use online::OnlineMoldable;
 pub use taskdata::{DataParallel, TaskParallel};
 pub use tsas::Tsas;

@@ -1,12 +1,14 @@
-//! The plain (locality-oblivious) list scheduler used by CPR and CPA.
+//! The plain (locality-oblivious) list scheduler used by CPR, CPA, TSAS
+//! and PS-ONLINE.
 //!
-//! Classic b-level list scheduling for moldable tasks: ready tasks are
-//! served in decreasing bottom-level order; each is placed on the `np(t)`
-//! processors with the earliest availability; start time is the maximum of
-//! data readiness (parent finish + aggregate-estimate transfer time) and
-//! processor availability. No holes are tracked (no backfilling) and no
-//! data locality is considered — the two properties that distinguish these
-//! baselines from LoCBS in the paper's §IV comparison.
+//! List scheduling for moldable tasks: ready tasks are served in the
+//! order a [`ReadyRule`] picks — decreasing bottom level for the offline
+//! baselines, earliest data arrival for the online one; each is placed on
+//! the `np(t)` processors with the earliest availability; start time is the
+//! maximum of data readiness (parent finish + aggregate-estimate transfer
+//! time) and processor availability. No holes are tracked (no backfilling)
+//! and no data locality is considered — the two properties that
+//! distinguish these baselines from LoCBS in the paper's §IV comparison.
 
 use locmps_core::{Allocation, CommModel, SchedError, Schedule, ScheduledTask};
 use locmps_platform::{Cluster, ProcSet};
@@ -22,12 +24,24 @@ pub struct ListScheduleResult {
     pub makespan: f64,
 }
 
+/// Which ready task the placement loop serves next; the lower task id
+/// breaks ties under both rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadyRule {
+    /// Highest bottom level first (CPR, CPA, TSAS).
+    BottomLevel,
+    /// Earliest data arrival first (PS-ONLINE: an online scheduler cannot
+    /// know the bottom levels of the DAG).
+    DataArrival,
+}
+
 /// The locality-oblivious list scheduler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlainListScheduler;
 
 impl PlainListScheduler {
-    /// Schedules `g` under `alloc` on `cluster`.
+    /// Schedules `g` under `alloc` on `cluster`, serving ready tasks in
+    /// `rule` order.
     ///
     /// # Errors
     /// Same input contract as LoCBS: valid DAG, allocation covering every
@@ -37,6 +51,7 @@ impl PlainListScheduler {
         g: &TaskGraph,
         alloc: &Allocation,
         cluster: &Cluster,
+        rule: ReadyRule,
     ) -> Result<ListScheduleResult, SchedError> {
         g.validate().map_err(SchedError::Graph)?;
         if alloc.len() != g.n_tasks() {
@@ -55,10 +70,22 @@ impl PlainListScheduler {
             }
         }
         let model = CommModel::new(cluster);
-        let levels = g.levels(
-            |t| g.task(t).profile.time(alloc.np(t)),
-            |e| model.edge_estimate(g, alloc, e),
-        );
+        let bottom = match rule {
+            ReadyRule::BottomLevel => {
+                g.levels(
+                    |t| g.task(t).profile.time(alloc.np(t)),
+                    |e| model.edge_estimate(g, alloc, e),
+                )
+                .bottom
+            }
+            ReadyRule::DataArrival => Vec::new(),
+        };
+        // When the last input of `t` lands, given the parents' finishes.
+        let data_ready = |t: TaskId, finish: &[f64]| {
+            g.in_edges(t)
+                .map(|e| finish[g.edge(e).src.index()] + model.edge_estimate(g, alloc, e))
+                .fold(0.0f64, f64::max)
+        };
 
         let mut eat = vec![0.0f64; cluster.n_procs];
         let mut finish = vec![0.0f64; g.n_tasks()];
@@ -70,17 +97,19 @@ impl PlainListScheduler {
             .collect();
 
         while !ready.is_empty() {
-            // Highest bottom level first; lower id breaks ties.
-            let pos = ready
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    levels.bottom[a.index()]
-                        .total_cmp(&levels.bottom[b.index()])
+            let (pos, _) = match rule {
+                ReadyRule::BottomLevel => ready.iter().enumerate().max_by(|(_, a), (_, b)| {
+                    bottom[a.index()]
+                        .total_cmp(&bottom[b.index()])
                         .then(b.cmp(a))
-                })
-                .map(|(i, _)| i)
-                .expect("ready is non-empty");
+                }),
+                ReadyRule::DataArrival => ready.iter().enumerate().min_by(|(_, a), (_, b)| {
+                    data_ready(**a, &finish)
+                        .total_cmp(&data_ready(**b, &finish))
+                        .then(a.cmp(b))
+                }),
+            }
+            .expect("ready is non-empty");
             let t = ready.swap_remove(pos);
             let np = alloc.np(t);
 
@@ -89,10 +118,7 @@ impl PlainListScheduler {
             procs.sort_by(|&a, &b| eat[a as usize].total_cmp(&eat[b as usize]).then(a.cmp(&b)));
             let chosen: ProcSet = procs.into_iter().take(np).collect();
 
-            let est = g
-                .in_edges(t)
-                .map(|e| finish[g.edge(e).src.index()] + model.edge_estimate(g, alloc, e))
-                .fold(0.0f64, f64::max);
+            let est = data_ready(t, &finish);
             let avail = chosen
                 .iter()
                 .map(|p| eat[p as usize])
@@ -142,7 +168,7 @@ mod tests {
         g.add_edge(a, b, 0.0).unwrap();
         let cluster = Cluster::new(2, 12.5);
         let res = PlainListScheduler
-            .run(&g, &Allocation::ones(2), &cluster)
+            .run(&g, &Allocation::ones(2), &cluster, ReadyRule::BottomLevel)
             .unwrap();
         assert!((res.makespan - 15.0).abs() < 1e-9);
     }
@@ -155,7 +181,7 @@ mod tests {
         }
         let cluster = Cluster::new(2, 12.5);
         let res = PlainListScheduler
-            .run(&g, &Allocation::ones(4), &cluster)
+            .run(&g, &Allocation::ones(4), &cluster, ReadyRule::BottomLevel)
             .unwrap();
         assert!(
             (res.makespan - 20.0).abs() < 1e-9,
@@ -173,7 +199,7 @@ mod tests {
         g.add_edge(a, b, 125.0).unwrap();
         let cluster = Cluster::new(2, 12.5);
         let res = PlainListScheduler
-            .run(&g, &Allocation::ones(2), &cluster)
+            .run(&g, &Allocation::ones(2), &cluster, ReadyRule::BottomLevel)
             .unwrap();
         assert!((res.makespan - 30.0).abs() < 1e-9);
     }
@@ -198,7 +224,12 @@ mod tests {
         let _ = s;
         let cluster = Cluster::new(2, 12.5);
         let res = PlainListScheduler
-            .run(&g, &Allocation::from_vec(vec![1, 2, 1]), &cluster)
+            .run(
+                &g,
+                &Allocation::from_vec(vec![1, 2, 1]),
+                &cluster,
+                ReadyRule::BottomLevel,
+            )
             .unwrap();
         assert!(res.makespan >= 27.9, "expected ~28, got {}", res.makespan);
     }

@@ -7,15 +7,16 @@
 //!
 //! 1. **Capped local molding** — a ready task is allotted
 //!    `p(t) = Pbest(⌈μ·P⌉)` processors: the width minimizing its own
-//!    execution time, but capped at a fixed fraction `μ` of the machine
-//!    (default `μ = 1/2`). The cap is what buys the competitive ratio:
-//!    it bounds how much area a single greedy decision can burn, trading
-//!    a constant-factor time loss for machine-wide packing slack.
+//!    execution time, but capped at a fixed fraction `μ = 1/2` of the
+//!    machine (`CAP_FRACTION`). The cap is what buys the competitive
+//!    ratio: it bounds how much area a single greedy decision can burn,
+//!    trading a constant-factor time loss for machine-wide packing slack.
 //! 2. **Greedy earliest-start list scheduling** — among ready tasks the
 //!    one whose data is available first starts next, on the `p(t)`
-//!    earliest-available processors (no locality, no backfilling — the
-//!    same machinery as [`PlainListScheduler`], but ordered by readiness
-//!    instead of bottom level, which an online scheduler cannot know).
+//!    earliest-available processors (no locality, no backfilling): the
+//!    [`PlainListScheduler`] placement loop under
+//!    [`ReadyRule::DataArrival`] instead of the offline baselines' bottom
+//!    level, which an online scheduler cannot know.
 //!
 //! Perotin & Sun prove constant competitive ratios against the zero-
 //! communication lower bound `max(CP, W/P)` under the common speedup
@@ -24,31 +25,24 @@
 //! workload zoo. In the registry the baseline is `psonline`; it is *not*
 //! locality aware.
 
-use locmps_core::{
-    Allocation, CommModel, SchedError, Schedule, ScheduledTask, Scheduler, SchedulerOutput,
-    SearchCounters,
-};
-use locmps_platform::{Cluster, ProcSet};
-use locmps_taskgraph::{TaskGraph, TaskId};
+use locmps_core::{Allocation, SchedError, Scheduler, SchedulerOutput, SearchCounters};
+use locmps_platform::Cluster;
+use locmps_taskgraph::TaskGraph;
+
+use crate::listsched::{PlainListScheduler, ReadyRule};
+
+/// The allotment cap as a fraction of the machine: Perotin & Sun's
+/// deterministic variant uses `μ = 1/2`.
+const CAP_FRACTION: f64 = 0.5;
 
 /// The Perotin–Sun online moldable scheduler.
-#[derive(Debug, Clone, Copy)]
-pub struct OnlineMoldable {
-    /// The allotment cap as a fraction of the machine, `0 < μ ≤ 1`.
-    /// Perotin & Sun's deterministic variant uses `μ = 1/2`.
-    pub cap_fraction: f64,
-}
-
-impl Default for OnlineMoldable {
-    fn default() -> Self {
-        Self { cap_fraction: 0.5 }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OnlineMoldable;
 
 impl OnlineMoldable {
-    /// The per-task allotment cap on a `p`-processor machine.
+    /// The per-task allotment cap `⌈μ·P⌉` on a `p`-processor machine.
     pub fn cap(&self, p: usize) -> usize {
-        ((self.cap_fraction * p as f64).ceil() as usize).clamp(1, p)
+        ((CAP_FRACTION * p as f64).ceil() as usize).clamp(1, p)
     }
 }
 
@@ -59,96 +53,14 @@ impl Scheduler for OnlineMoldable {
 
     fn schedule(&self, g: &TaskGraph, cluster: &Cluster) -> Result<SchedulerOutput, SchedError> {
         g.validate().map_err(SchedError::Graph)?;
-        if !(self.cap_fraction > 0.0 && self.cap_fraction <= 1.0) {
-            return Err(SchedError::AllocationTooWide {
-                task: TaskId(0),
-                np: 0,
-                p: cluster.n_procs,
-            });
-        }
-        let p = cluster.n_procs;
-        let cap = self.cap(p);
-        let model = CommModel::new(cluster);
-
+        let cap = self.cap(cluster.n_procs);
         // Each task is molded in isolation the moment it is considered:
         // no critical-path information, no global area balancing.
         let alloc =
             Allocation::from_vec(g.task_ids().map(|t| g.task(t).profile.pbest(cap)).collect());
-
-        let mut eat = vec![0.0f64; p];
-        let mut finish = vec![0.0f64; g.n_tasks()];
-        let mut entries: Vec<Option<ScheduledTask>> = vec![None; g.n_tasks()];
-        let mut remaining: Vec<usize> = g.task_ids().map(|t| g.in_degree(t)).collect();
-        let mut ready: Vec<TaskId> = g
-            .task_ids()
-            .filter(|&t| remaining[t.index()] == 0)
-            .collect();
-
-        while !ready.is_empty() {
-            // Online service order: the task whose inputs land first goes
-            // next (earliest data-ready time, lower id on ties) — the
-            // bottom level of the DAG is not available to an online
-            // scheduler.
-            let pos = ready
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    let ra = g
-                        .in_edges(**a)
-                        .map(|e| finish[g.edge(e).src.index()] + model.edge_estimate(g, &alloc, e))
-                        .fold(0.0f64, f64::max);
-                    let rb = g
-                        .in_edges(**b)
-                        .map(|e| finish[g.edge(e).src.index()] + model.edge_estimate(g, &alloc, e))
-                        .fold(0.0f64, f64::max);
-                    ra.total_cmp(&rb).then(a.cmp(b))
-                })
-                .map(|(i, _)| i)
-                .expect("ready is non-empty");
-            let t = ready.swap_remove(pos);
-            let np = alloc.np(t);
-
-            let mut procs: Vec<u32> = (0..p as u32).collect();
-            procs.sort_by(|&a, &b| eat[a as usize].total_cmp(&eat[b as usize]).then(a.cmp(&b)));
-            let chosen: ProcSet = procs.into_iter().take(np).collect();
-
-            let est = g
-                .in_edges(t)
-                .map(|e| finish[g.edge(e).src.index()] + model.edge_estimate(g, &alloc, e))
-                .fold(0.0f64, f64::max);
-            let avail = chosen
-                .iter()
-                .map(|q| eat[q as usize])
-                .fold(0.0f64, f64::max);
-            let st = est.max(avail);
-            let ft = st + g.task(t).profile.time(np);
-            for q in chosen.iter() {
-                eat[q as usize] = ft;
-            }
-            finish[t.index()] = ft;
-            entries[t.index()] = Some(ScheduledTask {
-                task: t,
-                procs: chosen,
-                start: st,
-                compute_start: st,
-                finish: ft,
-            });
-            for s in g.successors(t) {
-                remaining[s.index()] -= 1;
-                if remaining[s.index()] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
-
-        let schedule = Schedule::from_entries(
-            entries
-                .into_iter()
-                .map(|e| e.expect("DAG schedules fully"))
-                .collect(),
-        );
+        let res = PlainListScheduler.run(g, &alloc, cluster, ReadyRule::DataArrival)?;
         Ok(SchedulerOutput {
-            schedule,
+            schedule: res.schedule,
             allocation: alloc,
             schedule_dag: None,
             counters: SearchCounters::default(),
@@ -163,7 +75,7 @@ mod tests {
 
     #[test]
     fn cap_never_exceeds_half_machine_by_default() {
-        let ps = OnlineMoldable::default();
+        let ps = OnlineMoldable;
         assert_eq!(ps.cap(16), 8);
         assert_eq!(ps.cap(7), 4);
         assert_eq!(ps.cap(1), 1);
@@ -195,7 +107,7 @@ mod tests {
         g.add_edge(b, d, 0.0).unwrap();
         g.add_edge(c, d, 0.0).unwrap();
         let cluster = Cluster::new(1, 12.5);
-        let out = OnlineMoldable::default().schedule(&g, &cluster).unwrap();
+        let out = OnlineMoldable.schedule(&g, &cluster).unwrap();
         let entry = |t| {
             out.schedule
                 .entries()
@@ -210,7 +122,7 @@ mod tests {
 
     #[test]
     fn name_and_determinism() {
-        let ps = OnlineMoldable::default();
+        let ps = OnlineMoldable;
         assert_eq!(ps.name(), "PS-ONLINE");
         let mut g = TaskGraph::new();
         let a = g.add_task("a", ExecutionProfile::linear(10.0));

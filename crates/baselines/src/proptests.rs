@@ -89,7 +89,12 @@ proptest! {
         // CPR only commits strict improvements over the one-proc start.
         let cluster = Cluster::new(p, 12.5);
         let start = crate::PlainListScheduler
-            .run(&g, &locmps_core::Allocation::ones(g.n_tasks()), &cluster)
+            .run(
+                &g,
+                &locmps_core::Allocation::ones(g.n_tasks()),
+                &cluster,
+                crate::listsched::ReadyRule::BottomLevel,
+            )
             .unwrap();
         let out = Cpr.schedule(&g, &cluster).unwrap();
         prop_assert!(out.makespan() <= start.makespan * (1.0 + 1e-9));

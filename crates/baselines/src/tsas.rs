@@ -25,7 +25,7 @@ use locmps_core::{Allocation, CommModel, SchedError, Scheduler, SchedulerOutput,
 use locmps_platform::Cluster;
 use locmps_taskgraph::{TaskGraph, TaskId};
 
-use crate::listsched::PlainListScheduler;
+use crate::listsched::{PlainListScheduler, ReadyRule};
 
 /// The TSAS scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -147,7 +147,7 @@ impl Scheduler for Tsas {
         // Round to integers (nearest, clamped to [1, P]).
         let alloc =
             Allocation::from_vec(x.iter().map(|v| (v.round() as usize).clamp(1, p)).collect());
-        let res = PlainListScheduler.run(g, &alloc, cluster)?;
+        let res = PlainListScheduler.run(g, &alloc, cluster, ReadyRule::BottomLevel)?;
         Ok(SchedulerOutput {
             schedule: res.schedule,
             allocation: alloc,

@@ -1,7 +1,6 @@
 //! Ablation study over LoC-MPS's design choices (the knobs DESIGN.md calls
 //! out): look-ahead depth (§III.E), candidate-inspection width (§III.C),
-//! backfilling (§III.F / Fig 6), wide-corner restarts, and the parallel
-//! multi-entry look-ahead (§VI(1) future work).
+//! backfilling (§III.F / Fig 6) and wide-corner restarts.
 //!
 //! For each variant: mean executed makespan relative to the default
 //! configuration (values > 1 mean the variant is worse) and mean
@@ -70,13 +69,6 @@ fn variants() -> Vec<(&'static str, LocMpsConfig)> {
             "no-corners",
             LocMpsConfig {
                 corner_starts: false,
-                ..d
-            },
-        ),
-        (
-            "parallel=4",
-            LocMpsConfig {
-                parallel_entries: 4,
                 ..d
             },
         ),

@@ -231,7 +231,7 @@ fn render_locmps_json(cases: &[LocmpsCase]) -> Result<String, serde_json::NonFin
              \"full_pass_reduction\": {}, \"counters\": {{\
              \"locbs_passes\": {}, \"pass_memo_hits\": {}, \"probes_aborted\": {}, \
              \"branches_pruned\": {}, \"lookahead_cutoffs\": {}, \
-             \"pool_tasks\": {}, \"commits\": {}}}}}{}\n",
+             \"commits\": {}}}}}{}\n",
             c.n_tasks,
             c.p,
             c.max_rounds,
@@ -246,7 +246,6 @@ fn render_locmps_json(cases: &[LocmpsCase]) -> Result<String, serde_json::NonFin
             k.probes_aborted,
             k.branches_pruned,
             k.lookahead_cutoffs,
-            k.pool_tasks,
             k.commits,
             if i + 1 < cases.len() { "," } else { "" }
         ));

@@ -7,7 +7,6 @@ use locmps_core::{CommModel, LocMps, LocMpsConfig, Scheduler, SchedulerOutput, S
 use locmps_platform::Cluster;
 use locmps_sim::{simulate, NoiseModel, SimConfig};
 use locmps_taskgraph::TaskGraph;
-use rayon::prelude::*;
 
 /// Every scheduling scheme of the paper's evaluation, plus the no-backfill
 /// ablation.
@@ -188,8 +187,8 @@ pub fn run_one(
 }
 
 /// Runs a set of schedulers over a suite of graphs on one cluster size.
-/// Graphs are processed in parallel (rayon). `analyze` is forwarded to
-/// [`run_one`] for every cell of the suite.
+/// Graphs are processed in parallel, one worker per available core.
+/// `analyze` is forwarded to [`run_one`] for every cell of the suite.
 pub fn run_suite(
     graphs: &[TaskGraph],
     cluster: &Cluster,
@@ -197,16 +196,36 @@ pub fn run_suite(
     noise: Option<NoiseModel>,
     analyze: bool,
 ) -> Vec<SuiteResult> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     kinds
         .iter()
         .map(|&kind| {
-            let runs: Vec<RunMeasurement> = graphs
-                .par_iter()
-                .map(|g| run_one(g, cluster, kind, noise, analyze))
-                .collect();
+            let runs = par_map(graphs, workers, |g| {
+                run_one(g, cluster, kind, noise, analyze)
+            });
             SuiteResult { kind, runs }
         })
         .collect()
+}
+
+/// Maps `f` over `items` on up to `workers` scoped threads, each taking
+/// one contiguous chunk, and returns the results in input order. A panic
+/// in `f` resumes on the caller's thread once every worker has stopped.
+fn par_map<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    if workers <= 1 || items.len() <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(workers);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|part| s.spawn(|| part.iter().map(&f).collect::<Vec<R>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
 /// The paper's relative-performance metric for a suite: the mean over
@@ -236,6 +255,31 @@ pub fn relative_performance(results: &[SuiteResult]) -> Vec<(SchedulerKind, f64)
 mod tests {
     use super::*;
     use locmps_workloads::synthetic::{synthetic_graph, SyntheticConfig};
+
+    #[test]
+    fn par_map_keeps_input_order() {
+        let xs: Vec<u64> = (0..101).collect();
+        let doubled: Vec<u64> = xs.iter().map(|x| x * 2).collect();
+        for workers in [1, 2, 3, 8, 200] {
+            assert_eq!(
+                par_map(&xs, workers, |x| x * 2),
+                doubled,
+                "{workers} workers"
+            );
+        }
+        assert!(par_map(&[] as &[u64], 4, |x| *x).is_empty());
+        assert_eq!(par_map(&[7u64], 4, |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 37 failed")]
+    fn par_map_propagates_worker_panics() {
+        let xs: Vec<u64> = (0..100).collect();
+        par_map(&xs, 4, |&x| {
+            assert!(x != 37, "item {x} failed");
+            x
+        });
+    }
 
     #[test]
     fn run_one_measures_all_fields() {

@@ -253,13 +253,12 @@ fn schedule(args: &Args) -> Result<(), String> {
         let c = out.counters;
         println!(
             "search effort      : {} LoCBS passes, {} memo hits, {} probes aborted, \
-             {} branches pruned, {} look-ahead cutoffs, {} pool tasks, {} commits",
+             {} branches pruned, {} look-ahead cutoffs, {} commits",
             c.locbs_passes,
             c.pass_memo_hits,
             c.probes_aborted,
             c.branches_pruned,
             c.lookahead_cutoffs,
-            c.pool_tasks,
             c.commits
         );
     }
@@ -772,8 +771,12 @@ mod tests {
             seed: 1,
             ..Default::default()
         });
+        // One file per call: the tests of this module share a process and
+        // run in parallel, and each removes its file when it is done.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let path =
-            std::env::temp_dir().join(format!("locmps_cli_test_{}.json", std::process::id()));
+            std::env::temp_dir().join(format!("locmps_cli_test_{}_{n}.json", std::process::id()));
         std::fs::write(&path, g.to_json()).unwrap();
         path
     }

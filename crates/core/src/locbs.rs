@@ -74,9 +74,9 @@ struct Placement {
 /// A scratch is tied to one `(graph, communication model)` pair: the
 /// estimate memo is keyed by edge index and endpoint widths only, so
 /// sharing it across graphs or models would silently serve stale values.
-/// LoC-MPS keeps one scratch per look-ahead branch and reuses it across
-/// every refinement iteration — that reuse (plus the allocation-tagged
-/// memo) is what makes repeated LoCBS invocations cheap.
+/// LoC-MPS reuses its caller's scratch for every probe and look-ahead
+/// pass of one search — that reuse (plus the allocation-tagged memo) is
+/// what makes repeated LoCBS invocations cheap.
 #[derive(Debug, Default)]
 pub struct LocbsScratch {
     estimates: EstimateCache,
@@ -106,9 +106,10 @@ impl LocbsScratch {
     pub fn reset_for(&mut self, g: &TaskGraph) {
         self.estimates.reset_for(g);
         self.edge_est.clear();
-        // The pool workers' thread-local scratches cycle through many
-        // graphs; a reset that left a stale memo entry behind would serve
-        // wrong estimates *silently*, so verify full clearing here.
+        // A long-lived scratch (the runtime's replanning recovery) cycles
+        // through many graphs; a reset that left a stale memo entry behind
+        // would serve wrong estimates *silently*, so verify full clearing
+        // here.
         debug_assert!(
             self.edge_est.is_empty() && self.estimates.is_clear(),
             "reset_for must leave no carried estimate state"

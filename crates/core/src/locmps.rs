@@ -35,13 +35,10 @@
 //!   first one past the incumbent aborts the pass.
 //!
 //! Deterministic [`SearchCounters`] in the output report the work done and
-//! the work skipped; they are pure functions of the input, never of thread
-//! timing, so CI pins their exact values.
+//! the work skipped; the search is sequential, so they are pure functions
+//! of the input and CI pins their exact values.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use locmps_platform::Cluster;
 use locmps_taskgraph::{ConcurrencyInfo, CriticalPath, EdgeId, EdgeKind, TaskGraph, TaskId};
@@ -86,14 +83,6 @@ pub struct LocMpsConfig {
     /// data-parallel optimum, but on larger graphs at high CCR the valley
     /// can exceed any fixed depth.
     pub corner_starts: bool,
-    /// Number of look-ahead entry points explored concurrently per round
-    /// (default 1 = the paper's sequential Algorithm 1). Values > 1
-    /// implement the paper's future-work item §VI(1), "developing
-    /// strategies to parallelize the scheduling algorithm": the top-ranked
-    /// candidates each get their own look-ahead on a rayon worker, the
-    /// best outcome is committed, and a fruitless round marks every tried
-    /// entry at once.
-    pub parallel_entries: usize,
     /// Skip search work an admissible lower bound proves fruitless: entry
     /// branches whose widening-cone bound cannot beat the incumbent,
     /// branch walks whose cone bound reaches the branch's own best, corner
@@ -120,7 +109,6 @@ impl Default for LocMpsConfig {
             comm_aware: true,
             max_rounds: 10_000,
             corner_starts: true,
-            parallel_entries: 1,
             prune: true,
             bounded_probes: true,
         }
@@ -176,39 +164,6 @@ enum Entry {
     Edge(EdgeId),
 }
 
-/// Shared tally behind the [`SearchCounters`] snapshot. Branches running on
-/// pool workers bump these concurrently; every increment is a deterministic
-/// function of the scheduling input (never of thread timing), so relaxed
-/// ordering cannot perturb the totals.
-#[derive(Debug, Default)]
-struct AtomicCounters {
-    locbs_passes: AtomicU64,
-    probes_aborted: AtomicU64,
-    branches_pruned: AtomicU64,
-    lookahead_cutoffs: AtomicU64,
-    pass_memo_hits: AtomicU64,
-    pool_tasks: AtomicU64,
-    commits: AtomicU64,
-}
-
-impl AtomicCounters {
-    fn bump(field: &AtomicU64, n: u64) {
-        field.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> SearchCounters {
-        SearchCounters {
-            locbs_passes: self.locbs_passes.load(Ordering::Relaxed),
-            probes_aborted: self.probes_aborted.load(Ordering::Relaxed),
-            branches_pruned: self.branches_pruned.load(Ordering::Relaxed),
-            lookahead_cutoffs: self.lookahead_cutoffs.load(Ordering::Relaxed),
-            pass_memo_hits: self.pass_memo_hits.load(Ordering::Relaxed),
-            pool_tasks: self.pool_tasks.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// One memoized LoCBS pass: everything a look-ahead step consumes.
 struct MemoEntry {
     schedule: crate::schedule::Schedule,
@@ -233,18 +188,14 @@ struct MemoEntry {
 /// other corners — revisit earlier allocations constantly, so the memo is
 /// kept for the whole search. Its footprint is bounded by the number of
 /// distinct allocations placed, i.e. by the executed-pass counter the memo
-/// itself keeps small. It is only consulted in sequential searches
-/// (`parallel_entries == 1`, the default): under a shared memo, *which*
-/// thread computes and which one hits would depend on scheduling, and the
-/// [`SearchCounters`] promise — pure functions of the input — would break.
+/// itself keeps small.
 #[derive(Default)]
 struct PassMemo {
     map: HashMap<Vec<usize>, MemoEntry>,
 }
 
 /// The immutable per-run context threaded through the search: the problem,
-/// the placer, the precomputed metadata, the optional pruning bounds and
-/// the work tally.
+/// the placer, the precomputed metadata and the optional pruning bounds.
 struct SearchCtx<'a> {
     g: &'a TaskGraph,
     locbs: &'a Locbs<'a>,
@@ -254,21 +205,18 @@ struct SearchCtx<'a> {
     p_total: usize,
     /// `Some` exactly when [`LocMpsConfig::prune`] is on.
     wb: Option<&'a WideningBounds>,
-    /// `Some` exactly when the pass memo applies (pruning on and the
-    /// search sequential); the mutex is uncontended in that case.
-    memo: Option<&'a Mutex<PassMemo>>,
-    counters: &'a AtomicCounters,
 }
 
-thread_local! {
-    /// Per-worker look-ahead working set: one schedule-DAG buffer and one
-    /// LoCBS scratch, reused by every branch a pool worker (or the caller
-    /// thread) runs instead of allocating a fresh graph clone and scratch
-    /// per branch. `clone_from` / `reset_for` re-arm them for the branch's
-    /// graph, so buffers carried across graphs — or across schedulers on
-    /// the same thread — are safe.
-    static BRANCH_BUFFERS: RefCell<(TaskGraph, LocbsScratch)> =
-        RefCell::new((TaskGraph::new(), LocbsScratch::new()));
+/// The mutable state of one search, owned by one
+/// [`LocMps::schedule_with_scratch`] call: the work tally, the pass memo,
+/// and the caller's schedule-DAG buffer and LoCBS scratch, which every
+/// probe and look-ahead pass re-schedules into.
+struct SearchState<'b> {
+    counters: SearchCounters,
+    /// `Some` exactly when [`LocMpsConfig::prune`] is on.
+    memo: Option<PassMemo>,
+    dag: &'b mut TaskGraph,
+    scratch: &'b mut LocbsScratch,
 }
 
 /// The LoC-MPS scheduler.
@@ -444,27 +392,47 @@ impl Scheduler for LocMps {
 }
 
 impl LocMps {
-    /// Runs a top-level LoCBS probe into caller-owned buffers.
+    /// One LoCBS pass into the search's buffers — under `horizon` when the
+    /// caller can prove an over-horizon pass is useless. Returns `None`
+    /// exactly on a horizon abort.
+    fn pass(
+        ctx: &SearchCtx<'_>,
+        st: &mut SearchState<'_>,
+        alloc: &Allocation,
+        horizon: Option<f64>,
+    ) -> Result<Option<(crate::schedule::Schedule, f64)>, SchedError> {
+        let result = match horizon {
+            Some(h) => ctx.locbs.run_into_bounded(st.dag, alloc, st.scratch, h)?,
+            None => Some(ctx.locbs.run_into(st.dag, alloc, st.scratch)?),
+        };
+        match result {
+            Some(_) => st.counters.locbs_passes += 1,
+            None => st.counters.probes_aborted += 1,
+        }
+        Ok(result)
+    }
+
+    /// A top-level probe: one [`LocMps::pass`] from a fresh copy of the
+    /// graph, kept whole with its schedule-DAG.
     fn probe(
         ctx: &SearchCtx<'_>,
+        st: &mut SearchState<'_>,
         alloc: &Allocation,
-        dag_buf: &mut TaskGraph,
-        scratch: &mut LocbsScratch,
-    ) -> Result<LocbsResult, SchedError> {
-        dag_buf.clone_from(ctx.g);
-        let (schedule, makespan) = ctx.locbs.run_into(dag_buf, alloc, scratch)?;
-        AtomicCounters::bump(&ctx.counters.locbs_passes, 1);
-        Ok(LocbsResult {
+        horizon: Option<f64>,
+    ) -> Result<Option<LocbsResult>, SchedError> {
+        st.dag.clone_from(ctx.g);
+        let result = Self::pass(ctx, st, alloc, horizon)?;
+        Ok(result.map(|(schedule, makespan)| LocbsResult {
             schedule,
-            schedule_dag: dag_buf.clone(),
+            schedule_dag: st.dag.clone(),
             makespan,
-        })
+        }))
     }
 
     /// [`Scheduler::schedule`] with caller-owned working memory.
     ///
-    /// `dag_buf` and `scratch` are scratch space for the top-level LoCBS
-    /// probes; holding them across calls lets a long-lived caller (the
+    /// `dag_buf` and `scratch` are the working set of every LoCBS pass the
+    /// search runs; holding them across calls lets a long-lived caller (the
     /// runtime's replanning recovery policy) schedule a *sequence* of
     /// graphs — shrinking residual DAGs over shrinking clusters — without
     /// re-allocating the LoCBS working set each time. The scratch is
@@ -500,9 +468,6 @@ impl LocMps {
             .map(|t| g.task(t).profile.pbest(p_total))
             .collect();
         let wb = self.config.prune.then(|| WideningBounds::new(g, p_total));
-        let memo = (self.config.prune && self.config.parallel_entries.max(1) == 1)
-            .then(Mutex::<PassMemo>::default);
-        let counters = AtomicCounters::default();
         let ctx = SearchCtx {
             g,
             locbs: &locbs,
@@ -511,14 +476,21 @@ impl LocMps {
             model: &model,
             p_total,
             wb: wb.as_ref(),
-            memo: memo.as_ref(),
-            counters: &counters,
+        };
+        let mut st = SearchState {
+            counters: SearchCounters::default(),
+            memo: self.config.prune.then(PassMemo::default),
+            dag: dag_buf,
+            scratch,
         };
 
         // Steps 1–4: pure task-parallel start.
         let mut best_alloc = Allocation::ones(g.n_tasks());
-        let mut best: LocbsResult = Self::probe(&ctx, &best_alloc, dag_buf, scratch)?;
-        self.search(&ctx, &mut best_alloc, &mut best)?;
+        let mut best = match Self::probe(&ctx, &mut st, &best_alloc, None)? {
+            Some(res) => res,
+            None => unreachable!("an unbounded pass never aborts"),
+        };
+        self.search(&ctx, &mut st, &mut best_alloc, &mut best)?;
 
         // Wide-corner restarts (extension, see `LocMpsConfig::corner_starts`):
         // Figure 3 shows the data-parallel corner can be the optimum and the
@@ -550,33 +522,20 @@ impl LocMps {
                     if self.config.prune
                         && allocation_lower_bound(g, &alloc, p_total) >= best.makespan
                     {
-                        AtomicCounters::bump(&counters.branches_pruned, 1);
+                        st.counters.branches_pruned += 1;
                         continue;
                     }
-                    let res = if self.config.bounded_probes {
-                        let horizon = best.makespan - time_eps(best.makespan);
-                        dag_buf.clone_from(g);
-                        match locbs.run_into_bounded(dag_buf, &alloc, scratch, horizon)? {
-                            Some((schedule, makespan)) => {
-                                AtomicCounters::bump(&counters.locbs_passes, 1);
-                                LocbsResult {
-                                    schedule,
-                                    schedule_dag: dag_buf.clone(),
-                                    makespan,
-                                }
-                            }
-                            None => {
-                                AtomicCounters::bump(&counters.probes_aborted, 1);
-                                continue;
-                            }
-                        }
-                    } else {
-                        Self::probe(&ctx, &alloc, dag_buf, scratch)?
+                    let horizon = self
+                        .config
+                        .bounded_probes
+                        .then(|| best.makespan - time_eps(best.makespan));
+                    let Some(res) = Self::probe(&ctx, &mut st, &alloc, horizon)? else {
+                        continue;
                     };
                     if res.makespan < best.makespan - time_eps(best.makespan) {
                         let mut corner_alloc = alloc;
                         let mut corner_best = res;
-                        self.search(&ctx, &mut corner_alloc, &mut corner_best)?;
+                        self.search(&ctx, &mut st, &mut corner_alloc, &mut corner_best)?;
                         if corner_best.makespan < best.makespan - time_eps(best.makespan) {
                             best_alloc = corner_alloc;
                             best = corner_best;
@@ -590,103 +549,19 @@ impl LocMps {
             schedule: best.schedule,
             allocation: best_alloc,
             schedule_dag: Some(best.schedule_dag),
-            counters: counters.snapshot(),
+            counters: st.counters,
         })
     }
-}
 
-impl LocMps {
-    /// Applies one widening step described by `entry`.
-    fn apply_entry(dag: &TaskGraph, alloc: &mut Allocation, entry: Entry, p_total: usize) {
-        match entry {
-            Entry::Task(t) => alloc.widen(t, p_total),
-            Entry::Edge(e) => Self::widen_edge(dag, alloc, e, p_total),
-        }
-    }
-
-    /// Ranked, unmarked look-ahead entry points at the current best state:
-    /// the paper's single best candidate first, then the runners-up. With
-    /// `k = 1` this is exactly Algorithm 1's entry choice; larger `k`
-    /// feeds the parallel multi-entry look-ahead (the paper's future-work
-    /// item §VI(1)).
-    fn entry_candidates(
-        &self,
-        ctx: &SearchCtx<'_>,
-        dag: &TaskGraph,
-        schedule: &crate::schedule::Schedule,
-        alloc: &Allocation,
-        marked: &HashSet<Entry>,
-        k: usize,
-    ) -> Vec<Entry> {
-        let (g, conc, pbest) = (ctx.g, ctx.conc, ctx.pbest);
-        let (model, p_total) = (ctx.model, ctx.p_total);
-        let edge_w = |e: EdgeId| {
-            let edge = dag.edge(e);
-            match (schedule.get(edge.src), schedule.get(edge.dst)) {
-                (Some(s), Some(d)) => model.transfer_time(&s.procs, &d.procs, edge.volume),
-                _ => model.edge_estimate(dag, alloc, e),
-            }
-        };
-        let cp = dag.critical_path(|t| Self::node_weight(g, alloc, t), edge_w);
-        let tcomp = cp.computation_cost(|t| Self::node_weight(g, alloc, t));
-        let tcomm = cp.communication_cost(edge_w);
-
-        // Task entries: gain order with the paper's min-concurrency-ratio
-        // pick promoted to the front.
-        let mut task_entries: Vec<Entry> = Vec::new();
-        if let Some(primary) =
-            self.best_candidate_task(g, &cp, alloc, conc, pbest, p_total, Some(marked))
-        {
-            task_entries.push(Entry::Task(primary));
-            let mut rest: Vec<(TaskId, f64)> = cp
-                .tasks
-                .iter()
-                .copied()
-                .filter(|&t| t != primary)
-                .filter(|&t| alloc.np(t) < p_total.min(pbest[t.index()]))
-                .filter(|&t| !marked.contains(&Entry::Task(t)))
-                .map(|t| (t, g.task(t).profile.gain(alloc.np(t))))
-                .collect();
-            rest.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            task_entries.extend(rest.into_iter().map(|(t, _)| Entry::Task(t)));
-        }
-
-        // Edge entries: descending actual weight.
-        let mut edges: Vec<(EdgeId, f64)> = cp
-            .edges
-            .iter()
-            .copied()
-            .filter(|&e| {
-                let edge = dag.edge(e);
-                edge.kind == EdgeKind::Data
-                    && edge.volume > 0.0
-                    && (alloc.np(edge.src) < p_total || alloc.np(edge.dst) < p_total)
-            })
-            .filter(|&e| !marked.contains(&Entry::Edge(e)))
-            .map(|e| (e, edge_w(e)))
-            .collect();
-        edges.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let edge_entries: Vec<Entry> = edges.into_iter().map(|(e, _)| Entry::Edge(e)).collect();
-
-        // Whichever cost dominates the critical path goes first (step 14).
-        let (first, second) = if tcomp > tcomm {
-            (task_entries, edge_entries)
-        } else {
-            (edge_entries, task_entries)
-        };
-        first.into_iter().chain(second).take(k.max(1)).collect()
-    }
-
-    /// One bounded look-ahead trajectory (steps 10–35) forced to begin at
-    /// `entry`. Returns the best (allocation, schedule) seen along the way.
+    /// One bounded look-ahead trajectory (steps 10–35) from `alloc`, the
+    /// state the round's entry move just produced. Returns the best
+    /// (allocation, schedule) seen along the way.
     ///
-    /// The branch borrows its worker's thread-local schedule-DAG buffer and
-    /// LoCBS scratch ([`BRANCH_BUFFERS`]): every iteration re-schedules in
-    /// place via [`Locbs::run_into`] (stripping the previous iteration's
-    /// pseudo-edges instead of cloning the graph) with the edge-estimate
-    /// memo carried across iterations — only edges incident to the
-    /// just-widened task recompute. Branches never share a buffer, so the
-    /// parallel multi-entry rounds stay safe.
+    /// Every iteration re-schedules in place into the search's buffers via
+    /// [`Locbs::run_into`] (stripping the previous iteration's pseudo-edges
+    /// instead of cloning the graph), with the edge-estimate memo carried
+    /// across iterations — only edges incident to the just-widened task
+    /// recompute.
     ///
     /// With pruning on, the walk stops as soon as the widening window of
     /// the current allocation provably cannot beat `branch_best`: each
@@ -700,123 +575,102 @@ impl LocMps {
     fn lookahead_branch(
         &self,
         ctx: &SearchCtx<'_>,
-        start_alloc: &Allocation,
-        start_dag: &TaskGraph,
-        entry: Entry,
+        st: &mut SearchState<'_>,
+        mut alloc: Allocation,
     ) -> Result<(Allocation, LocbsResult), SchedError> {
-        let (g, p_total) = (ctx.g, ctx.p_total);
-        let mut alloc = start_alloc.clone();
-        Self::apply_entry(start_dag, &mut alloc, entry, p_total);
-        BRANCH_BUFFERS.with(|buffers| {
-            let (dag, scratch) = &mut *buffers.borrow_mut();
-            dag.clone_from(g);
-            scratch.reset_for(g);
-            let (mut schedule, mut makespan) =
-                match Self::branch_pass(ctx, &alloc, dag, scratch, None)? {
-                    Some(pass) => pass,
-                    None => unreachable!("an unbounded pass never aborts"),
-                };
-            let mut branch_alloc = alloc.clone();
-            let mut branch_best = LocbsResult {
-                schedule: schedule.clone(),
-                schedule_dag: dag.clone(),
-                makespan,
-            };
+        let (mut schedule, mut makespan) = match Self::branch_pass(ctx, st, &alloc, None)? {
+            Some(pass) => pass,
+            None => unreachable!("an unbounded pass never aborts"),
+        };
+        let mut branch_alloc = alloc.clone();
+        let mut branch_best = LocbsResult {
+            schedule: schedule.clone(),
+            schedule_dag: st.dag.clone(),
+            makespan,
+        };
 
-            let depth = self.config.lookahead_depth.max(1);
-            for step in 1..depth {
-                if self.refine(ctx, dag, &schedule, &mut alloc, None).is_none() {
+        let depth = self.config.lookahead_depth.max(1);
+        for step in 1..depth {
+            if self
+                .refine(ctx, st.dag, &schedule, &mut alloc, None)
+                .is_none()
+            {
+                break;
+            }
+            if let Some(wb) = ctx.wb {
+                // `depth - 1 - step` refinement moves remain after this
+                // one, so the window cone covers this state and every
+                // state the rest of the walk can reach. At or above the
+                // branch best, none of them passes the epsilon-strict
+                // improvement test; the returned pair is already final.
+                if wb.cone_bound_within(ctx.g, &alloc, depth - 1 - step) >= branch_best.makespan {
+                    st.counters.lookahead_cutoffs += 1;
                     break;
                 }
-                if let Some(wb) = ctx.wb {
-                    // `depth - 1 - step` refinement moves remain after this
-                    // one, so the window cone covers this state and every
-                    // state the rest of the walk can reach. At or above the
-                    // branch best, none of them passes the epsilon-strict
-                    // improvement test; the returned pair is already final.
-                    if wb.cone_bound_within(g, &alloc, depth - 1 - step) >= branch_best.makespan {
-                        AtomicCounters::bump(&ctx.counters.lookahead_cutoffs, 1);
-                        break;
-                    }
-                }
-                // The final pass feeds no further refinement: its only
-                // consumer is the branch-best update, so it may run under
-                // a bounded horizon and abort once that update is settled.
-                let horizon = (self.config.bounded_probes && step + 1 == depth)
-                    .then(|| branch_best.makespan - time_eps(branch_best.makespan));
-                match Self::branch_pass(ctx, &alloc, dag, scratch, horizon)? {
-                    Some(pass) => (schedule, makespan) = pass,
-                    None => break,
-                }
-                if makespan < branch_best.makespan - time_eps(branch_best.makespan) {
-                    branch_alloc = alloc.clone();
-                    branch_best = LocbsResult {
-                        schedule: schedule.clone(),
-                        schedule_dag: dag.clone(),
-                        makespan,
-                    };
-                }
             }
-            Ok((branch_alloc, branch_best))
-        })
-    }
-
-    /// One look-ahead LoCBS pass over the branch's buffers: replayed from
-    /// the pass memo when this allocation was already placed this era,
-    /// otherwise computed — under `horizon` when the caller can prove an
-    /// over-horizon pass is useless. Returns `None` exactly on a horizon
-    /// abort.
-    fn branch_pass(
-        ctx: &SearchCtx<'_>,
-        alloc: &Allocation,
-        dag: &mut TaskGraph,
-        scratch: &mut LocbsScratch,
-        horizon: Option<f64>,
-    ) -> Result<Option<(crate::schedule::Schedule, f64)>, SchedError> {
-        if let Some(memo) = ctx.memo {
-            let guard = memo.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(hit) = guard.map.get(alloc.as_slice()) {
-                dag.clear_pseudo_edges();
-                for &(src, dst) in &hit.pseudo {
-                    dag.add_pseudo_edge(src, dst).map_err(SchedError::Graph)?;
-                }
-                AtomicCounters::bump(&ctx.counters.pass_memo_hits, 1);
-                return Ok(Some((hit.schedule.clone(), hit.makespan)));
+            // The final pass feeds no further refinement: its only
+            // consumer is the branch-best update, so it may run under
+            // a bounded horizon and abort once that update is settled.
+            let horizon = (self.config.bounded_probes && step + 1 == depth)
+                .then(|| branch_best.makespan - time_eps(branch_best.makespan));
+            match Self::branch_pass(ctx, st, &alloc, horizon)? {
+                Some(pass) => (schedule, makespan) = pass,
+                None => break,
+            }
+            if makespan < branch_best.makespan - time_eps(branch_best.makespan) {
+                branch_alloc = alloc.clone();
+                branch_best = LocbsResult {
+                    schedule: schedule.clone(),
+                    schedule_dag: st.dag.clone(),
+                    makespan,
+                };
             }
         }
-        let result = match horizon {
-            Some(h) => ctx.locbs.run_into_bounded(dag, alloc, scratch, h)?,
-            None => Some(ctx.locbs.run_into(dag, alloc, scratch)?),
-        };
-        let Some((schedule, makespan)) = result else {
-            AtomicCounters::bump(&ctx.counters.probes_aborted, 1);
-            return Ok(None);
-        };
-        AtomicCounters::bump(&ctx.counters.locbs_passes, 1);
-        if let Some(memo) = ctx.memo {
-            let pseudo = dag
+        Ok((branch_alloc, branch_best))
+    }
+
+    /// One look-ahead [`LocMps::pass`], replayed from the pass memo when
+    /// this allocation was already placed.
+    fn branch_pass(
+        ctx: &SearchCtx<'_>,
+        st: &mut SearchState<'_>,
+        alloc: &Allocation,
+        horizon: Option<f64>,
+    ) -> Result<Option<(crate::schedule::Schedule, f64)>, SchedError> {
+        if let Some(hit) = st.memo.as_ref().and_then(|m| m.map.get(alloc.as_slice())) {
+            st.dag.clear_pseudo_edges();
+            for &(src, dst) in &hit.pseudo {
+                st.dag
+                    .add_pseudo_edge(src, dst)
+                    .map_err(SchedError::Graph)?;
+            }
+            st.counters.pass_memo_hits += 1;
+            return Ok(Some((hit.schedule.clone(), hit.makespan)));
+        }
+        let result = Self::pass(ctx, st, alloc, horizon)?;
+        if let (Some((schedule, makespan)), Some(memo)) = (&result, &mut st.memo) {
+            let pseudo = st
+                .dag
                 .edges()
                 .filter(|(_, e)| e.kind == EdgeKind::Pseudo)
                 .map(|(_, e)| (e.src, e.dst))
                 .collect();
-            memo.lock().unwrap_or_else(|e| e.into_inner()).map.insert(
+            memo.map.insert(
                 alloc.as_slice().to_vec(),
                 MemoEntry {
                     schedule: schedule.clone(),
                     pseudo,
-                    makespan,
+                    makespan: *makespan,
                 },
             );
         }
-        Ok(Some((schedule, makespan)))
+        Ok(result)
     }
 
     /// The outer commit/mark loop of Algorithm 1, refining `best_alloc` /
-    /// `best` in place from wherever they currently point. With
-    /// `parallel_entries > 1` each round explores that many entry points
-    /// concurrently (on the persistent worker pool) and commits the best
-    /// outcome; a round in which no branch improves marks every tried
-    /// entry.
+    /// `best` in place from wherever they currently point. Each round
+    /// enters one look-ahead at the best unmarked candidate; a success
+    /// commits and unmarks everything, a failure marks that entry.
     ///
     /// # Pruning, exactly
     ///
@@ -830,27 +684,20 @@ impl LocMps {
     ///   `best.makespan` no round can ever commit again; failed rounds only
     ///   touch `marked`, which is local, so returning now is observably
     ///   identical.
-    /// * **trailing-suffix skip**: a branch whose entry bound reaches
-    ///   `old_sl` can never pass the commit test, but it *can* still win
-    ///   the epsilon-tolerant winner fold and thereby shield a later,
-    ///   marginally-improving branch from committing. Skipping is
-    ///   therefore only safe for the pruned entries *after* the last
-    ///   unpruned one — exactly the suffix that has nobody left to shield.
-    ///   (With `parallel_entries = 1`, the default, every pruned entry is
-    ///   trailing.) Failed rounds still mark **all** candidate entries,
-    ///   skipped or not, just as the unpruned search would.
+    /// * **hopeless entry**: a branch whose entry state's cone bound at the
+    ///   remaining depth reaches the incumbent can never pass the commit
+    ///   test, so it is marked without being walked — exactly what running
+    ///   it would have done.
     fn search(
         &self,
         ctx: &SearchCtx<'_>,
+        st: &mut SearchState<'_>,
         best_alloc: &mut Allocation,
         best: &mut LocbsResult,
     ) -> Result<(), SchedError> {
-        use rayon::prelude::*;
-
         let mut marked: HashSet<Entry> = HashSet::new();
-        let width = self.config.parallel_entries.max(1);
         // A branch performs at most `depth` widening moves in total: the
-        // entry application plus `depth - 1` refinement steps.
+        // entry move plus `depth - 1` refinement steps.
         let depth = self.config.lookahead_depth.max(1);
 
         for _round in 0..self.config.max_rounds {
@@ -859,76 +706,35 @@ impl LocMps {
                     return Ok(()); // incumbent provably optimal in its cone
                 }
             }
-            let entries = self.entry_candidates(
+            let mut alloc = best_alloc.clone();
+            let Some(entry) = self.refine(
                 ctx,
                 &best.schedule_dag,
                 &best.schedule,
-                best_alloc,
-                &marked,
-                width,
-            );
-            if entries.is_empty() {
+                &mut alloc,
+                Some(&marked),
+            ) else {
                 return Ok(()); // nothing on the CP can be refined at all
-            }
-            let old_sl = best.makespan;
-
-            // Find the trailing run of provably-hopeless entries.
-            let cut = match ctx.wb {
-                Some(wb) => {
-                    let hopeless = |&entry: &Entry| {
-                        let mut alloc = best_alloc.clone();
-                        Self::apply_entry(&best.schedule_dag, &mut alloc, entry, ctx.p_total);
-                        wb.cone_bound_within(ctx.g, &alloc, depth - 1) >= old_sl
-                    };
-                    let keep = entries
-                        .iter()
-                        .rposition(|e| !hopeless(e))
-                        .map_or(0, |i| i + 1);
-                    AtomicCounters::bump(
-                        &ctx.counters.branches_pruned,
-                        (entries.len() - keep) as u64,
-                    );
-                    keep
-                }
-                None => entries.len(),
             };
-
-            let run_branch =
-                |&entry: &Entry| self.lookahead_branch(ctx, best_alloc, &best.schedule_dag, entry);
-            let branches: Vec<Result<(Allocation, LocbsResult), SchedError>> = if cut > 1 {
-                AtomicCounters::bump(&ctx.counters.pool_tasks, cut as u64);
-                entries[..cut].par_iter().map(run_branch).collect()
+            let hopeless = ctx
+                .wb
+                .is_some_and(|wb| wb.cone_bound_within(ctx.g, &alloc, depth - 1) >= best.makespan);
+            if hopeless {
+                st.counters.branches_pruned += 1;
             } else {
-                entries[..cut].iter().map(run_branch).collect()
-            };
-
-            // The earliest-ranked branch wins ties, keeping the search
-            // deterministic regardless of thread scheduling.
-            let mut winner: Option<(Allocation, LocbsResult)> = None;
-            for b in branches {
-                let b = b?;
-                let better = match &winner {
-                    None => true,
-                    Some((_, w)) => b.1.makespan < w.makespan - time_eps(w.makespan),
-                };
-                if better {
-                    winner = Some(b);
-                }
-            }
-
-            match winner {
-                Some((w_alloc, w_res)) if w_res.makespan < old_sl - time_eps(old_sl) => {
+                let (b_alloc, b_res) = self.lookahead_branch(ctx, st, alloc)?;
+                if b_res.makespan < best.makespan - time_eps(best.makespan) {
                     // Step 39: improvement found; commit and reset the marks.
-                    *best_alloc = w_alloc;
-                    *best = w_res;
+                    *best_alloc = b_alloc;
+                    *best = b_res;
                     marked.clear();
-                    AtomicCounters::bump(&ctx.counters.commits, 1);
+                    st.counters.commits += 1;
+                    continue;
                 }
-                // Step 37: failed look-ahead(s) — or a fully-pruned round,
-                // which is a failed round the bounds settled without
-                // running it. Remember every tried entry either way.
-                _ => marked.extend(entries),
             }
+            // Step 37: a failed look-ahead — or a hopeless one the bound
+            // settled without running it. Remember its entry either way.
+            marked.insert(entry);
         }
         Ok(())
     }
@@ -1069,56 +875,6 @@ mod tests {
         out.schedule
             .validate(&g, &CommModel::blind(&cluster))
             .unwrap();
-    }
-
-    #[test]
-    fn parallel_lookahead_is_deterministic_and_solves_fig3() {
-        let mut g = TaskGraph::new();
-        g.add_task("T1", ExecutionProfile::linear(40.0));
-        g.add_task("T2", ExecutionProfile::linear(80.0));
-        let cluster = Cluster::new(4, 12.5);
-        let cfg = LocMpsConfig {
-            parallel_entries: 4,
-            corner_starts: false,
-            ..Default::default()
-        };
-        let a = LocMps::new(cfg).schedule(&g, &cluster).unwrap();
-        let b = LocMps::new(cfg).schedule(&g, &cluster).unwrap();
-        assert_eq!(a.schedule, b.schedule, "rayon must not perturb the result");
-        assert!((a.makespan() - 30.0).abs() < 1e-6, "got {}", a.makespan());
-    }
-
-    #[test]
-    fn parallel_lookahead_matches_quality_on_a_mixed_graph() {
-        // More entries per round can only help each round's commit; verify
-        // the multi-entry variant is valid and no worse on a graph with
-        // both heavy computation and heavy communication.
-        let mut g = TaskGraph::new();
-        let a = g.add_task("a", profiled(&[30.0, 16.0, 9.0, 6.0]));
-        let b = g.add_task("b", profiled(&[24.0, 13.0, 8.0, 6.5]));
-        let c = g.add_task("c", profiled(&[28.0, 15.0, 9.0, 7.0]));
-        let d = g.add_task("d", profiled(&[20.0, 11.0, 7.0, 5.5]));
-        g.add_edge(a, b, 300.0).unwrap();
-        g.add_edge(a, c, 10.0).unwrap();
-        g.add_edge(b, d, 250.0).unwrap();
-        g.add_edge(c, d, 10.0).unwrap();
-        let cluster = Cluster::new(6, 12.5);
-        let seq = LocMps::default().schedule(&g, &cluster).unwrap();
-        let par = LocMps::new(LocMpsConfig {
-            parallel_entries: 3,
-            ..Default::default()
-        })
-        .schedule(&g, &cluster)
-        .unwrap();
-        par.schedule
-            .validate(&g, &CommModel::new(&cluster))
-            .unwrap();
-        assert!(
-            par.makespan() <= seq.makespan() * 1.10 + 1e-9,
-            "parallel {} vs sequential {}",
-            par.makespan(),
-            seq.makespan()
-        );
     }
 
     #[test]

@@ -63,10 +63,10 @@ impl std::error::Error for SchedError {}
 
 /// Deterministic work counters of the LoC-MPS refinement search.
 ///
-/// Every field is a pure function of the scheduling inputs — thread count,
-/// timing and scheduling order never influence them — so CI can pin exact
-/// values and a search-efficiency regression fails loudly without flaky
-/// wall-clock gates. Baselines that run no search report all zeros.
+/// The search is sequential, so every field is a pure function of the
+/// scheduling inputs — CI can pin exact values and a search-efficiency
+/// regression fails loudly without flaky wall-clock gates. Baselines that
+/// run no search report all zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchCounters {
     /// Full LoCBS placement passes run to completion.
@@ -83,8 +83,6 @@ pub struct SearchCounters {
     /// instead of a fresh placement (LoCBS output is a pure function of
     /// the graph and the allocation, so replays are exact).
     pub pass_memo_hits: u64,
-    /// Look-ahead branch jobs dispatched to the worker pool.
-    pub pool_tasks: u64,
     /// Improving rounds committed by the outer search loop.
     pub commits: u64,
 }

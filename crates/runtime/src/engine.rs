@@ -1129,7 +1129,7 @@ impl<'a> RuntimeEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{Fault, Replan, RetryShrink};
+    use crate::fault::{Fault, Remold, RetryShrink};
     use crate::policy::{GreedyOneProc, OnlineLocbs, PlanFollower};
     use locmps_core::{LocMps, Scheduler};
     use locmps_speedup::ExecutionProfile;
@@ -1305,7 +1305,7 @@ mod tests {
         let trace = RuntimeEngine::new(&g, &cluster, OnlineConfig::default()).run_with_faults(
             &mut PlanFollower::locmps(),
             &faults,
-            &mut Replan::locmps(),
+            &mut Remold::replan(),
         );
         assert!(trace.is_complete(), "events: {:#?}", trace.events);
         assert_eq!(trace.replans(), 1);
@@ -1614,7 +1614,7 @@ mod tests {
         let faulted = RuntimeEngine::new(&g, &cluster, cfg).run_with_faults(
             &mut OnlineLocbs::default(),
             &FaultPlan::new(),
-            &mut Replan::locmps(),
+            &mut Remold::replan(),
         );
         assert_eq!(plain, faulted);
     }
@@ -1635,7 +1635,7 @@ mod tests {
                 RuntimeEngine::new(&g, &cluster, OnlineConfig::default()).run_with_faults(
                     &mut GreedyOneProc,
                     &faults,
-                    &mut Replan::locmps(),
+                    &mut Remold::replan(),
                 )
             };
             assert!(trace.aborted && !trace.is_complete());

@@ -16,10 +16,13 @@
 //! * [`RetryShrink`] — re-molds each failed task onto the surviving free
 //!   processors (shrinking its width) and adopts tasks the base policy
 //!   can no longer place, without discarding the rest of the plan;
-//! * [`Replan`] — re-runs LoC-MPS on the residual DAG over the surviving
+//! * [`Remold`] — re-runs LoC-MPS on the residual DAG over the surviving
 //!   cluster (reusing one long-lived
 //!   [`LocbsScratch`](locmps_core::LocbsScratch) across replans) and
-//!   follows the fresh plan from then on.
+//!   follows the fresh plan from then on; [`Remold::replan`] schedules the
+//!   residual DAG as given, the learning flavour against profiles a
+//!   [`PerfModelStore`](crate::PerfModelStore) corrected from straggler
+//!   alarms.
 
 use locmps_core::{locality, LocMps, LocMpsConfig, LocbsScratch, ResidualDag, ScheduledTask};
 use locmps_platform::{Cluster, ProcId, ProcSet};
@@ -643,188 +646,36 @@ impl RecoveryPolicy for RetryShrink {
     }
 }
 
-/// Re-runs LoC-MPS on the residual DAG over the surviving cluster.
+/// Re-runs LoC-MPS on the residual DAG over the surviving processors.
 ///
 /// On the first failure the policy takes over dispatch entirely: the
 /// pending tasks (not done, not running) are extracted as a
-/// [`ResidualDag`], the surviving processors are compacted into a dense
-/// sub-cluster, LoC-MPS is re-run (reusing one long-lived
-/// [`LocbsScratch`] and schedule-DAG buffer across replans), and the
+/// [`ResidualDag`], the pool of usable processors is compacted into a
+/// dense sub-cluster, LoC-MPS is re-run (reusing one long-lived
+/// [`LocbsScratch`] and schedule-DAG buffer across re-molds), and the
 /// resulting plan — mapped back to real processor ids — is followed until
 /// the next failure dirties it again.
-pub struct Replan {
-    scheduler: LocMps,
-    active: bool,
-    dirty: bool,
-    plan: Vec<Option<(f64, ProcSet)>>,
-    scratch: LocbsScratch,
-    dag_buf: TaskGraph,
-}
-
-impl Replan {
-    /// Replans with the given LoC-MPS configuration.
-    pub fn new(config: LocMpsConfig) -> Self {
-        Self {
-            scheduler: LocMps::new(config),
-            active: false,
-            dirty: false,
-            plan: Vec::new(),
-            scratch: LocbsScratch::new(),
-            dag_buf: TaskGraph::new(),
-        }
-    }
-
-    /// Replans with the default LoC-MPS.
-    pub fn locmps() -> Self {
-        Self::new(LocMpsConfig::default())
-    }
-
-    fn replan(&mut self, ctx: &RecoveryCtx<'_>, log: &mut Vec<TraceEvent>) {
-        for slot in &mut self.plan {
-            *slot = None;
-        }
-        let n_alive = ctx.alive.len();
-        if n_alive == 0 {
-            return;
-        }
-        let Some(res) =
-            ResidualDag::extract(ctx.g, |t| !ctx.done[t.index()] && !ctx.running[t.index()])
-        else {
-            return;
-        };
-        let dense = Cluster {
-            n_procs: n_alive,
-            ..ctx.cluster.clone()
-        };
-        let alive_ids = ctx.alive.to_vec();
-        let Ok(out) = self.scheduler.schedule_with_scratch(
-            &res.graph,
-            &dense,
-            &mut self.dag_buf,
-            &mut self.scratch,
-        ) else {
-            // Leave the plan empty; the engine's stall handling aborts.
-            return;
-        };
-        for (ri, &parent) in res.to_parent.iter().enumerate() {
-            let entry = out
-                .schedule
-                .get(TaskId(ri as u32))
-                .expect("residual plan covers the residual graph");
-            let mut procs = ProcSet::new();
-            for p in entry.procs.iter() {
-                procs.insert(alive_ids[p as usize]);
-            }
-            self.plan[parent.index()] = Some((entry.start, procs));
-        }
-        log.push(TraceEvent {
-            time: ctx.now,
-            kind: TraceEventKind::Replan {
-                pending: res.graph.n_tasks(),
-                procs: n_alive,
-            },
-        });
-    }
-}
-
-impl Default for Replan {
-    fn default() -> Self {
-        Self::locmps()
-    }
-}
-
-impl RecoveryPolicy for Replan {
-    fn name(&self) -> &str {
-        "replan"
-    }
-
-    fn prepare(&mut self, g: &TaskGraph, _cluster: &Cluster) {
-        self.plan = vec![None; g.n_tasks()];
-    }
-
-    fn on_proc_failure(&mut self, _ctx: &RecoveryCtx<'_>, _proc: ProcId) {
-        self.active = true;
-        self.dirty = true;
-    }
-
-    fn on_task_failure(&mut self, _ctx: &RecoveryCtx<'_>, _task: TaskId) -> RecoveryAction {
-        self.active = true;
-        self.dirty = true;
-        RecoveryAction::Retry
-    }
-
-    fn overrides_dispatch(&self) -> bool {
-        self.active
-    }
-
-    fn dispatch_recovery(
-        &mut self,
-        ctx: &RecoveryCtx<'_>,
-        ready: &[TaskId],
-        free: &ProcSet,
-        stall: bool,
-        log: &mut Vec<TraceEvent>,
-    ) -> Vec<(TaskId, ProcSet)> {
-        if !self.active {
-            return Vec::new();
-        }
-        if self.dirty {
-            self.replan(ctx, log);
-            self.dirty = false;
-        }
-        let mut order: Vec<TaskId> = ready.to_vec();
-        order.sort_by(|&a, &b| {
-            let sa = self.plan[a.index()].as_ref().map_or(f64::INFINITY, |p| p.0);
-            let sb = self.plan[b.index()].as_ref().map_or(f64::INFINITY, |p| p.0);
-            sa.total_cmp(&sb).then(a.cmp(&b))
-        });
-        let mut remaining = free.clone();
-        let mut launches = Vec::new();
-        for t in order {
-            if let Some((_, procs)) = &self.plan[t.index()] {
-                if !procs.is_empty() && procs.is_subset(&remaining) {
-                    remaining = remaining.difference(procs);
-                    launches.push((t, procs.clone()));
-                }
-            }
-        }
-        if launches.is_empty() && stall && !remaining.is_empty() {
-            // Safety net for plans invalidated between replans: mold the
-            // first ready task onto the free survivors so the run keeps
-            // making progress instead of aborting.
-            if let Some(&t) = ready.first() {
-                let np = ctx
-                    .g
-                    .task(t)
-                    .profile
-                    .pbest(ctx.cluster.n_procs)
-                    .min(remaining.len())
-                    .max(1);
-                let scores = vec![0.0; ctx.cluster.n_procs];
-                if let Some(procs) = locality::select_max_locality(&remaining, np, &scores) {
-                    launches.push((t, procs));
-                }
-            }
-        }
-        launches
-    }
-}
-
-/// Observation-driven re-molding: like [`Replan`], but the residual DAG is
-/// re-scheduled against profiles *corrected* by a
-/// [`PerfModelStore`](crate::PerfModelStore), and straggler alarms both
-/// teach the store (elapsed wall-clock, slowdown-window corrected, as a
-/// lower bound on the attempt's true runtime) and trigger a re-mold —
-/// processor counts change, not just placement.
 ///
-/// Processors hosting suspected-straggler attempts are additionally
-/// quarantined: subsequent re-molds schedule the pending work onto the
-/// alive-and-unsuspected processors only (falling back to all survivors
-/// when everything is suspect), so systematically degraded processors stop
-/// receiving new tasks. Launch widths therefore never exceed the survivor
-/// capacity by construction.
+/// The constructor decides whether the policy learns:
+///
+/// * [`Remold::replan`] (`replan`) schedules the residual DAG as given
+///   over every survivor and leaves straggler alarms unanswered.
+/// * [`Remold::locmps`] and [`Remold::with_store`] (`remold`) re-schedule
+///   against profiles *corrected* by a
+///   [`PerfModelStore`](crate::PerfModelStore), and straggler alarms both
+///   teach the store (elapsed wall-clock as a lower bound on the attempt's
+///   true runtime) and trigger a re-mold — processor counts change, not
+///   just placement. Processors hosting suspected-straggler attempts are
+///   quarantined: subsequent re-molds schedule the pending work onto the
+///   alive-and-unsuspected processors only (falling back to all survivors
+///   when everything is suspect), so systematically degraded processors
+///   stop receiving new tasks. Launch widths therefore never exceed the
+///   survivor capacity by construction.
 pub struct Remold {
     scheduler: LocMps,
+    /// Whether straggler alarms teach `store` and trigger re-molds;
+    /// `false` is the frozen `replan` flavour.
+    learns: bool,
     store: crate::perfmodel::PerfModelStore,
     active: bool,
     dirty: bool,
@@ -835,14 +686,12 @@ pub struct Remold {
 }
 
 impl Remold {
-    /// Re-molds with the given LoC-MPS configuration and an empty store.
-    pub fn new(config: LocMpsConfig) -> Self {
-        Self::with_store(config, crate::perfmodel::PerfModelStore::new())
-    }
-
     /// Re-molds with the default LoC-MPS configuration and an empty store.
     pub fn locmps() -> Self {
-        Self::new(LocMpsConfig::default())
+        Self::with_store(
+            LocMpsConfig::default(),
+            crate::perfmodel::PerfModelStore::new(),
+        )
     }
 
     /// Re-molds against a pre-seeded performance-model store (e.g. one
@@ -850,6 +699,7 @@ impl Remold {
     pub fn with_store(config: LocMpsConfig, store: crate::perfmodel::PerfModelStore) -> Self {
         Self {
             scheduler: LocMps::new(config),
+            learns: true,
             store,
             active: false,
             dirty: false,
@@ -860,7 +710,17 @@ impl Remold {
         }
     }
 
-    /// Read access to the store (e.g. to inspect learned corrections).
+    /// The frozen flavour: replans with the default LoC-MPS over every
+    /// survivor, never learns, and ignores straggler alarms.
+    pub fn replan() -> Self {
+        Self {
+            learns: false,
+            ..Self::locmps()
+        }
+    }
+
+    /// Read access to the store (e.g. to inspect learned corrections);
+    /// always empty for [`Remold::replan`].
     pub fn store(&self) -> &crate::perfmodel::PerfModelStore {
         &self.store
     }
@@ -887,10 +747,16 @@ impl Remold {
         if n_pool == 0 {
             return;
         }
-        let corrected = self.store.corrected_graph(ctx.g, n_pool);
-        let Some(res) = ResidualDag::extract(&corrected, |t| {
-            !ctx.done[t.index()] && !ctx.running[t.index()]
-        }) else {
+        let corrected;
+        let g = if self.learns {
+            corrected = self.store.corrected_graph(ctx.g, n_pool);
+            &corrected
+        } else {
+            ctx.g
+        };
+        let Some(res) =
+            ResidualDag::extract(g, |t| !ctx.done[t.index()] && !ctx.running[t.index()])
+        else {
             return;
         };
         let dense = Cluster {
@@ -928,15 +794,13 @@ impl Remold {
     }
 }
 
-impl Default for Remold {
-    fn default() -> Self {
-        Self::locmps()
-    }
-}
-
 impl RecoveryPolicy for Remold {
     fn name(&self) -> &str {
-        "remold"
+        if self.learns {
+            "remold"
+        } else {
+            "replan"
+        }
     }
 
     fn prepare(&mut self, g: &TaskGraph, _cluster: &Cluster) {
@@ -960,6 +824,9 @@ impl RecoveryPolicy for Remold {
         task: TaskId,
         _attempt: u32,
     ) -> StragglerAction {
+        if !self.learns {
+            return StragglerAction::Ignore;
+        }
         // Learn from the alarm: the attempt has already consumed
         // `now - compute_start` wall-clock seconds, a *lower bound* on
         // the task's runtime at this width (the FaultPlan is not visible
@@ -1113,7 +980,7 @@ pub fn recovery_by_name(name: &str) -> Option<Box<dyn RecoveryPolicy>> {
     match name {
         "failstop" | "fail-stop" => Some(Box::new(FailStop)),
         "retryshrink" | "retry-shrink" => Some(Box::new(RetryShrink::new())),
-        "replan" => Some(Box::new(Replan::locmps())),
+        "replan" => Some(Box::new(Remold::replan())),
         "remold" => Some(Box::new(Remold::locmps())),
         _ => None,
     }

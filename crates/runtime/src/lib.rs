@@ -26,8 +26,10 @@
 //! slowdowns and task crashes into the event loop, and a pluggable
 //! [`fault::RecoveryPolicy`] decides what happens next —
 //! [`fault::FailStop`] (abort, the baseline), [`fault::RetryShrink`]
-//! (re-mold failed tasks onto the survivors) or [`fault::Replan`]
-//! (re-run LoC-MPS on the residual DAG over the surviving cluster).
+//! (re-mold failed tasks onto the survivors) or [`fault::Remold`]
+//! (re-run LoC-MPS on the residual DAG over the surviving cluster — as
+//! given for `replan`, against observation-corrected profiles for
+//! `remold`).
 //! Every execution returns an [`ExecutionTrace`] whose structured event
 //! log records starts, finishes, crashes, processor failures, retries,
 //! replans and aborts; the `locmps-analysis` LM3xx diagnostics audit that
@@ -59,7 +61,7 @@ pub use engine::{
 };
 pub use fault::{
     recovery_by_name, FailStop, Fault, FaultError, FaultPlan, Hedged, RecoveryAction, RecoveryCtx,
-    RecoveryPolicy, Remold, Replan, RetryShrink, StragglerAction,
+    RecoveryPolicy, Remold, RetryShrink, StragglerAction,
 };
 pub use perfmodel::{IngestError, IngestReport, PerfModelStore, WidthObs};
 pub use policy::{GreedyOneProc, OnlineLocbs, OnlinePolicy, PlanFollower};

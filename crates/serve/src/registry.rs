@@ -39,7 +39,7 @@ pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler + Send + Sync>,
         "cpr" => Box::new(Cpr),
         "cpa" => Box::new(Cpa),
         "tsas" => Box::new(Tsas::default()),
-        "psonline" => Box::new(OnlineMoldable::default()),
+        "psonline" => Box::new(OnlineMoldable),
         "task" => Box::new(TaskParallel),
         "data" => Box::new(DataParallel),
         other => return Err(format!("unknown scheduler {other:?}")),

@@ -1295,8 +1295,10 @@ fn spec_from_record(rec: &SubmitRecord) -> Result<JobSpec, JournalError> {
 /// active` and `cache_hits + cache_misses = submitted` exact; only
 /// `schedules_computed` restarts at zero (it counts this process's work).
 fn replayed_state(replay: &Replay) -> Result<State, JournalError> {
-    let mut st = State::default();
-    st.journal_truncated = replay.truncated;
+    let mut st = State {
+        journal_truncated: replay.truncated,
+        ..State::default()
+    };
     for rec in &replay.records {
         match rec {
             Record::Cache(c) => {

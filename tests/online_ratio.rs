@@ -91,7 +91,7 @@ fn amdahl(i: usize) -> ExecutionProfile {
 }
 
 fn assert_ratio(family: &str, ratio: f64, profile: impl Fn(usize) -> ExecutionProfile + Copy) {
-    let ps = OnlineMoldable::default();
+    let ps = OnlineMoldable;
     for (wname, shape) in zoo_shapes() {
         let g = reshape(&shape, profile);
         for p in [2usize, 4, 7, 16] {
@@ -123,12 +123,11 @@ fn amdahl_profiles_meet_the_paper_ratio() {
     assert_ratio("amdahl", AMDAHL_RATIO, amdahl);
 }
 
-/// The cap is what the proof leans on: an uncapped variant (μ = 1) must
-/// still schedule correctly, but the capped default can never allot more
+/// The cap is what the proof leans on: PS-ONLINE can never allot more
 /// than ⌈P/2⌉ to any task — verified across the zoo.
 #[test]
 fn default_cap_is_respected_across_the_zoo() {
-    let ps = OnlineMoldable::default();
+    let ps = OnlineMoldable;
     for (wname, shape) in zoo_shapes() {
         let g = reshape(&shape, roofline);
         let cluster = Cluster::new(16, 125.0);

@@ -14,7 +14,7 @@
 use locmps::analysis::analyze_trace;
 use locmps::prelude::*;
 use locmps::runtime::{
-    FailStop, Fault, FaultPlan, OnlineConfig, PlanFollower, RecoveryPolicy, Replan, RetryShrink,
+    FailStop, Fault, FaultPlan, OnlineConfig, PlanFollower, RecoveryPolicy, Remold, RetryShrink,
     RuntimeEngine,
 };
 use locmps::speedup::DowneyParams;
@@ -70,7 +70,7 @@ fn recoveries() -> Vec<Box<dyn RecoveryPolicy>> {
     vec![
         Box::new(FailStop),
         Box::new(RetryShrink::new()),
-        Box::new(Replan::locmps()),
+        Box::new(Remold::replan()),
     ]
 }
 
@@ -188,7 +188,7 @@ fn recoveries_survive_a_double_failure_failstop_does_not() {
 
     for mut recovery in [
         Box::new(RetryShrink::new()) as Box<dyn RecoveryPolicy>,
-        Box::new(Replan::locmps()),
+        Box::new(Remold::replan()),
     ] {
         let trace = run(recovery.as_mut());
         assert!(

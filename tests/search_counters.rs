@@ -151,7 +151,6 @@ fn pinned_200x32_search_effort() {
         probes_aborted: 2_007,
         branches_pruned: 2,
         lookahead_cutoffs: 0,
-        pool_tasks: 0,
         commits: 83,
     };
     assert_eq!(c, expected, "search-effort counters drifted");
