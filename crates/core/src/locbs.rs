@@ -66,6 +66,9 @@ struct Placement {
     start: f64,
     compute_start: f64,
     finish: f64,
+    /// Data-ready time on `procs` (`rct` under full overlap, the parents'
+    /// last finish under no overlap): the pseudo-edge test's `est`.
+    ready: f64,
     procs: ProcSet,
 }
 
@@ -87,6 +90,7 @@ pub struct LocbsScratch {
     free: ProcSet,
     sel: ProcSet,
     nb_times: Vec<f64>,
+    timeline: Timeline,
 }
 
 impl LocbsScratch {
@@ -291,7 +295,10 @@ impl<'a> Locbs<'a> {
             }
         }
 
-        let mut timeline = Timeline::new(p_total);
+        // The chart is moved out of the scratch for the pass, so `place`
+        // can borrow both; every exit below puts it back.
+        let mut timeline = std::mem::take(&mut scratch.timeline);
+        timeline.reset(p_total);
         let mut placed: Vec<Option<ScheduledTask>> = vec![None; dag.n_tasks()];
         let mut remaining_preds: Vec<usize> = dag.task_ids().map(|t| dag.in_degree(t)).collect();
         let mut ready: Vec<TaskId> = dag
@@ -308,19 +315,20 @@ impl<'a> Locbs<'a> {
                 // still has to run after this finish: the completed
                 // schedule would end past the horizon, so the pass cannot
                 // beat the caller's incumbent. Stop paying for the rest.
+                scratch.timeline = timeline;
                 return Ok(None);
             }
             timeline.occupy(&placement.procs, placement.start, placement.finish);
 
             // Pseudo-edges: the task is resource-blocked when it occupies
-            // its processors later than its earliest start time (est). The
-            // tolerances are bounded by half the intervals involved so a
-            // large makespan cannot inflate them past real task durations
-            // (a blocker must *end where the blocked task starts*, not
-            // merely within a relative-eps band of it).
-            let est = self.earliest_start(dag, t, &placed, &placement);
+            // its processors later than its earliest start time (est), the
+            // data-ready time of the chosen subset. The tolerances are
+            // bounded by half the intervals involved so a large makespan
+            // cannot inflate them past real task durations (a blocker must
+            // *end where the blocked task starts*, not merely within a
+            // relative-eps band of it).
             let plen = placement.finish - placement.start;
-            if placement.start > est + time_eps(placement.start).min(0.5 * plen) {
+            if placement.start > placement.ready + time_eps(placement.start).min(0.5 * plen) {
                 for (other_idx, other) in placed.iter().enumerate() {
                     if let Some(o) = other {
                         let eps = time_eps(placement.start)
@@ -358,36 +366,8 @@ impl<'a> Locbs<'a> {
         let schedule = Schedule::from_entries(entries);
         let makespan = schedule.makespan();
         debug_assert!(dag.validate().is_ok(), "pseudo edges must keep G' acyclic");
+        scratch.timeline = timeline;
         Ok(Some((schedule, makespan)))
-    }
-
-    /// The earliest start time `est(t) = max(ft(t0) + ct(t0, t))` given the
-    /// *chosen* placement (used only for the pseudo-edge test).
-    fn earliest_start(
-        &self,
-        g: &TaskGraph,
-        t: TaskId,
-        placed: &[Option<ScheduledTask>],
-        placement: &Placement,
-    ) -> f64 {
-        let mut est = 0.0f64;
-        for e in g.in_edges(t) {
-            let edge = g.edge(e);
-            let src = placed[edge.src.index()]
-                .as_ref()
-                .expect("parents are scheduled first");
-            let ct = match self.model.cluster().overlap {
-                CommOverlap::Full => {
-                    self.model
-                        .transfer_time(&src.procs, &placement.procs, edge.volume)
-                }
-                // Under no-overlap the transfer happens inside the task's
-                // own occupancy window, so data readiness is parent finish.
-                CommOverlap::None => 0.0,
-            };
-            est = est.max(src.finish + ct);
-        }
-        est
     }
 
     /// Finds the minimum-finish-time placement for `t` (Algorithm 2, steps
@@ -443,6 +423,7 @@ impl<'a> Locbs<'a> {
                 .dedup_by(|a, b| (*a - *b).abs() <= time_eps(*a));
         }
 
+        let full_overlap = self.model.cluster().overlap == CommOverlap::Full;
         let mut best: Option<Placement> = None;
         // The transfer costs below depend only on the *selected subset*
         // (parent placements are fixed), and consecutive candidates often
@@ -497,45 +478,31 @@ impl<'a> Locbs<'a> {
             );
             let procs = &scratch.sel;
 
-            let (start, compute_start, finish) = match self.model.cluster().overlap {
-                CommOverlap::Full => {
-                    // Redistribution completion time on this subset.
-                    let rct = if memo_cost.is_finite() && memo_sel == *procs {
-                        memo_cost
-                    } else {
-                        let mut rct = data_ready;
-                        for e in g.in_edges(t) {
-                            let edge = g.edge(e);
-                            let src = placed[edge.src.index()].as_ref().expect("parents first");
-                            let ct = self.model.transfer_time(&src.procs, procs, edge.volume);
-                            rct = rct.max(src.finish + ct);
-                        }
-                        memo_sel.clone_from(procs);
-                        memo_cost = rct;
-                        rct
-                    };
-                    let st = s.max(rct);
-                    (st, st, st + et)
+            // Under full overlap: the redistribution completion time on
+            // this subset. Under no overlap: the inbound transfer total,
+            // serialized inside the occupancy window (single-port at the
+            // receiver).
+            let comm = if memo_cost.is_finite() && memo_sel == *procs {
+                memo_cost
+            } else {
+                let (mut rct, mut total) = (data_ready, 0.0);
+                for e in g.in_edges(t) {
+                    let edge = g.edge(e);
+                    let src = placed[edge.src.index()].as_ref().expect("parents first");
+                    let ct = self.model.transfer_time(&src.procs, procs, edge.volume);
+                    rct = rct.max(src.finish + ct);
+                    total += ct;
                 }
-                CommOverlap::None => {
-                    // Inbound transfers serialize inside the occupancy
-                    // window (single-port at the receiver).
-                    let comm_total = if memo_cost.is_finite() && memo_sel == *procs {
-                        memo_cost
-                    } else {
-                        let mut comm_total = 0.0;
-                        for e in g.in_edges(t) {
-                            let edge = g.edge(e);
-                            let src = placed[edge.src.index()].as_ref().expect("parents first");
-                            comm_total += self.model.transfer_time(&src.procs, procs, edge.volume);
-                        }
-                        memo_sel.clone_from(procs);
-                        memo_cost = comm_total;
-                        comm_total
-                    };
-                    let st = s.max(data_ready);
-                    (st, st + comm_total, st + comm_total + et)
-                }
+                memo_sel.clone_from(procs);
+                memo_cost = if full_overlap { rct } else { total };
+                memo_cost
+            };
+            let (start, compute_start, finish, ready) = if full_overlap {
+                let st = s.max(comm);
+                (st, st, st + et, comm)
+            } else {
+                let st = s.max(data_ready);
+                (st, st + comm, st + comm + et, data_ready)
             };
 
             // The window guess was [s, s+et); the real occupancy may have
@@ -563,6 +530,7 @@ impl<'a> Locbs<'a> {
                         b.start = start;
                         b.compute_start = compute_start;
                         b.finish = finish;
+                        b.ready = ready;
                         b.procs.clone_from(procs);
                     }
                     None => {
@@ -570,6 +538,7 @@ impl<'a> Locbs<'a> {
                             start,
                             compute_start,
                             finish,
+                            ready,
                             procs: procs.clone(),
                         })
                     }
@@ -923,6 +892,48 @@ mod tests {
             assert_eq!(makespan, fresh.makespan);
             assert_eq!(dag, fresh.schedule_dag);
         }
+    }
+
+    #[test]
+    fn scratch_reused_after_an_aborted_pass_matches_a_fresh_run() {
+        // A bounded pass that aborts mid-placement leaves bookings and
+        // pseudo-edges behind; the next full pass on the same scratch and
+        // dag must still match a fresh `run` exactly.
+        let mut g = TaskGraph::new();
+        let a = g.add_task("a", profiled(&[30.0, 16.0, 9.0, 6.0]));
+        let b = g.add_task("b", profiled(&[24.0, 13.0, 8.0, 6.5]));
+        let c = g.add_task("c", profiled(&[28.0, 15.0, 9.0, 7.0]));
+        let d = g.add_task("d", profiled(&[20.0, 11.0, 7.0, 5.5]));
+        g.add_edge(a, b, 300.0).unwrap();
+        g.add_edge(a, c, 10.0).unwrap();
+        g.add_edge(b, d, 250.0).unwrap();
+        g.add_edge(c, d, 10.0).unwrap();
+        let cluster = Cluster::new(4, 12.5);
+        let model = CommModel::new(&cluster);
+        let locbs = Locbs::new(model, LocbsOptions::default());
+        let mut dag = g.clone();
+        let mut scratch = LocbsScratch::new();
+
+        // All-ones: the zero-communication critical path a-c-d is 78, so a
+        // horizon of 78 passes the up-front bounds and the abort comes from
+        // a placement, once the 10 MB transfer to c pushes it past 78.
+        let ones = Allocation::ones(4);
+        assert!(locbs.run(&g, &ones).unwrap().makespan > 78.0);
+        let aborted = locbs
+            .run_into_bounded(&mut dag, &ones, &mut scratch, 78.0)
+            .unwrap();
+        assert!(aborted.is_none(), "the bounded pass must abort");
+        assert!(
+            (0..4).any(|p| !scratch.timeline.bookings(p).is_empty()),
+            "the chart of the aborted pass is handed back to the scratch"
+        );
+
+        let alloc = Allocation::from_vec(vec![2, 1, 3, 4]);
+        let fresh = locbs.run(&g, &alloc).unwrap();
+        let (schedule, makespan) = locbs.run_into(&mut dag, &alloc, &mut scratch).unwrap();
+        assert_eq!(schedule, fresh.schedule);
+        assert_eq!(makespan.to_bits(), fresh.makespan.to_bits());
+        assert_eq!(dag, fresh.schedule_dag);
     }
 
     #[test]

@@ -209,14 +209,23 @@ struct SearchCtx<'a> {
 
 /// The mutable state of one search, owned by one
 /// [`LocMps::schedule_with_scratch`] call: the work tally, the pass memo,
-/// and the caller's schedule-DAG buffer and LoCBS scratch, which every
-/// probe and look-ahead pass re-schedules into.
+/// the refine weight tables, and the caller's schedule-DAG buffer and
+/// LoCBS scratch, which every probe and look-ahead pass re-schedules into.
 struct SearchState<'b> {
     counters: SearchCounters,
     /// `Some` exactly when [`LocMpsConfig::prune`] is on.
     memo: Option<PassMemo>,
+    weights: Weights,
     dag: &'b mut TaskGraph,
     scratch: &'b mut LocbsScratch,
+}
+
+/// One [`LocMps::refine`] step's weights: `et(np)` per task and the
+/// transfer time per edge of `G'`.
+#[derive(Default)]
+struct Weights {
+    node: Vec<f64>,
+    edge: Vec<f64>,
 }
 
 /// The LoC-MPS scheduler.
@@ -236,31 +245,24 @@ impl LocMps {
         &self.config
     }
 
-    fn node_weight(g: &TaskGraph, alloc: &Allocation, t: TaskId) -> f64 {
-        g.task(t).profile.time(alloc.np(t))
-    }
-
     /// Best candidate task on the critical path (§III.C): filter widenable,
     /// rank by gain, inspect the top fraction, pick minimum concurrency
     /// ratio.
-    #[allow(clippy::too_many_arguments)]
     fn best_candidate_task(
         &self,
-        g: &TaskGraph,
+        ctx: &SearchCtx<'_>,
         cp: &CriticalPath,
         alloc: &Allocation,
-        conc: &ConcurrencyInfo,
-        pbest: &[usize],
-        p_total: usize,
         marked: Option<&HashSet<Entry>>,
     ) -> Option<TaskId> {
+        let (conc, pbest) = (ctx.conc, ctx.pbest);
         let mut cands: Vec<(TaskId, f64)> = cp
             .tasks
             .iter()
             .copied()
-            .filter(|&t| alloc.np(t) < p_total.min(pbest[t.index()]))
+            .filter(|&t| alloc.np(t) < ctx.p_total.min(pbest[t.index()]))
             .filter(|&t| marked.is_none_or(|m| !m.contains(&Entry::Task(t))))
-            .map(|t| (t, g.task(t).profile.gain(alloc.np(t))))
+            .map(|t| (t, ctx.g.task(t).profile.gain(alloc.np(t))))
             .collect();
         if cands.is_empty() {
             return None;
@@ -333,47 +335,47 @@ impl LocMps {
     /// an edge whose endpoints share a layout weighs nothing, exactly as
     /// it executes. (The paper's `d/(min(np)·bw)` closed form is the
     /// group-agnostic stand-in; it remains the planning estimate inside
-    /// LoCBS's priorities where groups are not yet placed.)
+    /// LoCBS's priorities where groups are not yet placed.) Each weight is
+    /// computed once per step into `w`, and every later read uses that table.
     fn refine(
         &self,
         ctx: &SearchCtx<'_>,
+        w: &mut Weights,
         dag: &TaskGraph,
         schedule: &crate::schedule::Schedule,
         alloc: &mut Allocation,
         marked: Option<&HashSet<Entry>>,
     ) -> Option<Entry> {
-        let (g, conc, pbest) = (ctx.g, ctx.conc, ctx.pbest);
-        let (model, p_total) = (ctx.model, ctx.p_total);
-        let edge_w = |e: EdgeId| {
+        let (g, model, p_total) = (ctx.g, ctx.model, ctx.p_total);
+        w.node.clear();
+        w.node
+            .extend(g.task_ids().map(|t| g.task(t).profile.time(alloc.np(t))));
+        w.edge.clear();
+        w.edge.extend(dag.edge_ids().map(|e| {
             let edge = dag.edge(e);
             match (schedule.get(edge.src), schedule.get(edge.dst)) {
                 (Some(s), Some(d)) => model.transfer_time(&s.procs, &d.procs, edge.volume),
                 _ => model.edge_estimate(dag, alloc, e),
             }
-        };
-        let cp = dag.critical_path(|t| Self::node_weight(g, alloc, t), edge_w);
-        let tcomp = cp.computation_cost(|t| Self::node_weight(g, alloc, t));
+        }));
+        let node_w = |t: TaskId| w.node[t.index()];
+        let edge_w = |e: EdgeId| w.edge[e.index()];
+        let cp = dag.critical_path(node_w, edge_w);
+        let tcomp = cp.computation_cost(node_w);
         let tcomm = cp.communication_cost(edge_w);
 
-        if tcomp > tcomm {
-            if let Some(t) = self.best_candidate_task(g, &cp, alloc, conc, pbest, p_total, marked) {
-                alloc.widen(t, p_total);
-                return Some(Entry::Task(t));
+        // Computation dominated: the best task, else the heaviest edge.
+        // Communication dominated: the edge, else the task.
+        let task = self.best_candidate_task(ctx, &cp, alloc, marked);
+        if tcomp <= tcomm || task.is_none() {
+            if let Some(e) = self.best_candidate_edge(dag, &cp, alloc, edge_w, p_total, marked) {
+                Self::widen_edge(dag, alloc, e, p_total);
+                return Some(Entry::Edge(e));
             }
         }
-        if let Some(e) = self.best_candidate_edge(dag, &cp, alloc, edge_w, p_total, marked) {
-            Self::widen_edge(dag, alloc, e, p_total);
-            return Some(Entry::Edge(e));
-        }
-        // Communication dominated but no widenable edge: fall back to a
-        // task candidate so compute-bound refinement can still proceed.
-        if tcomp <= tcomm {
-            if let Some(t) = self.best_candidate_task(g, &cp, alloc, conc, pbest, p_total, marked) {
-                alloc.widen(t, p_total);
-                return Some(Entry::Task(t));
-            }
-        }
-        None
+        let t = task?;
+        alloc.widen(t, p_total);
+        Some(Entry::Task(t))
     }
 }
 
@@ -480,6 +482,7 @@ impl LocMps {
         let mut st = SearchState {
             counters: SearchCounters::default(),
             memo: self.config.prune.then(PassMemo::default),
+            weights: Weights::default(),
             dag: dag_buf,
             scratch,
         };
@@ -592,7 +595,7 @@ impl LocMps {
         let depth = self.config.lookahead_depth.max(1);
         for step in 1..depth {
             if self
-                .refine(ctx, st.dag, &schedule, &mut alloc, None)
+                .refine(ctx, &mut st.weights, st.dag, &schedule, &mut alloc, None)
                 .is_none()
             {
                 break;
@@ -709,6 +712,7 @@ impl LocMps {
             let mut alloc = best_alloc.clone();
             let Some(entry) = self.refine(
                 ctx,
+                &mut st.weights,
                 &best.schedule_dag,
                 &best.schedule,
                 &mut alloc,

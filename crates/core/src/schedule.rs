@@ -133,12 +133,14 @@ impl Schedule {
         Self { entries }
     }
 
-    /// The entry for task `t`, if present.
+    /// The entry for task `t`, if present: at index `t` in a complete
+    /// schedule, found by binary search in a partial one.
     pub fn get(&self, t: TaskId) -> Option<&ScheduledTask> {
-        self.entries
-            .binary_search_by_key(&t, |e| e.task)
-            .ok()
-            .map(|i| &self.entries[i])
+        let i = match self.entries.get(t.index()) {
+            Some(e) if e.task == t => t.index(),
+            _ => self.entries.binary_search_by_key(&t, |e| e.task).ok()?,
+        };
+        Some(&self.entries[i])
     }
 
     /// All entries in task-id order.
@@ -359,6 +361,22 @@ mod tests {
         s.validate(&g, &model).unwrap();
         assert_eq!(s.makespan(), 20.0);
         assert!((s.utilization(2) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn get_finds_entries_of_a_partial_schedule() {
+        // Tasks 0, 2 and 5 only: 2 and 5 sit below their own index, so
+        // they are found through the binary-search fallback.
+        let s = Schedule::from_entries(vec![
+            entry(5, &[1], 4.0, 4.0, 6.0),
+            entry(0, &[0], 0.0, 0.0, 2.0),
+            entry(2, &[0], 2.0, 2.0, 4.0),
+        ]);
+        assert_eq!(s.get(TaskId(0)).map(|e| e.finish), Some(2.0));
+        assert_eq!(s.get(TaskId(2)).map(|e| e.task), Some(TaskId(2)));
+        assert_eq!(s.get(TaskId(5)).map(|e| e.task), Some(TaskId(5)));
+        assert!(s.get(TaskId(1)).is_none());
+        assert!(s.get(TaskId(9)).is_none());
     }
 
     #[test]

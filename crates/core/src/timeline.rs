@@ -43,7 +43,7 @@ fn bounded_eps(scale: f64, a_len: f64, b_len: f64) -> f64 {
 }
 
 /// Per-processor busy intervals with hole queries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     busy: Vec<Vec<(f64, f64)>>,
     /// Every booking's end time, kept sorted across all processors — the
@@ -54,10 +54,18 @@ pub struct Timeline {
 impl Timeline {
     /// An all-idle chart for `n_procs` processors.
     pub fn new(n_procs: usize) -> Self {
-        Self {
-            busy: vec![Vec::new(); n_procs],
-            ends: Vec::new(),
-        }
+        let mut chart = Self::default();
+        chart.reset(n_procs);
+        chart
+    }
+
+    /// Makes this an all-idle chart for `n_procs` processors, keeping its
+    /// allocations for the next pass.
+    pub(crate) fn reset(&mut self, n_procs: usize) {
+        self.busy.truncate(n_procs);
+        self.busy.iter_mut().for_each(Vec::clear);
+        self.busy.resize_with(n_procs, Vec::new);
+        self.ends.clear();
     }
 
     /// Number of processors tracked.
@@ -333,6 +341,30 @@ mod tests {
         tl.occupy(&set(&[1]), 30.0, 31.0);
         assert_eq!(tl.candidate_times(0.0), vec![0.0, 4.0, 6.0, 9.0, 31.0]);
         assert_eq!(tl.candidate_times(5.0), vec![5.0, 6.0, 9.0, 31.0]);
+    }
+
+    #[test]
+    fn reset_to_fewer_procs_answers_like_a_fresh_chart() {
+        let mut tl = Timeline::new(32);
+        tl.occupy(&set(&[0, 5, 20, 31]), 0.0, 10.0);
+        tl.occupy(&set(&[5, 15]), 12.0, 30.0);
+        tl.reset(16);
+        let fresh = Timeline::new(16);
+        assert_eq!(tl.n_procs(), fresh.n_procs());
+        for p in 0..16 {
+            assert_eq!(tl.bookings(p), fresh.bookings(p));
+            assert_eq!(tl.last_free_time(p), fresh.last_free_time(p));
+            assert!(tl.is_free(p, 0.0, 40.0));
+        }
+        assert_eq!(tl.free_set(0.0, 40.0), fresh.free_set(0.0, 40.0));
+        assert_eq!(tl.candidate_times(1.0), fresh.candidate_times(1.0));
+        // A booking after the reset lands as on the fresh chart.
+        let mut fresh = fresh;
+        for chart in [&mut tl, &mut fresh] {
+            chart.occupy(&set(&[3, 15]), 2.0, 6.0);
+        }
+        assert_eq!(tl.free_set(4.0, 5.0), fresh.free_set(4.0, 5.0));
+        assert_eq!(tl.candidate_times(0.0), fresh.candidate_times(0.0));
     }
 
     #[test]

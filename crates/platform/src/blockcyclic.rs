@@ -196,8 +196,9 @@ impl RedistributionMatrix {
 /// (Chinese remainder theorem), and then carries exactly `volume / lcm`,
 /// so each source slot sends `volume/p` in total and each destination slot
 /// receives `volume/q`; locality discounts apply only to physical
-/// processors present in both groups. Runs in `O(p + q)` — this sits on the
-/// innermost loop of LoCBS's hole search.
+/// processors present in both groups. It costs a few popcounts over the
+/// bitmap words, none for zero volume; LoCBS prices every candidate subset
+/// with it, and LoC-MPS every edge it weighs.
 ///
 /// # Examples
 /// ```
@@ -213,54 +214,29 @@ impl RedistributionMatrix {
 /// assert_eq!(redistribution_time(&src, &src, 100.0, 12.5), 0.0);
 /// ```
 pub fn redistribution_time(src: &ProcSet, dst: &ProcSet, volume: f64, bandwidth: f64) -> f64 {
-    if volume <= 0.0 || src.is_empty() || dst.is_empty() {
+    if volume <= 0.0 {
         return 0.0;
     }
-    let p = src.len();
-    let q = dst.len();
+    let (p, q) = (src.len(), dst.len());
+    if p == 0 || q == 0 {
+        return 0.0;
+    }
     let g = gcd(p, q);
-    let period = lcm(p, q);
-    let per_pair = volume / period as f64;
+    let per_pair = volume / lcm(p, q) as f64;
 
-    // Busy time per physical node: sent + received, minus local pairs.
-    // Sets are sorted and duplicate-free, so each physical node occupies at
-    // most one slot per side; walk both in lockstep (no materialized id
-    // vectors — this sits on LoCBS's per-candidate loop) to find shared
-    // nodes, tracking each side's slot index.
+    // Busy time per physical node: sent + received, minus local pairs. A
+    // send-only node is busy `volume/p`, a receive-only node `volume/q`,
+    // and a shared node both, less `2·per_pair` when its send and receive
+    // slots talk to each other (that volume never touches the network).
+    // `max` is order-independent, so one value per kind of node will do.
+    let shared = src.intersection_len(dst);
     let mut max_busy = 0.0f64;
-    let mut shared = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut si = src.iter().peekable();
-    let mut di = dst.iter().peekable();
-    while let (Some(&a), Some(&b)) = (si.peek(), di.peek()) {
-        match a.cmp(&b) {
-            std::cmp::Ordering::Less => {
-                si.next();
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                di.next();
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let mut busy = volume / p as f64 + volume / q as f64;
-                if i % g == j % g {
-                    // The node's send and receive slots talk to each other:
-                    // that volume never touches the network, on either side.
-                    busy -= 2.0 * per_pair;
-                }
-                max_busy = max_busy.max(busy);
-                shared += 1;
-                si.next();
-                di.next();
-                i += 1;
-                j += 1;
-            }
+    if shared > 0 {
+        max_busy = volume / p as f64 + volume / q as f64;
+        if g == 1 || shared_slots_aligned(src.words(), dst.words(), g) {
+            max_busy -= 2.0 * per_pair;
         }
     }
-    // A send-only node is busy exactly `volume/p`, a receive-only node
-    // `volume/q`; `max` is order-independent, so one comparison per side
-    // replaces the per-node loop.
     if shared < p {
         max_busy = max_busy.max(volume / p as f64);
     }
@@ -268,6 +244,29 @@ pub fn redistribution_time(src: &ProcSet, dst: &ProcSet, volume: f64, bandwidth:
         max_busy = max_busy.max(volume / q as f64);
     }
     max_busy.max(0.0) / bandwidth
+}
+
+/// Whether every node in both bitmaps holds slots `i ≡ j (mod g)`. A
+/// node's slot counts the members below it: the popcount of the lower bits
+/// in its word plus the members of earlier words. Stops at the first
+/// misaligned node, which alone sets the maximum busy time.
+fn shared_slots_aligned(a: &[u64], b: &[u64], g: usize) -> bool {
+    let (mut base_i, mut base_j) = (0usize, 0usize);
+    for (&wa, &wb) in a.iter().zip(b) {
+        let mut both = wa & wb;
+        while both != 0 {
+            let below = (both & both.wrapping_neg()) - 1;
+            let i = base_i + (wa & below).count_ones() as usize;
+            let j = base_j + (wb & below).count_ones() as usize;
+            if i % g != j % g {
+                return false;
+            }
+            both &= both - 1;
+        }
+        base_i += wa.count_ones() as usize;
+        base_j += wb.count_ones() as usize;
+    }
+    true
 }
 
 #[cfg(test)]

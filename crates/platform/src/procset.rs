@@ -92,6 +92,11 @@ impl ProcSet {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// The bitmap words, lowest ids first; may end in zero words.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Iterates members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = ProcId> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {

@@ -11,6 +11,76 @@ fn arb_procset() -> impl Strategy<Value = ProcSet> {
     proptest::collection::btree_set(0u32..96, 1..16).prop_map(|s| s.into_iter().collect())
 }
 
+/// Sets over ids `0..200` (up to four bitmap words); about half of them
+/// end in zero words, left by inserting a high id and removing it again.
+fn arb_wide_procset() -> impl Strategy<Value = ProcSet> {
+    (
+        proptest::collection::btree_set(0u32..200, 1..48),
+        any::<bool>(),
+        200u32..400,
+    )
+        .prop_map(|(ids, pad, high)| {
+            let mut s: ProcSet = ids.into_iter().collect();
+            if pad {
+                s.insert(high);
+                s.remove(high);
+            }
+            s
+        })
+}
+
+/// A lockstep walk over both sorted member lists, counting each side's
+/// slot index as it goes: the bit-exact reference for the word-wise
+/// [`redistribution_time`].
+fn lockstep_redistribution_time(src: &ProcSet, dst: &ProcSet, volume: f64, bandwidth: f64) -> f64 {
+    if volume <= 0.0 || src.is_empty() || dst.is_empty() {
+        return 0.0;
+    }
+    let p = src.len();
+    let q = dst.len();
+    let (mut g, mut r) = (p, q);
+    while r != 0 {
+        (g, r) = (r, g % r);
+    }
+    let per_pair = volume / (p / g * q) as f64;
+    let mut max_busy = 0.0f64;
+    let mut shared = 0usize;
+    let (mut i, mut j) = (0usize, 0usize);
+    let mut si = src.iter().peekable();
+    let mut di = dst.iter().peekable();
+    while let (Some(&a), Some(&b)) = (si.peek(), di.peek()) {
+        match a.cmp(&b) {
+            std::cmp::Ordering::Less => {
+                si.next();
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                di.next();
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                let mut busy = volume / p as f64 + volume / q as f64;
+                if i % g == j % g {
+                    busy -= 2.0 * per_pair;
+                }
+                max_busy = max_busy.max(busy);
+                shared += 1;
+                si.next();
+                di.next();
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    if shared < p {
+        max_busy = max_busy.max(volume / p as f64);
+    }
+    if shared < q {
+        max_busy = max_busy.max(volume / q as f64);
+    }
+    max_busy.max(0.0) / bandwidth
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -107,6 +177,44 @@ proptest! {
             (fast - exact).abs() <= 1e-9 * exact.max(1.0),
             "closed form {fast} != matrix {exact} for {a} -> {b}"
         );
+    }
+
+    #[test]
+    fn word_kernel_is_bit_identical_to_the_lockstep_walk(
+        a in arb_wide_procset(),
+        b in arb_wide_procset(),
+        vol in 0.0..1000.0f64,
+        bw in 0.5..200.0f64,
+        keep in 1usize..48,
+    ) {
+        // A prefix of `a` shares its first slots with `a` (every shared
+        // node aligned); a shifted copy shares nothing with it.
+        let mut prefix = a.clone();
+        prefix.truncate(keep);
+        let shifted: ProcSet = a.iter().map(|p| p + 200).collect();
+        let union = a.union(&b);
+        let pairs = [
+            (&a, &b),
+            (&b, &a),
+            (&a, &a),
+            (&a, &prefix),
+            (&prefix, &a),
+            (&a, &shifted),
+            (&a, &union),
+            (&union, &b),
+        ];
+        for (src, dst) in pairs {
+            for v in [vol, 0.0] {
+                let fast = redistribution_time(src, dst, v, bw);
+                let reference = lockstep_redistribution_time(src, dst, v, bw);
+                prop_assert_eq!(
+                    fast.to_bits(),
+                    reference.to_bits(),
+                    "word kernel {} != lockstep walk {} for {} -> {} ({} MB)",
+                    fast, reference, src, dst, v
+                );
+            }
+        }
     }
 
     #[test]

@@ -238,7 +238,8 @@ pub fn decode_records(bytes: &[u8]) -> Result<Replay, JournalError> {
 
 /// Encodes one record as a frame (header + JSON payload).
 fn encode_frame(record: &Record) -> Result<Vec<u8>, JournalError> {
-    let payload = serde_json::to_string_checked(record).map_err(|e| JournalError::Encode(e.to_string()))?;
+    let payload =
+        serde_json::to_string_checked(record).map_err(|e| JournalError::Encode(e.to_string()))?;
     let payload = payload.into_bytes();
     if payload.len() > MAX_RECORD_BYTES {
         return Err(JournalError::Encode(format!(
@@ -298,7 +299,8 @@ impl Journal {
             .open(path)
             .map_err(Self::io("open", path))?;
         if replay.truncated {
-            file.set_len(replay.valid_len).map_err(Self::io("truncate", path))?;
+            file.set_len(replay.valid_len)
+                .map_err(Self::io("truncate", path))?;
             file.sync_all().map_err(Self::io("sync", path))?;
         }
         file.seek(SeekFrom::Start(replay.valid_len))
@@ -323,7 +325,9 @@ impl Journal {
         self.file
             .write_all(&frame)
             .map_err(Self::io("append", &self.path))?;
-        self.file.sync_data().map_err(Self::io("sync", &self.path))?;
+        self.file
+            .sync_data()
+            .map_err(Self::io("sync", &self.path))?;
         Ok(())
     }
 
@@ -361,7 +365,9 @@ impl Journal {
             .truncate(false)
             .open(path)
             .map_err(Self::io("open", path))?;
-        let end = file.seek(SeekFrom::End(0)).map_err(Self::io("seek", path))?;
+        let end = file
+            .seek(SeekFrom::End(0))
+            .map_err(Self::io("seek", path))?;
         debug_assert!(end > 0 || records.is_empty());
         Ok(Journal {
             file,

@@ -105,8 +105,7 @@ impl Server {
     /// # Errors
     /// The `bind`/`local_addr` I/O error.
     pub fn bind(addr: &str, cfg: ServeConfig) -> std::io::Result<Server> {
-        Self::bind_with_journal(addr, cfg, None)
-            .map_err(|e| std::io::Error::other(e.to_string()))
+        Self::bind_with_journal(addr, cfg, None).map_err(|e| std::io::Error::other(e.to_string()))
     }
 
     /// [`Server::bind`] with an optional durable job journal: the file is

@@ -37,7 +37,11 @@ impl Levels {
 
     /// Whether `t` lies on a critical path (within a relative tolerance).
     pub fn on_critical_path(&self, t: TaskId) -> bool {
-        let cp = self.cp_length();
+        self.on_path_of_length(t, self.cp_length())
+    }
+
+    /// [`Levels::on_critical_path`] for a precomputed `cp_length`.
+    fn on_path_of_length(&self, t: TaskId, cp: f64) -> bool {
         let eps = 1e-9 * cp.abs().max(1.0);
         (self.top[t.index()] + self.bottom[t.index()] - cp).abs() <= eps
     }
@@ -122,7 +126,7 @@ impl TaskGraph {
         // Start at a source on the CP (topL == 0 and topL + bottomL == cp).
         let mut cur = self
             .task_ids()
-            .filter(|&t| levels.top[t.index()].abs() <= eps && levels.on_critical_path(t))
+            .filter(|&t| levels.top[t.index()].abs() <= eps && levels.on_path_of_length(t, cp))
             .min()
             .expect("a critical path always starts at a source");
 
@@ -137,7 +141,7 @@ impl TaskGraph {
                 // The successor continues the CP iff the path through this
                 // edge realizes its top level and the successor is on a CP.
                 if (levels.top[dst.index()] - along).abs() <= eps
-                    && levels.on_critical_path(dst)
+                    && levels.on_path_of_length(dst, cp)
                     && next.is_none_or(|(_, t)| dst < t)
                 {
                     next = Some((e, dst));
