@@ -25,7 +25,6 @@
 
 use locmps_bench::experiments::ExperimentCtx;
 use locmps_bench::report::Table;
-use locmps_core::LocMpsConfig;
 use locmps_platform::Cluster;
 use locmps_runtime::{
     recovery_by_name, FaultPlan, OnlineConfig, PerfModelStore, PlanFollower, RecoveryPolicy,
@@ -103,7 +102,7 @@ fn run_cell(
     for seed in 0..seeds {
         let faults = slowdown_campaign(seed, cluster.n_procs, m0);
         let mut policy: Box<dyn RecoveryPolicy> = if adaptive {
-            Box::new(Remold::with_store(LocMpsConfig::default(), store.clone()))
+            Box::new(Remold::with_store(store.clone()))
         } else {
             recovery_by_name(recovery).expect("known recovery name")
         };

@@ -377,7 +377,6 @@ struct RunSummary {
 
 fn run_online(args: &Args) -> Result<(), String> {
     use locmps_analysis::{analyze_model, analyze_trace};
-    use locmps_core::LocMpsConfig;
     use locmps_runtime::{
         recovery_by_name, FaultPlan, GreedyOneProc, Hedged, OnlineConfig, OnlineLocbs,
         OnlinePolicy, PerfModelStore, PlanFollower, RecoveryPolicy, Remold, RuntimeEngine,
@@ -434,7 +433,7 @@ fn run_online(args: &Args) -> Result<(), String> {
     let mut recovery: Box<dyn RecoveryPolicy> = if adapt && rec_name == "remold" {
         // Seed the re-molder with the loaded store so corrections learned
         // in earlier invocations steer this run's re-molds.
-        Box::new(Remold::with_store(LocMpsConfig::default(), store.clone()))
+        Box::new(Remold::with_store(store.clone()))
     } else {
         recovery_by_name(rec_name).ok_or_else(|| format!("unknown recovery {rec_name:?}"))?
     };

@@ -71,29 +71,6 @@ impl<'a> CommModel<'a> {
         )
     }
 
-    /// [`CommModel::edge_estimate`] through a memo: recomputes only when
-    /// the cached entry's processor counts no longer match the allocation.
-    pub fn edge_estimate_cached(
-        &self,
-        g: &TaskGraph,
-        alloc: &Allocation,
-        e: EdgeId,
-        cache: &mut EstimateCache,
-    ) -> f64 {
-        let edge = g.edge(e);
-        let (np_src, np_dst) = (alloc.np(edge.src), alloc.np(edge.dst));
-        let slot = &mut cache.entries[e.index()];
-        if slot.0 as usize != np_src || slot.1 as usize != np_dst {
-            let value = if self.comm_aware {
-                aggregate_edge_cost(edge.volume, np_src, np_dst, self.cluster.bandwidth)
-            } else {
-                0.0
-            };
-            *slot = (np_src as u32, np_dst as u32, value);
-        }
-        slot.2
-    }
-
     /// Exact single-port transfer time of `volume` MB between the two
     /// concrete block-cyclic groups.
     pub fn transfer_time(&self, src: &ProcSet, dst: &ProcSet, volume: f64) -> f64 {
@@ -101,51 +78,6 @@ impl<'a> CommModel<'a> {
             return 0.0;
         }
         redistribution_time(src, dst, volume, self.cluster.bandwidth)
-    }
-}
-
-/// Per-edge memo for [`CommModel::edge_estimate_cached`], keyed by the
-/// `(np(src), np(dst))` pair the value was computed under.
-///
-/// The estimate depends only on the edge's (immutable) volume and the two
-/// endpoint widths, so tag-mismatch checking *is* the invalidation rule:
-/// when LoC-MPS widens one task, exactly that task's incident edges see a
-/// stale tag and recompute — every other cached estimate stays valid across
-/// refinement iterations. Tags start at 0, which no valid allocation uses
-/// (`np >= 1`), so fresh entries always miss.
-#[derive(Debug, Clone, Default)]
-pub struct EstimateCache {
-    entries: Vec<(u32, u32, f64)>,
-}
-
-impl EstimateCache {
-    /// An empty cache; sized on first [`EstimateCache::reset_for`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Invalidates everything and sizes the memo for `g`'s edges (data and
-    /// pseudo); call when switching graphs or restarting an iteration whose
-    /// allocation history is unknown.
-    pub fn reset_for(&mut self, g: &TaskGraph) {
-        self.entries.clear();
-        self.entries.resize(g.n_edges(), (0, 0, 0.0));
-    }
-
-    /// Grows the memo to cover edges appended since the last reset (pseudo
-    /// edges added mid-run), without dropping valid entries.
-    pub fn grow_for(&mut self, g: &TaskGraph) {
-        if g.n_edges() > self.entries.len() {
-            self.entries.resize(g.n_edges(), (0, 0, 0.0));
-        }
-    }
-
-    /// Whether no entry holds a cached value (all width tags are the
-    /// never-valid 0): the state [`EstimateCache::reset_for`] guarantees.
-    pub fn is_clear(&self) -> bool {
-        self.entries
-            .iter()
-            .all(|&(src, dst, _)| src == 0 && dst == 0)
     }
 }
 
@@ -183,38 +115,6 @@ mod tests {
         let b: ProcSet = [1u32].into_iter().collect();
         assert_eq!(model.transfer_time(&a, &b, 100.0), 0.0);
         assert!(!model.is_comm_aware());
-    }
-
-    #[test]
-    fn cache_tracks_allocation_changes() {
-        let cluster = Cluster::new(8, 12.5);
-        let model = CommModel::new(&cluster);
-        let (g, e) = edge_graph(100.0);
-        let mut cache = EstimateCache::new();
-        cache.reset_for(&g);
-        let mut alloc = Allocation::from_vec(vec![4, 2]);
-        let direct = model.edge_estimate(&g, &alloc, e);
-        assert_eq!(
-            model.edge_estimate_cached(&g, &alloc, e, &mut cache),
-            direct
-        );
-        // Hit: same widths, same value.
-        assert_eq!(
-            model.edge_estimate_cached(&g, &alloc, e, &mut cache),
-            direct
-        );
-        // Widening an endpoint invalidates the entry by tag mismatch.
-        alloc.set(g.edge(e).dst, 4);
-        let widened = model.edge_estimate(&g, &alloc, e);
-        assert_ne!(widened, direct);
-        assert_eq!(
-            model.edge_estimate_cached(&g, &alloc, e, &mut cache),
-            widened
-        );
-        // The blind model caches zeros just as consistently.
-        let blind = CommModel::blind(&cluster);
-        cache.reset_for(&g);
-        assert_eq!(blind.edge_estimate_cached(&g, &alloc, e, &mut cache), 0.0);
     }
 
     #[test]

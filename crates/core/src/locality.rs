@@ -10,39 +10,9 @@
 use locmps_platform::{ProcId, ProcSet};
 use locmps_taskgraph::{TaskGraph, TaskId};
 
-/// Per-processor resident input volume for task `t`, given each parent's
-/// placement (`parent_procs` returns the processor set a scheduled parent
-/// runs on).
-pub fn input_locality_scores(
-    g: &TaskGraph,
-    t: TaskId,
-    n_procs: usize,
-    parent_procs: impl Fn(TaskId) -> ProcSet,
-) -> Vec<f64> {
-    let mut scores = vec![0.0; n_procs];
-    for e in g.in_edges(t) {
-        let edge = g.edge(e);
-        if edge.volume <= 0.0 {
-            continue;
-        }
-        let procs = parent_procs(edge.src);
-        let np = procs.len();
-        if np == 0 {
-            continue;
-        }
-        let share = edge.volume / np as f64;
-        for p in procs.iter() {
-            if (p as usize) < n_procs {
-                scores[p as usize] += share;
-            }
-        }
-    }
-    scores
-}
-
-/// Buffer-reusing, clone-free form of [`input_locality_scores`]: the
-/// parent lookup returns a *borrowed* processor set and the score vector
-/// is written into `out` (resized to `n_procs`).
+/// Per-processor resident input volume for task `t`, written into `out`
+/// (resized to `n_procs`). `parent_procs` returns the processor set each
+/// parent of `t` runs on; a parent that maps to the empty set adds nothing.
 pub fn input_locality_scores_into<'p>(
     g: &TaskGraph,
     t: TaskId,
@@ -133,14 +103,15 @@ mod tests {
         let t = g.add_task("t", ExecutionProfile::linear(1.0));
         g.add_edge(a, t, 40.0).unwrap();
         g.add_edge(b, t, 20.0).unwrap();
-        let placement = |p: TaskId| if p == a { set(&[0, 1]) } else { set(&[1, 2]) };
-        let scores = input_locality_scores(&g, t, 4, placement);
-        assert_eq!(scores, vec![20.0, 30.0, 10.0, 0.0]);
-        // The borrow-based form fills a reused buffer with the same scores.
+        // The buffer's previous contents and length are discarded.
         let (pa, pb) = (set(&[0, 1]), set(&[1, 2]));
         let mut out = vec![99.0; 2];
         input_locality_scores_into(&g, t, 4, |p| if p == a { &pa } else { &pb }, &mut out);
-        assert_eq!(out, scores);
+        assert_eq!(out, vec![20.0, 30.0, 10.0, 0.0]);
+        // A parent mapped to the empty set (not placed yet) adds nothing.
+        let unplaced = ProcSet::new();
+        input_locality_scores_into(&g, t, 4, |p| if p == a { &pa } else { &unplaced }, &mut out);
+        assert_eq!(out, vec![20.0, 20.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -149,8 +120,10 @@ mod tests {
         let a = g.add_task("a", ExecutionProfile::linear(1.0));
         let t = g.add_task("t", ExecutionProfile::linear(1.0));
         g.add_edge(a, t, 0.0).unwrap();
-        let scores = input_locality_scores(&g, t, 2, |_| set(&[0]));
-        assert_eq!(scores, vec![0.0, 0.0]);
+        let on_zero = set(&[0]);
+        let mut out = Vec::new();
+        input_locality_scores_into(&g, t, 2, |_| &on_zero, &mut out);
+        assert_eq!(out, vec![0.0, 0.0]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use locmps_platform::{CommOverlap, ProcId, ProcSet};
 use locmps_taskgraph::{TaskGraph, TaskId};
 
 use crate::allocation::Allocation;
-use crate::commcost::{CommModel, EstimateCache};
+use crate::commcost::CommModel;
 use crate::locality::{input_locality_scores_into, select_max_locality_into};
 use crate::schedule::{time_eps, Schedule, ScheduledTask};
 use crate::scheduler::SchedError;
@@ -74,15 +74,13 @@ struct Placement {
 
 /// Reusable working memory for [`Locbs::run_into`].
 ///
-/// A scratch is tied to one `(graph, communication model)` pair: the
-/// estimate memo is keyed by edge index and endpoint widths only, so
-/// sharing it across graphs or models would silently serve stale values.
-/// LoC-MPS reuses its caller's scratch for every probe and look-ahead
-/// pass of one search — that reuse (plus the allocation-tagged memo) is
-/// what makes repeated LoCBS invocations cheap.
+/// Only buffers: every one is cleared and refilled by the pass that uses
+/// it, so no value carries from one call to the next and one scratch may
+/// serve any sequence of graphs, allocations and models. LoC-MPS reuses
+/// one scratch for every probe and look-ahead pass of a search, which
+/// saves the allocations.
 #[derive(Debug, Default)]
 pub struct LocbsScratch {
-    estimates: EstimateCache,
     edge_est: Vec<f64>,
     priority: Vec<f64>,
     scores: Vec<f64>,
@@ -97,27 +95,6 @@ impl LocbsScratch {
     /// Fresh, empty working memory.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Re-arms the scratch for a *different* graph: invalidates the
-    /// edge-indexed estimate memo (whose entries would otherwise be served
-    /// stale across graphs) and sizes it for `g`.
-    ///
-    /// Call once before the first [`Locbs::run_into`] on a new graph; the
-    /// remaining buffers are sized per call and need no reset. This is what
-    /// lets one long-lived scratch serve repeated replanning over shrinking
-    /// residual DAGs.
-    pub fn reset_for(&mut self, g: &TaskGraph) {
-        self.estimates.reset_for(g);
-        self.edge_est.clear();
-        // A long-lived scratch (the runtime's replanning recovery) cycles
-        // through many graphs; a reset that left a stale memo entry behind
-        // would serve wrong estimates *silently*, so verify full clearing
-        // here.
-        debug_assert!(
-            self.edge_est.is_empty() && self.estimates.is_clear(),
-            "reset_for must leave no carried estimate state"
-        );
     }
 }
 
@@ -150,9 +127,8 @@ impl<'a> Locbs<'a> {
     /// `dag` is the task graph, possibly still carrying pseudo-edges from a
     /// previous run — they are stripped on entry and this run's pseudo-edges
     /// are recorded in their place, so on success `dag` *is* the
-    /// schedule-DAG `G'` (no per-iteration graph clone). `scratch` carries
-    /// buffers and the allocation-tagged estimate memo across calls; see
-    /// [`LocbsScratch`] for the reuse contract.
+    /// schedule-DAG `G'` (no per-iteration graph clone). `scratch` lends
+    /// its buffers; see [`LocbsScratch`].
     pub fn run_into(
         &self,
         dag: &mut TaskGraph,
@@ -237,16 +213,12 @@ impl<'a> Locbs<'a> {
         }
 
         // Static priorities: bottom level + heaviest in-edge estimate
-        // (Algorithm 2, step 4). Estimates go through the memo — across
-        // LoC-MPS iterations only edges incident to the widened task miss.
-        scratch.estimates.grow_for(dag);
+        // (Algorithm 2, step 4).
         scratch.edge_est.clear();
-        for e in dag.edge_ids() {
-            let est = self
-                .model
-                .edge_estimate_cached(dag, alloc, e, &mut scratch.estimates);
-            scratch.edge_est.push(est);
-        }
+        scratch.edge_est.extend(
+            dag.edge_ids()
+                .map(|e| self.model.edge_estimate(dag, alloc, e)),
+        );
         let levels = dag.levels(
             |t| dag.task(t).profile.time(alloc.np(t)),
             |e| scratch.edge_est[e.index()],

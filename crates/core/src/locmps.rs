@@ -50,15 +50,16 @@ use crate::locbs::{Locbs, LocbsOptions, LocbsResult, LocbsScratch};
 use crate::schedule::time_eps;
 use crate::scheduler::{SchedError, Scheduler, SchedulerOutput, SearchCounters};
 
+/// Fraction of top-gain CP tasks inspected for the concurrency-ratio
+/// tie-break (paper: 10 %).
+const TOP_FRACTION: f64 = 0.10;
+
 /// Tunables of Algorithm 1. [`Default`] reproduces the paper's settings.
 #[derive(Debug, Clone, Copy)]
 pub struct LocMpsConfig {
     /// Look-ahead bound (paper: "a bound of 20 iterations was found to
     /// yield good results").
     pub lookahead_depth: usize,
-    /// Fraction of top-gain CP tasks inspected for the concurrency-ratio
-    /// tie-break (paper: 10 %).
-    pub top_fraction: f64,
     /// Lower bound on how many top-gain tasks are inspected (default 1 —
     /// the paper's literal `⌈10 %⌉` rule, which on the short critical
     /// paths of 10–50-task graphs inspects a single task, i.e. pure
@@ -103,7 +104,6 @@ impl Default for LocMpsConfig {
     fn default() -> Self {
         Self {
             lookahead_depth: 20,
-            top_fraction: 0.10,
             inspect_at_least: 1,
             backfill: true,
             comm_aware: true,
@@ -207,17 +207,18 @@ struct SearchCtx<'a> {
     wb: Option<&'a WideningBounds>,
 }
 
-/// The mutable state of one search, owned by one
-/// [`LocMps::schedule_with_scratch`] call: the work tally, the pass memo,
-/// the refine weight tables, and the caller's schedule-DAG buffer and
-/// LoCBS scratch, which every probe and look-ahead pass re-schedules into.
-struct SearchState<'b> {
+/// The mutable state of one search, owned by one [`Scheduler::schedule`]
+/// call: the work tally, the pass memo, the refine weight tables, and the
+/// schedule-DAG buffer and LoCBS scratch that every probe and look-ahead
+/// pass re-schedules into.
+#[derive(Default)]
+struct SearchState {
     counters: SearchCounters,
     /// `Some` exactly when [`LocMpsConfig::prune`] is on.
     memo: Option<PassMemo>,
     weights: Weights,
-    dag: &'b mut TaskGraph,
-    scratch: &'b mut LocbsScratch,
+    dag: TaskGraph,
+    scratch: LocbsScratch,
 }
 
 /// One [`LocMps::refine`] step's weights: `et(np)` per task and the
@@ -268,7 +269,7 @@ impl LocMps {
             return None;
         }
         cands.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let k = ((self.config.top_fraction * cands.len() as f64).ceil() as usize)
+        let k = ((TOP_FRACTION * cands.len() as f64).ceil() as usize)
             .max(self.config.inspect_at_least.max(1).min(cands.len()))
             .min(cands.len());
         cands[..k]
@@ -389,69 +390,7 @@ impl Scheduler for LocMps {
     }
 
     fn schedule(&self, g: &TaskGraph, cluster: &Cluster) -> Result<SchedulerOutput, SchedError> {
-        self.schedule_with_scratch(g, cluster, &mut TaskGraph::new(), &mut LocbsScratch::new())
-    }
-}
-
-impl LocMps {
-    /// One LoCBS pass into the search's buffers — under `horizon` when the
-    /// caller can prove an over-horizon pass is useless. Returns `None`
-    /// exactly on a horizon abort.
-    fn pass(
-        ctx: &SearchCtx<'_>,
-        st: &mut SearchState<'_>,
-        alloc: &Allocation,
-        horizon: Option<f64>,
-    ) -> Result<Option<(crate::schedule::Schedule, f64)>, SchedError> {
-        let result = match horizon {
-            Some(h) => ctx.locbs.run_into_bounded(st.dag, alloc, st.scratch, h)?,
-            None => Some(ctx.locbs.run_into(st.dag, alloc, st.scratch)?),
-        };
-        match result {
-            Some(_) => st.counters.locbs_passes += 1,
-            None => st.counters.probes_aborted += 1,
-        }
-        Ok(result)
-    }
-
-    /// A top-level probe: one [`LocMps::pass`] from a fresh copy of the
-    /// graph, kept whole with its schedule-DAG.
-    fn probe(
-        ctx: &SearchCtx<'_>,
-        st: &mut SearchState<'_>,
-        alloc: &Allocation,
-        horizon: Option<f64>,
-    ) -> Result<Option<LocbsResult>, SchedError> {
-        st.dag.clone_from(ctx.g);
-        let result = Self::pass(ctx, st, alloc, horizon)?;
-        Ok(result.map(|(schedule, makespan)| LocbsResult {
-            schedule,
-            schedule_dag: st.dag.clone(),
-            makespan,
-        }))
-    }
-
-    /// [`Scheduler::schedule`] with caller-owned working memory.
-    ///
-    /// `dag_buf` and `scratch` are the working set of every LoCBS pass the
-    /// search runs; holding them across calls lets a long-lived caller (the
-    /// runtime's replanning recovery policy) schedule a *sequence* of
-    /// graphs — shrinking residual DAGs over shrinking clusters — without
-    /// re-allocating the LoCBS working set each time. The scratch is
-    /// re-armed for `g` on entry, so any previous contents are safe to
-    /// carry over. Results are identical to [`Scheduler::schedule`].
-    ///
-    /// # Errors
-    /// Exactly those of [`Scheduler::schedule`].
-    pub fn schedule_with_scratch(
-        &self,
-        g: &TaskGraph,
-        cluster: &Cluster,
-        dag_buf: &mut TaskGraph,
-        scratch: &mut LocbsScratch,
-    ) -> Result<SchedulerOutput, SchedError> {
         g.validate().map_err(SchedError::Graph)?;
-        scratch.reset_for(g);
         let p_total = cluster.n_procs;
         let model = if self.config.comm_aware {
             CommModel::new(cluster)
@@ -480,11 +419,8 @@ impl LocMps {
             wb: wb.as_ref(),
         };
         let mut st = SearchState {
-            counters: SearchCounters::default(),
             memo: self.config.prune.then(PassMemo::default),
-            weights: Weights::default(),
-            dag: dag_buf,
-            scratch,
+            ..SearchState::default()
         };
 
         // Steps 1–4: pure task-parallel start.
@@ -555,6 +491,47 @@ impl LocMps {
             counters: st.counters,
         })
     }
+}
+
+impl LocMps {
+    /// One LoCBS pass into the search's buffers — under `horizon` when the
+    /// caller can prove an over-horizon pass is useless. Returns `None`
+    /// exactly on a horizon abort.
+    fn pass(
+        ctx: &SearchCtx<'_>,
+        st: &mut SearchState,
+        alloc: &Allocation,
+        horizon: Option<f64>,
+    ) -> Result<Option<(crate::schedule::Schedule, f64)>, SchedError> {
+        let result = match horizon {
+            Some(h) => ctx
+                .locbs
+                .run_into_bounded(&mut st.dag, alloc, &mut st.scratch, h)?,
+            None => Some(ctx.locbs.run_into(&mut st.dag, alloc, &mut st.scratch)?),
+        };
+        match result {
+            Some(_) => st.counters.locbs_passes += 1,
+            None => st.counters.probes_aborted += 1,
+        }
+        Ok(result)
+    }
+
+    /// A top-level probe: one [`LocMps::pass`] from a fresh copy of the
+    /// graph, kept whole with its schedule-DAG.
+    fn probe(
+        ctx: &SearchCtx<'_>,
+        st: &mut SearchState,
+        alloc: &Allocation,
+        horizon: Option<f64>,
+    ) -> Result<Option<LocbsResult>, SchedError> {
+        st.dag.clone_from(ctx.g);
+        let result = Self::pass(ctx, st, alloc, horizon)?;
+        Ok(result.map(|(schedule, makespan)| LocbsResult {
+            schedule,
+            schedule_dag: st.dag.clone(),
+            makespan,
+        }))
+    }
 
     /// One bounded look-ahead trajectory (steps 10–35) from `alloc`, the
     /// state the round's entry move just produced. Returns the best
@@ -562,9 +539,7 @@ impl LocMps {
     ///
     /// Every iteration re-schedules in place into the search's buffers via
     /// [`Locbs::run_into`] (stripping the previous iteration's pseudo-edges
-    /// instead of cloning the graph), with the edge-estimate memo carried
-    /// across iterations — only edges incident to the just-widened task
-    /// recompute.
+    /// instead of cloning the graph).
     ///
     /// With pruning on, the walk stops as soon as the widening window of
     /// the current allocation provably cannot beat `branch_best`: each
@@ -578,7 +553,7 @@ impl LocMps {
     fn lookahead_branch(
         &self,
         ctx: &SearchCtx<'_>,
-        st: &mut SearchState<'_>,
+        st: &mut SearchState,
         mut alloc: Allocation,
     ) -> Result<(Allocation, LocbsResult), SchedError> {
         let (mut schedule, mut makespan) = match Self::branch_pass(ctx, st, &alloc, None)? {
@@ -595,7 +570,7 @@ impl LocMps {
         let depth = self.config.lookahead_depth.max(1);
         for step in 1..depth {
             if self
-                .refine(ctx, &mut st.weights, st.dag, &schedule, &mut alloc, None)
+                .refine(ctx, &mut st.weights, &st.dag, &schedule, &mut alloc, None)
                 .is_none()
             {
                 break;
@@ -636,7 +611,7 @@ impl LocMps {
     /// this allocation was already placed.
     fn branch_pass(
         ctx: &SearchCtx<'_>,
-        st: &mut SearchState<'_>,
+        st: &mut SearchState,
         alloc: &Allocation,
         horizon: Option<f64>,
     ) -> Result<Option<(crate::schedule::Schedule, f64)>, SchedError> {
@@ -694,7 +669,7 @@ impl LocMps {
     fn search(
         &self,
         ctx: &SearchCtx<'_>,
-        st: &mut SearchState<'_>,
+        st: &mut SearchState,
         best_alloc: &mut Allocation,
         best: &mut LocbsResult,
     ) -> Result<(), SchedError> {

@@ -642,12 +642,18 @@ impl<'a> Exec<'a> {
             .pbest(self.cluster.n_procs)
             .min(self.free.len())
             .max(1);
-        let scores = locality::input_locality_scores(self.g, t, self.cluster.n_procs, |p| {
-            self.placed[p.index()]
-                .as_ref()
-                .map(|e| e.procs.clone())
-                .unwrap_or_default()
-        });
+        let (unplaced, mut scores) = (ProcSet::new(), Vec::new());
+        locality::input_locality_scores_into(
+            self.g,
+            t,
+            self.cluster.n_procs,
+            |p| {
+                self.placed[p.index()]
+                    .as_ref()
+                    .map_or(&unplaced, |e| &e.procs)
+            },
+            &mut scores,
+        );
         let Some(procs) = locality::select_max_locality(&self.free, np, &scores) else {
             return;
         };

@@ -17,14 +17,12 @@
 //!   processors (shrinking its width) and adopts tasks the base policy
 //!   can no longer place, without discarding the rest of the plan;
 //! * [`Remold`] — re-runs LoC-MPS on the residual DAG over the surviving
-//!   cluster (reusing one long-lived
-//!   [`LocbsScratch`](locmps_core::LocbsScratch) across replans) and
-//!   follows the fresh plan from then on; [`Remold::replan`] schedules the
-//!   residual DAG as given, the learning flavour against profiles a
-//!   [`PerfModelStore`](crate::PerfModelStore) corrected from straggler
-//!   alarms.
+//!   cluster and follows the fresh plan from then on; [`Remold::replan`]
+//!   schedules the residual DAG as given, the learning flavour against
+//!   profiles a [`PerfModelStore`](crate::PerfModelStore) corrected from
+//!   straggler alarms.
 
-use locmps_core::{locality, LocMps, LocMpsConfig, LocbsScratch, ResidualDag, ScheduledTask};
+use locmps_core::{locality, LocMps, ResidualDag, ScheduledTask, Scheduler};
 use locmps_platform::{Cluster, ProcId, ProcSet};
 use locmps_sim::seeding;
 use locmps_taskgraph::{Levels, TaskGraph, TaskId};
@@ -619,6 +617,7 @@ impl RecoveryPolicy for RetryShrink {
         });
         let mut remaining = free.clone();
         let mut launches = Vec::new();
+        let (unplaced, mut scores) = (ProcSet::new(), Vec::new());
         for t in mine {
             if remaining.is_empty() {
                 break;
@@ -630,12 +629,17 @@ impl RecoveryPolicy for RetryShrink {
                 .pbest(ctx.cluster.n_procs)
                 .min(remaining.len())
                 .max(1);
-            let scores = locality::input_locality_scores(ctx.g, t, ctx.cluster.n_procs, |p| {
-                ctx.placed[p.index()]
-                    .as_ref()
-                    .map(|e| e.procs.clone())
-                    .unwrap_or_default()
-            });
+            locality::input_locality_scores_into(
+                ctx.g,
+                t,
+                ctx.cluster.n_procs,
+                |p| {
+                    ctx.placed[p.index()]
+                        .as_ref()
+                        .map_or(&unplaced, |e| &e.procs)
+                },
+                &mut scores,
+            );
             let Some(procs) = locality::select_max_locality(&remaining, np, &scores) else {
                 break;
             };
@@ -651,10 +655,9 @@ impl RecoveryPolicy for RetryShrink {
 /// On the first failure the policy takes over dispatch entirely: the
 /// pending tasks (not done, not running) are extracted as a
 /// [`ResidualDag`], the pool of usable processors is compacted into a
-/// dense sub-cluster, LoC-MPS is re-run (reusing one long-lived
-/// [`LocbsScratch`] and schedule-DAG buffer across re-molds), and the
-/// resulting plan — mapped back to real processor ids — is followed until
-/// the next failure dirties it again.
+/// dense sub-cluster, the default LoC-MPS is re-run, and the resulting
+/// plan — mapped back to real processor ids — is followed until the next
+/// failure dirties it again.
 ///
 /// The constructor decides whether the policy learns:
 ///
@@ -672,7 +675,6 @@ impl RecoveryPolicy for RetryShrink {
 ///   stop receiving new tasks. Launch widths therefore never exceed the
 ///   survivor capacity by construction.
 pub struct Remold {
-    scheduler: LocMps,
     /// Whether straggler alarms teach `store` and trigger re-molds;
     /// `false` is the frozen `replan` flavour.
     learns: bool,
@@ -680,32 +682,24 @@ pub struct Remold {
     active: bool,
     dirty: bool,
     plan: Vec<Option<(f64, ProcSet)>>,
-    scratch: LocbsScratch,
-    dag_buf: TaskGraph,
     suspect: ProcSet,
 }
 
 impl Remold {
-    /// Re-molds with the default LoC-MPS configuration and an empty store.
+    /// Re-molds with an empty store.
     pub fn locmps() -> Self {
-        Self::with_store(
-            LocMpsConfig::default(),
-            crate::perfmodel::PerfModelStore::new(),
-        )
+        Self::with_store(crate::perfmodel::PerfModelStore::new())
     }
 
     /// Re-molds against a pre-seeded performance-model store (e.g. one
     /// persisted from earlier runs), enabling cross-run learning.
-    pub fn with_store(config: LocMpsConfig, store: crate::perfmodel::PerfModelStore) -> Self {
+    pub fn with_store(store: crate::perfmodel::PerfModelStore) -> Self {
         Self {
-            scheduler: LocMps::new(config),
             learns: true,
             store,
             active: false,
             dirty: false,
             plan: Vec::new(),
-            scratch: LocbsScratch::new(),
-            dag_buf: TaskGraph::new(),
             suspect: ProcSet::new(),
         }
     }
@@ -764,12 +758,7 @@ impl Remold {
             ..ctx.cluster.clone()
         };
         let pool_ids = pool.to_vec();
-        let Ok(out) = self.scheduler.schedule_with_scratch(
-            &res.graph,
-            &dense,
-            &mut self.dag_buf,
-            &mut self.scratch,
-        ) else {
+        let Ok(out) = LocMps::default().schedule(&res.graph, &dense) else {
             // Leave the plan empty; the engine's stall handling aborts.
             return;
         };
@@ -887,8 +876,8 @@ impl RecoveryPolicy for Remold {
         }
         if launches.is_empty() && stall && !remaining.is_empty() {
             // Safety net for plans invalidated between re-molds: mold the
-            // first ready task onto the free survivors so the run keeps
-            // making progress instead of aborting.
+            // first ready task onto the lowest free survivors so the run
+            // keeps making progress instead of aborting.
             if let Some(&t) = ready.first() {
                 let np = ctx
                     .g
@@ -897,10 +886,7 @@ impl RecoveryPolicy for Remold {
                     .pbest(ctx.cluster.n_procs)
                     .min(remaining.len())
                     .max(1);
-                let scores = vec![0.0; ctx.cluster.n_procs];
-                if let Some(procs) = locality::select_max_locality(&remaining, np, &scores) {
-                    launches.push((t, procs));
-                }
+                launches.push((t, remaining.iter().take(np).collect()));
             }
         }
         launches

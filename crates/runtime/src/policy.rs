@@ -1,6 +1,6 @@
 //! Online dispatch policies.
 
-use locmps_core::{locality, LocMps, LocMpsConfig, Scheduler, SchedulerOutput};
+use locmps_core::{LocMps, LocMpsConfig, Scheduler, SchedulerOutput};
 use locmps_platform::{Cluster, ProcSet};
 use locmps_taskgraph::{Levels, TaskGraph, TaskId};
 
@@ -145,14 +145,9 @@ impl OnlinePolicy for OnlineLocbs {
                 .max(1)
                 .min(g.task(t).profile.pbest(cluster.n_procs))
                 .min(remaining.len());
-            // Score by where this task's inputs already live (parents have
-            // finished, but their placements are not tracked here; use the
-            // free-set-relative heuristic: prefer low ids for determinism
-            // and densest packing). Full locality needs parent placements:
-            // supplied through `scores` when available.
-            let scores = vec![0.0; cluster.n_procs];
-            let procs = locality::select_max_locality(&remaining, np, &scores)
-                .expect("np <= remaining.len()");
+            // Parent placements are not tracked here, so take the lowest
+            // free ids: deterministic and densely packed.
+            let procs: ProcSet = remaining.iter().take(np).collect();
             remaining = remaining.difference(&procs);
             launches.push((t, procs));
         }

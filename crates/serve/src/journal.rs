@@ -31,6 +31,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::fingerprint::fnv1a;
+use crate::svc::RunParams;
 
 /// Frame header size: 4-byte length + 8-byte checksum.
 const FRAME_HEADER: usize = 12;
@@ -80,23 +81,6 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// The `run` parameters of a journaled run-mode submission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunRecord {
-    /// Engine seed.
-    pub seed: u64,
-    /// Duration-noise coefficient of variation.
-    pub exec_cv: f64,
-    /// Dispatch policy name.
-    pub policy: String,
-    /// Recovery policy name.
-    pub recovery: String,
-    /// Fault script (empty for none).
-    pub faults: String,
-    /// Observation-driven allocation.
-    pub adapt: bool,
-}
-
 /// One acknowledged submission. Written (and fsync'd) before the ack goes
 /// out, so every job id a client ever saw is recoverable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -120,7 +104,7 @@ pub struct SubmitRecord {
     /// Optional per-job budget, milliseconds from (re)admission.
     pub deadline_ms: Option<u64>,
     /// Run-mode parameters, absent for schedule-only jobs.
-    pub run: Option<RunRecord>,
+    pub run: Option<RunParams>,
 }
 
 /// A job reaching `done` or `failed`. Degraded results are excluded from
@@ -397,7 +381,7 @@ mod tests {
                 algo: "locmps".into(),
                 degraded: false,
                 deadline_ms: Some(2_000),
-                run: Some(RunRecord {
+                run: Some(RunParams {
                     seed: 7,
                     exec_cv: 0.1,
                     policy: "plan".into(),

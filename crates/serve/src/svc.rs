@@ -52,20 +52,19 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use locmps_analysis::{analyze_model, analyze_service, analyze_trace, ServiceSnapshot};
-use locmps_core::LocMpsConfig;
 use locmps_platform::Cluster;
 use locmps_runtime::{
     recovery_by_name, FaultPlan, GreedyOneProc, OnlineConfig, OnlineLocbs, OnlinePolicy,
     PerfModelStore, PlanFollower, Remold, RuntimeEngine,
 };
 use locmps_taskgraph::TaskGraph;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::chaos::{self, ChaosConfig, ChaosDraw};
 use crate::fingerprint::{graph_fingerprint, job_fingerprint};
 use crate::health::{HealthMonitor, HealthState};
 use crate::journal::{
-    CacheRecord, Journal, JournalError, Record, Replay, RunRecord, SubmitRecord, TerminalRecord,
+    CacheRecord, Journal, JournalError, Record, Replay, SubmitRecord, TerminalRecord,
 };
 use crate::registry::{degraded_fallback, scheduler_by_name};
 
@@ -128,8 +127,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Online-run parameters of a `mode: "run"` job.
-#[derive(Debug, Clone)]
+/// Online-run parameters of a `mode: "run"` job, journaled as the `run`
+/// field of its submit record.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunParams {
     /// Engine seed (duration noise).
     pub seed: u64,
@@ -993,14 +993,7 @@ fn journal_submit(
         deadline_ms: spec.deadline_ms,
         run: match &spec.mode {
             Mode::Schedule => None,
-            Mode::Run(r) => Some(RunRecord {
-                seed: r.seed,
-                exec_cv: r.exec_cv,
-                policy: r.policy.clone(),
-                recovery: r.recovery.clone(),
-                faults: r.faults.clone(),
-                adapt: r.adapt,
-            }),
+            Mode::Run(r) => Some(r.clone()),
         },
     };
     journal
@@ -1195,9 +1188,10 @@ fn finalize(
 
 use std::io::Write;
 
-/// The journal form of job `id`'s just-committed terminal state.
-/// `inline` carries the output for results outside the shared cache
-/// (degraded jobs) so replay can restore them.
+/// The journal form of job `id`'s terminal state, written when the job
+/// finishes and again on compaction. `inline` carries the output for
+/// results outside the shared cache (degraded jobs) so replay can restore
+/// them.
 fn terminal_record(st: &State, id: u64, inline: Option<&Arc<JobOutput>>) -> TerminalRecord {
     let job = st.jobs.get(&id).expect("finished job exists");
     let inline = if job.state == JobState::Done {
@@ -1273,17 +1267,7 @@ fn spec_from_record(rec: &SubmitRecord) -> Result<JobSpec, JournalError> {
         procs: rec.procs as usize,
         bandwidth: rec.bandwidth,
         algo: rec.algo.clone(),
-        mode: match &rec.run {
-            None => Mode::Schedule,
-            Some(r) => Mode::Run(RunParams {
-                seed: r.seed,
-                exec_cv: r.exec_cv,
-                policy: r.policy.clone(),
-                recovery: r.recovery.clone(),
-                faults: r.faults.clone(),
-                adapt: r.adapt,
-            }),
-        },
+        mode: rec.run.clone().map_or(Mode::Schedule, Mode::Run),
         deadline_ms: rec.deadline_ms,
     })
 }
@@ -1458,24 +1442,10 @@ fn compaction_records(st: &State) -> Vec<Record> {
                 .output
                 .as_ref()
                 .filter(|_| !matches!(st.cache.get(&job.fingerprint), Some(CacheEntry::Done(_))));
-            out.push(Record::Terminal(terminal_record_for(id, job, inline)));
+            out.push(Record::Terminal(terminal_record(st, id, inline)));
         }
     }
     out
-}
-
-/// `terminal_record` without a `State` borrow (compaction iterates jobs).
-fn terminal_record_for(id: u64, job: &Job, inline: Option<&Arc<JobOutput>>) -> TerminalRecord {
-    TerminalRecord {
-        id,
-        ok: job.state == JobState::Done,
-        degraded: job.degraded,
-        error: job.error.clone(),
-        error_kind: job.error_kind.map(|k| k.as_str().to_string()),
-        makespan: inline.map(|o| o.makespan),
-        result_json: inline.map(|o| (*o.result_json).clone()),
-        trace_json: inline.and_then(|o| o.trace_json.as_deref().cloned()),
-    }
 }
 
 fn policy_by_name(name: &str) -> Result<Box<dyn OnlinePolicy>, String> {
@@ -1565,8 +1535,7 @@ fn compute(spec: &JobSpec, inner: &Inner) -> Result<JobOutput, String> {
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .clone();
-                Box::new(Remold::with_store(LocMpsConfig::default(), snapshot))
-                    as Box<dyn locmps_runtime::RecoveryPolicy>
+                Box::new(Remold::with_store(snapshot)) as Box<dyn locmps_runtime::RecoveryPolicy>
             } else {
                 recovery_by_name(&run.recovery)
                     .ok_or_else(|| format!("unknown recovery {:?}", run.recovery))?

@@ -455,11 +455,13 @@ fn fault_run_traces_match_pinned_fingerprints() {
     check(fault_cases(), FAULT_GOLDEN);
 }
 
-/// Buffer reuse must be invisible: `run_into` with one schedule-DAG and one
-/// scratch carried across repeated invocations has to serialize to exactly
-/// the bytes a fresh `run` produces, on every zoo workload.
+/// Buffer reuse must be invisible: `run_into` with one schedule-DAG per
+/// graph and one scratch carried across every workload, cluster and
+/// repeated invocation has to serialize to exactly the bytes a fresh `run`
+/// produces.
 #[test]
 fn reused_scratch_serializes_identically_across_zoo() {
+    let mut scratch = LocbsScratch::new();
     for (wname, g) in workloads() {
         for (cname, cluster) in [
             ("ovl", Cluster::new(7, 50.0)),
@@ -470,7 +472,6 @@ fn reused_scratch_serializes_identically_across_zoo() {
             let alloc = mixed_alloc(&g, cluster.n_procs);
             let fresh = locbs.run(&g, &alloc).expect("zoo places");
             let mut dag = g.clone();
-            let mut scratch = LocbsScratch::new();
             for round in 0..3 {
                 let (schedule, makespan) = locbs
                     .run_into(&mut dag, &alloc, &mut scratch)
