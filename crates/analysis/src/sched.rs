@@ -403,15 +403,18 @@ pub fn search_effort_diagnostic(counters: &locmps_core::SearchCounters) -> Optio
             Severity::Info,
             "scheduler",
             format!(
-                "{} LoCBS passes ({} memoized, {} probes aborted) over {} commit(s)",
+                "{} LoCBS passes ({} memoized, {} probes aborted, {} placements replayed) \
+                 over {} commit(s)",
                 counters.locbs_passes,
                 counters.pass_memo_hits,
                 counters.probes_aborted,
+                counters.placements_replayed,
                 counters.commits
             ),
         )
         .with("locbs_passes", counters.locbs_passes)
         .with("pass_memo_hits", counters.pass_memo_hits)
+        .with("placements_replayed", counters.placements_replayed)
         .with("probes_aborted", counters.probes_aborted)
         .with("branches_pruned", counters.branches_pruned)
         .with("lookahead_cutoffs", counters.lookahead_cutoffs)
@@ -615,5 +618,13 @@ mod tests {
         };
         assert_eq!(get("locbs_passes"), out.counters.locbs_passes.to_string());
         assert_eq!(get("commits"), out.counters.commits.to_string());
+        assert_eq!(
+            get("placements_replayed"),
+            out.counters.placements_replayed.to_string()
+        );
+        assert!(d.message.contains(&format!(
+            "{} placements replayed",
+            out.counters.placements_replayed
+        )));
     }
 }

@@ -12,8 +12,8 @@
 //!   diffing the report.
 //! * **`locmps`** — times the full `LocMps::schedule` search at the same
 //!   three scale points, once with the default configuration (admissible
-//!   pruning, bounded-horizon probes, pass memo) and once with
-//!   [`LocMpsConfig::exhaustive`] — the pre-optimization reference that
+//!   pruning, bounded-horizon probes, pass memo, prefix replay) and once
+//!   with [`LocMpsConfig::exhaustive`] — the pre-optimization reference that
 //!   runs every LoCBS pass to completion — and writes both wall times,
 //!   the deterministic [`SearchCounters`] and the full-pass reduction to
 //!   `BENCH_locmps.json` (second CLI argument overrides the path). The two
@@ -203,8 +203,10 @@ fn time_locmps_case(n_tasks: usize, p: usize, max_rounds: usize) -> LocmpsCase {
         exhaustive_out.allocation.as_slice(),
         "pruned search chose a different allocation"
     );
-    // The exhaustive reference does strictly no memoized or aborted work.
+    // The exhaustive reference does strictly no memoized, replayed or
+    // aborted work.
     assert_eq!(exhaustive_out.counters.pass_memo_hits, 0);
+    assert_eq!(exhaustive_out.counters.placements_replayed, 0);
     assert_eq!(exhaustive_out.counters.probes_aborted, 0);
     assert_eq!(exhaustive_out.counters.branches_pruned, 0);
 
@@ -230,8 +232,8 @@ fn render_locmps_json(cases: &[LocmpsCase]) -> Result<String, serde_json::NonFin
              \"makespan\": {}, \"exhaustive_passes\": {}, \
              \"full_pass_reduction\": {}, \"counters\": {{\
              \"locbs_passes\": {}, \"pass_memo_hits\": {}, \"probes_aborted\": {}, \
-             \"branches_pruned\": {}, \"lookahead_cutoffs\": {}, \
-             \"commits\": {}}}}}{}\n",
+             \"placements_replayed\": {}, \"branches_pruned\": {}, \
+             \"lookahead_cutoffs\": {}, \"commits\": {}}}}}{}\n",
             c.n_tasks,
             c.p,
             c.max_rounds,
@@ -244,6 +246,7 @@ fn render_locmps_json(cases: &[LocmpsCase]) -> Result<String, serde_json::NonFin
             k.locbs_passes,
             k.pass_memo_hits,
             k.probes_aborted,
+            k.placements_replayed,
             k.branches_pruned,
             k.lookahead_cutoffs,
             k.commits,

@@ -103,16 +103,23 @@ fn load_graph(args: &Args) -> Result<TaskGraph, String> {
     TaskGraph::from_json(&text)
 }
 
+/// `--bandwidth` in MB/s (default 125), checked as `POST /v1/jobs` checks
+/// it: NaN, infinite and non-positive values are errors, not a panic in
+/// [`Cluster::new`] or a NaN in the output.
+fn bandwidth_from(args: &Args) -> Result<f64, String> {
+    let bandwidth: f64 = args.get_or("bandwidth", 125.0)?;
+    if !bandwidth.is_finite() || bandwidth <= 0.0 {
+        return Err("--bandwidth must be finite and > 0".into());
+    }
+    Ok(bandwidth)
+}
+
 fn cluster_from(args: &Args) -> Result<Cluster, String> {
     let procs: usize = args.get_or("procs", 0)?;
     if procs == 0 {
         return Err("--procs is required (and must be >= 1)".into());
     }
-    let bandwidth: f64 = args.get_or("bandwidth", 125.0)?;
-    if bandwidth <= 0.0 {
-        return Err("--bandwidth must be positive".into());
-    }
-    let c = Cluster::new(procs, bandwidth);
+    let c = Cluster::new(procs, bandwidth_from(args)?);
     Ok(if args.has("no-overlap") {
         c.without_overlap()
     } else {
@@ -190,7 +197,7 @@ fn stats(args: &Args) -> Result<(), String> {
     println!("total work    : {:.2} s (sequential)", s.total_work);
     println!("total volume  : {:.2} MB", s.total_volume);
     println!("avg out-degree: {:.2}", s.avg_out_degree);
-    let bw: f64 = args.get_or("bandwidth", 125.0)?;
+    let bw = bandwidth_from(args)?;
     println!("CCR @{bw} MB/s : {:.3}", s.ccr(bw));
     Ok(())
 }
@@ -253,10 +260,11 @@ fn schedule(args: &Args) -> Result<(), String> {
         let c = out.counters;
         println!(
             "search effort      : {} LoCBS passes, {} memo hits, {} probes aborted, \
-             {} branches pruned, {} look-ahead cutoffs, {} commits",
+             {} placements replayed, {} branches pruned, {} look-ahead cutoffs, {} commits",
             c.locbs_passes,
             c.pass_memo_hits,
             c.probes_aborted,
+            c.placements_replayed,
             c.branches_pruned,
             c.lookahead_cutoffs,
             c.commits
@@ -562,11 +570,7 @@ fn chaos(args: &Args) -> Result<(), String> {
     if procs == 0 {
         return Err("--procs must be >= 1".into());
     }
-    let bandwidth: f64 = args.get_or("bandwidth", 125.0)?;
-    if bandwidth <= 0.0 {
-        return Err("--bandwidth must be positive".into());
-    }
-    let cluster = Cluster::new(procs, bandwidth);
+    let cluster = Cluster::new(procs, bandwidth_from(args)?);
     let quick = args.has("quick");
     let seeds: u64 = args.get_or("seeds", if quick { 8 } else { 16 })?;
     if seeds == 0 {
@@ -814,6 +818,31 @@ mod tests {
         assert!(run(&["schedule", p]).is_err());
         assert!(run(&["schedule", p, "--procs", "0"]).is_err());
         assert!(run(&["schedule", p, "--procs", "4", "--algo", "nope"]).is_err());
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_bandwidth_is_an_error() {
+        let path = graph_file();
+        let p = path.to_str().unwrap();
+        for bw in ["NaN", "nan", "inf", "-inf", "0", "-1"] {
+            for cmd in [
+                &["schedule", p, "--procs", "4"][..],
+                &["analyze", p, "--procs", "4"],
+                &["run", p, "--procs", "4"],
+                &["stats", p],
+                &["chaos", "--procs", "4", "--quick", "--seeds", "1"],
+            ] {
+                let mut words = cmd.to_vec();
+                words.extend(["--bandwidth", bw]);
+                let err = run(&words).unwrap_err();
+                assert!(
+                    err.contains("--bandwidth must be finite and > 0"),
+                    "{words:?}: {err}"
+                );
+            }
+        }
+        run(&["stats", p, "--bandwidth", "12.5"]).unwrap();
         let _ = std::fs::remove_file(path);
     }
 

@@ -40,7 +40,7 @@ mod scheduler;
 pub use allocation::Allocation;
 pub use bounds::{allocation_lower_bound, makespan_lower_bound, WideningBounds};
 pub use commcost::CommModel;
-pub use locbs::{Locbs, LocbsOptions, LocbsResult, LocbsScratch};
+pub use locbs::{Locbs, LocbsOptions, LocbsResult, LocbsScratch, PlacementLog};
 pub use locmps::{LocMps, LocMpsConfig};
 pub use residual::ResidualDag;
 pub use schedule::{GanttOptions, Schedule, ScheduleError, ScheduledTask};

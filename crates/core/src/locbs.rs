@@ -72,13 +72,64 @@ struct Placement {
     procs: ProcSet,
 }
 
+/// One position of a logged LoCBS pass.
+#[derive(Debug)]
+struct LoggedStep {
+    /// The width the picked task (`entry.task`) was placed at.
+    np: usize,
+    entry: ScheduledTask,
+    /// End of this step's blockers in [`PlacementLog::blockers`].
+    blockers_end: usize,
+}
+
+/// The placements of a LoCBS pass in the order the pass made them: each
+/// position's task, width and placement, and the tasks it took
+/// pseudo-edges from.
+///
+/// [`Locbs::run_into_resumed`] reads a log as its resume source and
+/// writes its own placements back into it. A placement depends only on
+/// the graph, the model, the task's own width and what the positions
+/// before it built, and the pick order depends only on the priorities,
+/// so a log left by any pass of the same [`Locbs`] over the same data
+/// graph is a valid source: any allocation, complete or aborted. A log of
+/// another graph or another model is not.
+#[derive(Debug, Default)]
+pub struct PlacementLog {
+    steps: Vec<LoggedStep>,
+    /// The blocker of every pseudo-edge, in insertion order; step `k`
+    /// added those from the end of step `k - 1` to its own `blockers_end`.
+    blockers: Vec<TaskId>,
+}
+
+impl PlacementLog {
+    /// An empty log: a pass resumed from it places every task.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Where the blockers of step `pos` start (the end of step `pos - 1`).
+    fn blockers_start(&self, pos: usize) -> usize {
+        pos.checked_sub(1).map_or(0, |k| self.steps[k].blockers_end)
+    }
+
+    /// Drops step `pos` and everything after it.
+    fn truncate(&mut self, pos: usize) {
+        if pos < self.steps.len() {
+            let end = self.blockers_start(pos);
+            self.steps.truncate(pos);
+            self.blockers.truncate(end);
+        }
+    }
+}
+
 /// Reusable working memory for [`Locbs::run_into`].
 ///
 /// Only buffers: every one is cleared and refilled by the pass that uses
 /// it, so no value carries from one call to the next and one scratch may
 /// serve any sequence of graphs, allocations and models. LoC-MPS reuses
 /// one scratch for every probe and look-ahead pass of a search, which
-/// saves the allocations.
+/// saves the allocations. (A [`PlacementLog`] is not part of the scratch:
+/// it is the caller's, passed to [`Locbs::run_into_resumed`].)
 #[derive(Debug, Default)]
 pub struct LocbsScratch {
     edge_est: Vec<f64>,
@@ -182,6 +233,52 @@ impl<'a> Locbs<'a> {
         scratch: &mut LocbsScratch,
         horizon: f64,
     ) -> Result<Option<(Schedule, f64)>, SchedError> {
+        Ok(self.pass(dag, alloc, scratch, horizon, None)?.0)
+    }
+
+    /// [`Locbs::run_into_bounded`] resumed from `log`, the placement log of
+    /// an earlier pass of this scheduler over the same data graph (see
+    /// [`PlacementLog`]). Also returns how many placements were copied
+    /// from the log.
+    ///
+    /// While the task the pass picks and that task's width match the
+    /// log's step at the same position, the logged placement and its
+    /// pseudo-edges are copied instead of placed; the chart is still
+    /// booked and the horizon test still runs on every copied step. From
+    /// the first mismatch on, the pass places as [`Locbs::run_into_bounded`]
+    /// does and logs what it places. The schedule, the makespan, the
+    /// schedule-DAG (pseudo-edge order included) and the abort decision
+    /// are bit-identical to the unresumed pass.
+    ///
+    /// A completed pass leaves its own log behind. An aborted pass leaves
+    /// the placements it booked, or the log as it was when it aborted
+    /// before the first mismatch; either is a valid source for the next
+    /// pass.
+    ///
+    /// # Errors
+    /// Exactly those of [`Locbs::run_into`]; they leave `log` untouched.
+    pub fn run_into_resumed(
+        &self,
+        dag: &mut TaskGraph,
+        alloc: &Allocation,
+        scratch: &mut LocbsScratch,
+        horizon: f64,
+        log: &mut PlacementLog,
+    ) -> Result<(Option<(Schedule, f64)>, u64), SchedError> {
+        self.pass(dag, alloc, scratch, horizon, Some(log))
+    }
+
+    /// The pass behind [`Locbs::run_into_bounded`] and
+    /// [`Locbs::run_into_resumed`]; without a log it neither copies nor
+    /// records placements.
+    fn pass(
+        &self,
+        dag: &mut TaskGraph,
+        alloc: &Allocation,
+        scratch: &mut LocbsScratch,
+        horizon: f64,
+        mut log: Option<&mut PlacementLog>,
+    ) -> Result<(Option<(Schedule, f64)>, u64), SchedError> {
         dag.clear_pseudo_edges();
         crate::invariant!(
             dag.edges()
@@ -263,7 +360,7 @@ impl<'a> Locbs<'a> {
                 .sum::<f64>()
                 / p_total as f64;
             if cp0.max(area) > horizon {
-                return Ok(None);
+                return Ok((None, 0));
             }
         }
 
@@ -278,19 +375,55 @@ impl<'a> Locbs<'a> {
             .filter(|&t| remaining_preds[t.index()] == 0)
             .collect();
 
-        while let Some(pos) = pick_highest_priority(&ready, &scratch.priority) {
-            let t = ready.swap_remove(pos);
-            let placement = self.place(dag, alloc, t, &placed, &timeline, scratch);
+        // `pos` counts the steps taken; while `resuming`, every one of
+        // them matched the log's step at the same position.
+        let mut pos = 0usize;
+        let mut replayed = 0u64;
+        let mut resuming = log.is_some();
+        while let Some(i) = pick_highest_priority(&ready, &scratch.priority) {
+            let t = ready.swap_remove(i);
+            let np = alloc.np(t);
+            if let Some(log) = log.as_deref_mut().filter(|_| resuming) {
+                let step = log.steps.get(pos);
+                resuming = step.is_some_and(|s| s.entry.task == t && s.np == np);
+                if !resuming {
+                    log.truncate(pos);
+                }
+            }
+            // A copied step takes the logged pseudo-edges; a placed one
+            // keeps its data-ready time for the blocker test below.
+            let (entry, est) = match log.as_deref().filter(|_| resuming) {
+                Some(log) => {
+                    let step = &log.steps[pos];
+                    for &other in &log.blockers[log.blockers_start(pos)..step.blockers_end] {
+                        dag.add_pseudo_edge(other, t)
+                            .expect("pseudo edge endpoints exist");
+                    }
+                    replayed += 1;
+                    (step.entry.clone(), None)
+                }
+                None => {
+                    let p = self.place(dag, alloc, t, &placed, &timeline, scratch);
+                    let entry = ScheduledTask {
+                        task: t,
+                        procs: p.procs,
+                        start: p.start,
+                        compute_start: p.compute_start,
+                        finish: p.finish,
+                    };
+                    (entry, Some(p.ready))
+                }
+            };
             let below = chain_below.as_ref().map_or(0.0, |c| c[t.index()]);
-            if placement.finish + below > horizon {
+            if entry.finish + below > horizon {
                 // Placements are final and every successor chain of `t`
                 // still has to run after this finish: the completed
                 // schedule would end past the horizon, so the pass cannot
                 // beat the caller's incumbent. Stop paying for the rest.
                 scratch.timeline = timeline;
-                return Ok(None);
+                return Ok((None, replayed));
             }
-            timeline.occupy(&placement.procs, placement.start, placement.finish);
+            timeline.occupy(&entry.procs, entry.start, entry.finish);
 
             // Pseudo-edges: the task is resource-blocked when it occupies
             // its processors later than its earliest start time (est), the
@@ -299,30 +432,39 @@ impl<'a> Locbs<'a> {
             // cannot inflate them past real task durations (a blocker must
             // *end where the blocked task starts*, not merely within a
             // relative-eps band of it).
-            let plen = placement.finish - placement.start;
-            if placement.start > placement.ready + time_eps(placement.start).min(0.5 * plen) {
-                for (other_idx, other) in placed.iter().enumerate() {
-                    if let Some(o) = other {
-                        let eps = time_eps(placement.start)
+            if let Some(est) = est {
+                let plen = entry.finish - entry.start;
+                if entry.start > est + time_eps(entry.start).min(0.5 * plen) {
+                    for o in placed.iter().flatten() {
+                        let eps = time_eps(entry.start)
                             .min(0.5 * plen)
                             .min(0.5 * (o.finish - o.start));
-                        if (o.finish - placement.start).abs() <= eps
-                            && !o.procs.is_disjoint(&placement.procs)
+                        if (o.finish - entry.start).abs() <= eps
+                            && !o.procs.is_disjoint(&entry.procs)
                         {
-                            dag.add_pseudo_edge(TaskId(other_idx as u32), t)
+                            dag.add_pseudo_edge(o.task, t)
                                 .expect("pseudo edge endpoints exist");
+                            if let Some(log) = log.as_deref_mut() {
+                                log.blockers.push(o.task);
+                            }
                         }
                     }
                 }
+                if let Some(log) = log.as_deref_mut() {
+                    crate::invariant!(
+                        log.steps.len() == pos,
+                        "a placed step is logged at its own position"
+                    );
+                    log.steps.push(LoggedStep {
+                        np,
+                        entry: entry.clone(),
+                        blockers_end: log.blockers.len(),
+                    });
+                }
             }
+            pos += 1;
 
-            placed[t.index()] = Some(ScheduledTask {
-                task: t,
-                procs: placement.procs,
-                start: placement.start,
-                compute_start: placement.compute_start,
-                finish: placement.finish,
-            });
+            placed[t.index()] = Some(entry);
             for s in dag.successors(t) {
                 remaining_preds[s.index()] -= 1;
                 if remaining_preds[s.index()] == 0 {
@@ -339,7 +481,7 @@ impl<'a> Locbs<'a> {
         let makespan = schedule.makespan();
         debug_assert!(dag.validate().is_ok(), "pseudo edges must keep G' acyclic");
         scratch.timeline = timeline;
-        Ok(Some((schedule, makespan)))
+        Ok((Some((schedule, makespan)), replayed))
     }
 
     /// Finds the minimum-finish-time placement for `t` (Algorithm 2, steps

@@ -34,6 +34,13 @@
 //!   horizon ([`Locbs::run_into_bounded`]): placements are final, so the
 //!   first one past the incumbent aborts the pass.
 //!
+//! Two exact replays, on with pruning, cut the cost of the passes that do
+//! run: a look-ahead pass whose allocation was already placed is answered
+//! from an allocation-keyed memo, and every pass resumes from the
+//! placement log of the pass before it ([`Locbs::run_into_resumed`]),
+//! copying the placements up to the first position where the picked task
+//! or its width differs instead of placing them again.
+//!
 //! Deterministic [`SearchCounters`] in the output report the work done and
 //! the work skipped; the search is sequential, so they are pure functions
 //! of the input and CI pins their exact values.
@@ -46,7 +53,7 @@ use locmps_taskgraph::{ConcurrencyInfo, CriticalPath, EdgeId, EdgeKind, TaskGrap
 use crate::allocation::Allocation;
 use crate::bounds::{allocation_lower_bound, WideningBounds};
 use crate::commcost::CommModel;
-use crate::locbs::{Locbs, LocbsOptions, LocbsResult, LocbsScratch};
+use crate::locbs::{Locbs, LocbsOptions, LocbsResult, LocbsScratch, PlacementLog};
 use crate::schedule::time_eps;
 use crate::scheduler::{SchedError, Scheduler, SchedulerOutput, SearchCounters};
 
@@ -88,10 +95,13 @@ pub struct LocMpsConfig {
     /// branches whose widening-cone bound cannot beat the incumbent,
     /// branch walks whose cone bound reaches the branch's own best, corner
     /// probes bounded below the incumbent, and whole searches whose
-    /// incumbent already sits on its cone bound. Lossless — the schedule,
-    /// allocation and schedule-DAG are bit-identical either way — so this
-    /// defaults to on; `false` exists as the reference for the equivalence
-    /// property tests and for measuring the pruning win itself.
+    /// incumbent already sits on its cone bound. It also switches on the
+    /// two exact replays: the allocation-keyed pass memo, and the prefix
+    /// replay that resumes every LoCBS pass from the previous pass's
+    /// placement log. Lossless — the schedule, allocation and schedule-DAG
+    /// are bit-identical either way — so this defaults to on; `false`
+    /// exists as the reference for the equivalence property tests and for
+    /// measuring the win itself.
     pub prune: bool,
     /// Run corner-restart probes under a bounded horizon
     /// ([`Locbs::run_into_bounded`]) so they abort at the first placement
@@ -145,8 +155,9 @@ impl LocMpsConfig {
     }
 
     /// The exhaustive reference: no bound-driven pruning, no bounded
-    /// probes. Produces bit-identical schedules to [`Default`] while doing
-    /// every LoCBS pass in full — the baseline the equivalence property
+    /// probes, no pass memo, no prefix replay. Produces bit-identical
+    /// schedules to [`Default`] while doing every LoCBS pass in full and
+    /// placing every task of it — the baseline the equivalence property
     /// tests and the `BENCH_locmps` report compare against.
     pub fn exhaustive() -> Self {
         Self {
@@ -208,14 +219,17 @@ struct SearchCtx<'a> {
 }
 
 /// The mutable state of one search, owned by one [`Scheduler::schedule`]
-/// call: the work tally, the pass memo, the refine weight tables, and the
-/// schedule-DAG buffer and LoCBS scratch that every probe and look-ahead
-/// pass re-schedules into.
+/// call: the work tally, the pass memo, the placement log, the refine
+/// weight tables, and the schedule-DAG buffer and LoCBS scratch that every
+/// probe and look-ahead pass re-schedules into.
 #[derive(Default)]
 struct SearchState {
     counters: SearchCounters,
     /// `Some` exactly when [`LocMpsConfig::prune`] is on.
     memo: Option<PassMemo>,
+    /// The placement log every pass resumes from and rewrites;
+    /// `Some` exactly when [`LocMpsConfig::prune`] is on.
+    log: Option<PlacementLog>,
     weights: Weights,
     dag: TaskGraph,
     scratch: LocbsScratch,
@@ -420,6 +434,7 @@ impl Scheduler for LocMps {
         };
         let mut st = SearchState {
             memo: self.config.prune.then(PassMemo::default),
+            log: self.config.prune.then(PlacementLog::new),
             ..SearchState::default()
         };
 
@@ -495,19 +510,31 @@ impl Scheduler for LocMps {
 
 impl LocMps {
     /// One LoCBS pass into the search's buffers — under `horizon` when the
-    /// caller can prove an over-horizon pass is useless. Returns `None`
-    /// exactly on a horizon abort.
+    /// caller can prove an over-horizon pass is useless, and resumed from
+    /// the previous pass's placement log when the search keeps one.
+    /// Returns `None` exactly on a horizon abort.
     fn pass(
         ctx: &SearchCtx<'_>,
         st: &mut SearchState,
         alloc: &Allocation,
         horizon: Option<f64>,
     ) -> Result<Option<(crate::schedule::Schedule, f64)>, SchedError> {
-        let result = match horizon {
-            Some(h) => ctx
+        let horizon = horizon.unwrap_or(f64::INFINITY);
+        let result = match &mut st.log {
+            Some(log) => {
+                let (result, replayed) = ctx.locbs.run_into_resumed(
+                    &mut st.dag,
+                    alloc,
+                    &mut st.scratch,
+                    horizon,
+                    log,
+                )?;
+                st.counters.placements_replayed += replayed;
+                result
+            }
+            None => ctx
                 .locbs
-                .run_into_bounded(&mut st.dag, alloc, &mut st.scratch, h)?,
-            None => Some(ctx.locbs.run_into(&mut st.dag, alloc, &mut st.scratch)?),
+                .run_into_bounded(&mut st.dag, alloc, &mut st.scratch, horizon)?,
         };
         match result {
             Some(_) => st.counters.locbs_passes += 1,
@@ -538,8 +565,9 @@ impl LocMps {
     /// (allocation, schedule) seen along the way.
     ///
     /// Every iteration re-schedules in place into the search's buffers via
-    /// [`Locbs::run_into`] (stripping the previous iteration's pseudo-edges
-    /// instead of cloning the graph).
+    /// [`LocMps::pass`] (stripping the previous iteration's pseudo-edges
+    /// instead of cloning the graph; with pruning on, copying the
+    /// placements it shares with the previous pass from its log).
     ///
     /// With pruning on, the walk stops as soon as the widening window of
     /// the current allocation provably cannot beat `branch_best`: each

@@ -83,6 +83,10 @@ pub struct SearchCounters {
     /// instead of a fresh placement (LoCBS output is a pure function of
     /// the graph and the allocation, so replays are exact).
     pub pass_memo_hits: u64,
+    /// Placements a pass copied from the previous pass's placement log
+    /// instead of placing them (the shared prefix of the two passes; see
+    /// [`Locbs::run_into_resumed`](crate::Locbs::run_into_resumed)).
+    pub placements_replayed: u64,
     /// Improving rounds committed by the outer search loop.
     pub commits: u64,
 }

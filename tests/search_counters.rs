@@ -1,8 +1,8 @@
 //! Search-efficiency pinning: the deterministic [`SearchCounters`] of a
 //! fixed LoC-MPS case are pure functions of the input, so CI can assert
-//! exact values — a regression in the admissible pruning, the pass memo or
-//! the bounded-horizon probes shows up as a counter drift long before it
-//! is measurable as flaky wall-clock.
+//! exact values — a regression in the admissible pruning, the pass memo,
+//! the prefix replay or the bounded-horizon probes shows up as a counter
+//! drift long before it is measurable as flaky wall-clock.
 //!
 //! The pinned (200 tasks, 32 procs) case is `#[ignore]`d from the default
 //! suite (it runs a full refinement search) and executed by the CI
@@ -148,6 +148,7 @@ fn pinned_200x32_search_effort() {
     let expected = SearchCounters {
         locbs_passes: c.locbs_passes, // budgeted above, not pinned
         pass_memo_hits: 3_976,
+        placements_replayed: 2_581_513,
         probes_aborted: 2_007,
         branches_pruned: 2,
         lookahead_cutoffs: 0,
