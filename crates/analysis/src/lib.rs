@@ -15,6 +15,10 @@
 //!   ([`trace::analyze_trace`]): causality, double-booking, orphaned
 //!   tasks, plus resilience metrics (work lost, recovery overhead).
 //!
+//! [`replay::replay_and_audit`] is the schedule audit every front end
+//! runs: it replays a scheduler's output under that scheduler's runtime and
+//! audits the executed schedule under the matching communication model.
+//!
 //! # Examples
 //! ```
 //! use locmps_analysis::{analyze_schedule, lint_input};
@@ -41,6 +45,7 @@
 pub mod diag;
 pub mod input;
 pub mod model;
+pub mod replay;
 pub mod sched;
 pub mod service;
 pub mod trace;
@@ -48,6 +53,7 @@ pub mod trace;
 pub use diag::{Diagnostic, Report, Severity};
 pub use input::lint_input;
 pub use model::analyze_model;
+pub use replay::{analyze_schedulers, replay, replay_and_audit, Replayed};
 pub use sched::{analyze_schedule, search_effort_diagnostic};
 pub use service::{analyze_service, ServiceSnapshot};
 pub use trace::analyze_trace;

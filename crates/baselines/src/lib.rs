@@ -25,12 +25,17 @@
 //! (no backfilling, no data-locality subset selection), exactly the
 //! distinction the paper draws in §IV ("they do not use a locality aware
 //! scheduling algorithm").
+//!
+//! [`registry`] names every scheduler of the workspace for the front ends,
+//! together with the runtime it is replayed under and the paper's scheme
+//! set.
 #![deny(missing_docs)]
 
 pub mod cpa;
 pub mod cpr;
 pub mod listsched;
 pub mod online;
+pub mod registry;
 pub mod taskdata;
 pub mod tsas;
 

@@ -5,8 +5,8 @@
 //! makespans).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use locmps_bench::runner::SchedulerKind;
-use locmps_core::{Allocation, CommModel, Locbs, LocbsOptions};
+use locmps_baselines::registry::paper_set;
+use locmps_core::{Allocation, CommModel, LocMps, Locbs, LocbsOptions, Scheduler};
 use locmps_platform::{redistribution_time, Cluster, ProcSet};
 use locmps_taskgraph::ConcurrencyInfo;
 use locmps_workloads::synthetic::{synthetic_graph, SyntheticConfig};
@@ -26,9 +26,9 @@ fn bench_schedulers(c: &mut Criterion) {
     let cluster = Cluster::fast_ethernet(32);
     let mut group = c.benchmark_group("scheduler/30tasks/p32");
     group.sample_size(10);
-    for kind in SchedulerKind::PAPER_SET {
-        group.bench_function(kind.name(), |b| {
-            let s = kind.build();
+    for kind in paper_set() {
+        let s = kind.build();
+        group.bench_function(s.name(), |b| {
             b.iter(|| s.schedule(&g, &cluster).unwrap().makespan())
         });
     }
@@ -43,7 +43,7 @@ fn bench_locmps_scaling_tasks(c: &mut Criterion) {
     for n in [10usize, 20, 40] {
         let g = graph(n, 0.1);
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
-            let s = SchedulerKind::LocMps.build();
+            let s = LocMps::default();
             b.iter(|| s.schedule(g, &cluster).unwrap().makespan())
         });
     }
@@ -58,7 +58,7 @@ fn bench_locmps_scaling_procs(c: &mut Criterion) {
     for p in [8usize, 32, 128] {
         let cluster = Cluster::fast_ethernet(p);
         group.bench_with_input(BenchmarkId::from_parameter(p), &cluster, |b, cluster| {
-            let s = SchedulerKind::LocMps.build();
+            let s = LocMps::default();
             b.iter(|| s.schedule(&g, cluster).unwrap().makespan())
         });
     }

@@ -22,13 +22,13 @@
 //! cargo run --release -p locmps-bench --bin resilience [-- --quick] [--out DIR]
 //! ```
 
+use locmps_bench::campaign::slowdown_campaign;
 use locmps_bench::experiments::ExperimentCtx;
 use locmps_bench::report::Table;
 use locmps_platform::Cluster;
 use locmps_runtime::{
     recovery_by_name, FaultPlan, OnlineConfig, PlanFollower, RecoveryPolicy, RuntimeEngine,
 };
-use locmps_sim::seeding;
 use locmps_taskgraph::TaskGraph;
 use locmps_workloads::strassen::{strassen_graph, StrassenConfig};
 use locmps_workloads::synthetic::{synthetic_graph, SyntheticConfig};
@@ -107,33 +107,6 @@ struct SlowdownCell {
     wasted_work: f64,
 }
 
-/// A seeded slowdown-heavy fault plan: `max(1, n_procs/4)` distinct
-/// processors (≥ 25 %) each slowed by a factor in `[4, 8]` over a window
-/// covering the entire (stretched) run.
-fn slowdown_campaign(seed: u64, n_procs: usize, horizon: f64) -> FaultPlan {
-    let n_slow = (n_procs / 4).max(1);
-    let mut plan = FaultPlan::new();
-    let mut picked: Vec<usize> = Vec::new();
-    let mut draw = 0u64;
-    while picked.len() < n_slow && draw < 64 {
-        let u = seeding::keyed_unit(seed, 2 * draw);
-        let proc = ((u * n_procs as f64) as usize).min(n_procs - 1);
-        if !picked.contains(&proc) {
-            let factor = 4.0 + 4.0 * seeding::keyed_unit(seed, 2 * draw + 1);
-            plan.push(locmps_runtime::Fault::Slowdown {
-                proc: proc as u32,
-                from: 0.0,
-                until: 10.0 * horizon,
-                factor,
-            })
-            .expect("in-range slowdown");
-            picked.push(proc);
-        }
-        draw += 1;
-    }
-    plan
-}
-
 fn slowdown_cell(
     app: &str,
     g: &TaskGraph,
@@ -152,7 +125,7 @@ fn slowdown_cell(
     let (mut completed, mut total_ms, mut specs, mut wins) = (0usize, 0.0f64, 0usize, 0usize);
     let mut wasted = 0.0f64;
     for seed in 0..seeds {
-        let faults = slowdown_campaign(seed, cluster.n_procs, m0);
+        let faults = slowdown_campaign(seed, cluster.n_procs, m0).expect("in-range slowdown");
         let trace = RuntimeEngine::new(g, cluster, cfg).run_with_faults(
             &mut PlanFollower::locmps(),
             &faults,

@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 
+use locmps_baselines::registry::{paper_set, registered, Registered};
 use locmps_platform::Cluster;
 use locmps_sim::NoiseModel;
 use locmps_taskgraph::TaskGraph;
@@ -13,7 +14,7 @@ use locmps_workloads::synthetic::synthetic_suite;
 use locmps_workloads::tce::{ccsd_t1_graph, TceConfig};
 
 use crate::report::Table;
-use crate::runner::{relative_performance, run_suite, SchedulerKind};
+use crate::runner::{relative_performance, run_suite};
 
 /// Shared experiment options, parsed from the command line.
 ///
@@ -71,24 +72,24 @@ fn fmt(v: f64) -> String {
     format!("{v:.3}")
 }
 
+/// A table header: `P`, then each scheduler's display name.
+fn header(kinds: &[&Registered]) -> Vec<String> {
+    let names = kinds.iter().map(|k| k.build().name().to_string());
+    std::iter::once("P".to_string()).chain(names).collect()
+}
+
 /// Relative-performance sweep over a synthetic suite: one table with a row
-/// per processor count and a column per scheduler.
-fn synthetic_relperf_table(
-    ctx: &ExperimentCtx,
-    title: &str,
-    suite: &[TaskGraph],
-    kinds: &[SchedulerKind],
-) -> Table {
-    let mut header = vec!["P".to_string()];
-    header.extend(kinds.iter().map(|k| k.name().to_string()));
+/// per processor count and a column per scheme of the paper set.
+fn synthetic_relperf_table(ctx: &ExperimentCtx, title: &str, suite: &[TaskGraph]) -> Table {
+    let kinds: Vec<_> = paper_set().collect();
     let mut table = Table {
         title: title.to_string(),
-        header,
+        header: header(&kinds),
         rows: Vec::new(),
     };
     for p in ctx.procs() {
         let cluster = Cluster::fast_ethernet(p);
-        let results = run_suite(suite, &cluster, kinds, None, true);
+        let results = run_suite(suite, &cluster, &kinds, None);
         let rel = relative_performance(&results);
         let mut row = vec![p.to_string()];
         row.extend(rel.iter().map(|(_, v)| fmt(*v)));
@@ -108,7 +109,7 @@ pub fn fig4(ctx: &ExperimentCtx) -> Vec<Table> {
              (relative performance: makespan(LoC-MPS)/makespan(X))",
             &stem[4..]
         );
-        let t = synthetic_relperf_table(ctx, &title, &suite, &SchedulerKind::PAPER_SET);
+        let t = synthetic_relperf_table(ctx, &title, &suite);
         ctx.emit(&t, stem);
         out.push(t);
     }
@@ -125,7 +126,7 @@ pub fn fig5(ctx: &ExperimentCtx) -> Vec<Table> {
              (relative performance)",
             &stem[4..]
         );
-        let t = synthetic_relperf_table(ctx, &title, &suite, &SchedulerKind::PAPER_SET);
+        let t = synthetic_relperf_table(ctx, &title, &suite);
         ctx.emit(&t, stem);
         out.push(t);
     }
@@ -136,7 +137,10 @@ pub fn fig5(ctx: &ExperimentCtx) -> Vec<Table> {
 /// and scheduling times on synthetic graphs with CCR=0.1, `A_max=48, σ=2`.
 pub fn fig6(ctx: &ExperimentCtx) -> Vec<Table> {
     let suite = ctx.take_suite(synthetic_suite(0.1, 48.0, 2.0, 3000));
-    let kinds = [SchedulerKind::LocMps, SchedulerKind::LocMpsNoBackfill];
+    let kinds: Vec<_> = ["locmps", "nobackfill"]
+        .into_iter()
+        .filter_map(registered)
+        .collect();
     let mut perf = Table::new(
         "Figure 6a — backfill vs no-backfill, CCR=0.1, Amax=48, sigma=2 (relative performance)",
         &["P", "LoC-MPS", "LoC-MPS(nb)"],
@@ -147,7 +151,7 @@ pub fn fig6(ctx: &ExperimentCtx) -> Vec<Table> {
     );
     for p in ctx.procs() {
         let cluster = Cluster::fast_ethernet(p);
-        let results = run_suite(&suite, &cluster, &kinds, None, true);
+        let results = run_suite(&suite, &cluster, &kinds, None);
         let rel = relative_performance(&results);
         perf.push_row(vec![p.to_string(), fmt(rel[0].1), fmt(rel[1].1)]);
         times.push_row(vec![
@@ -169,18 +173,16 @@ fn app_relperf_table(
     g: &TaskGraph,
     make_cluster: impl Fn(usize) -> Cluster,
 ) -> Table {
-    let kinds = SchedulerKind::PAPER_SET;
-    let mut header = vec!["P".to_string()];
-    header.extend(kinds.iter().map(|k| k.name().to_string()));
+    let kinds: Vec<_> = paper_set().collect();
     let mut table = Table {
         title: title.to_string(),
-        header,
+        header: header(&kinds),
         rows: Vec::new(),
     };
     let graphs = [g.clone()];
     for p in ctx.procs() {
         let cluster = make_cluster(p);
-        let results = run_suite(&graphs, &cluster, &kinds, None, true);
+        let results = run_suite(&graphs, &cluster, &kinds, None);
         let rel = relative_performance(&results);
         let mut row = vec![p.to_string()];
         row.extend(rel.iter().map(|(_, v)| fmt(*v)));
@@ -251,20 +253,18 @@ pub fn fig10(ctx: &ExperimentCtx) -> Vec<Table> {
             }),
         ),
     ];
-    let kinds = SchedulerKind::PAPER_SET;
+    let kinds: Vec<_> = paper_set().collect();
     let mut out = Vec::new();
     for (stem, title, g) in apps {
-        let mut header = vec!["P".to_string()];
-        header.extend(kinds.iter().map(|k| k.name().to_string()));
         let mut table = Table {
             title: title.to_string(),
-            header,
+            header: header(&kinds),
             rows: Vec::new(),
         };
         let graphs = [g];
         for p in ctx.procs() {
             let cluster = Cluster::myrinet(p);
-            let results = run_suite(&graphs, &cluster, &kinds, None, true);
+            let results = run_suite(&graphs, &cluster, &kinds, None);
             let mut row = vec![p.to_string()];
             row.extend(
                 results
@@ -285,16 +285,14 @@ pub fn fig10(ctx: &ExperimentCtx) -> Vec<Table> {
 /// makespans.
 pub fn fig11(ctx: &ExperimentCtx) -> Vec<Table> {
     let g = ccsd_t1_graph(&TceConfig::default());
-    let kinds = SchedulerKind::PAPER_SET;
+    let kinds: Vec<_> = paper_set().collect();
     let reps: u64 = if ctx.quick { 5 } else { 25 };
-    let mut header = vec!["P".to_string()];
-    header.extend(kinds.iter().map(|k| k.name().to_string()));
     let mut table = Table {
         title: format!(
             "Figure 11 — CCSD T1 under perturbed execution ({reps} noisy replays per point; \
              relative performance of mean makespans)"
         ),
-        header,
+        header: header(&kinds),
         rows: Vec::new(),
     };
     let graphs = [g];
@@ -310,13 +308,12 @@ pub fn fig11(ctx: &ExperimentCtx) -> Vec<Table> {
                     &cluster,
                     &[kind],
                     Some(NoiseModel::mild(seed * 31 + p as u64)),
-                    true,
                 );
                 acc += results[0].runs[0].executed_makespan;
             }
             means.push(acc / reps as f64);
         }
-        let reference = means[0]; // LoC-MPS is first in PAPER_SET
+        let reference = means[0]; // LoC-MPS is first in the paper set
         let mut row = vec![p.to_string()];
         row.extend(means.iter().map(|m| fmt(reference / m)));
         table.push_row(row);
@@ -356,7 +353,7 @@ mod tests {
         let tables = fig9(&quick_ctx());
         assert_eq!(tables.len(), 2);
         for t in &tables {
-            assert_eq!(t.header.len(), 1 + SchedulerKind::PAPER_SET.len());
+            assert_eq!(t.header.len(), 1 + paper_set().count());
             for row in &t.rows {
                 assert_eq!(row[1], "1.000", "LoC-MPS reference column");
                 // Every ratio is positive and finite.

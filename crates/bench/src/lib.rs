@@ -13,9 +13,10 @@
 //! below 1 mean scheme `X` trails LoC-MPS.
 #![deny(missing_docs)]
 
+pub mod campaign;
 pub mod experiments;
 pub mod report;
 pub mod runner;
 
 pub use report::Table;
-pub use runner::{relative_performance, run_suite, RunMeasurement, SchedulerKind, SuiteResult};
+pub use runner::{relative_performance, run_suite, RunMeasurement, SuiteResult};

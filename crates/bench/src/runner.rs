@@ -1,98 +1,14 @@
-//! Scheduler registry and suite runner.
+//! Suite runner: schedulers from [`locmps_baselines::registry`], replayed
+//! and audited through [`locmps_analysis::replay_and_audit`].
 
 use std::time::Instant;
 
-use locmps_baselines::{Cpa, Cpr, DataParallel, TaskParallel, Tsas};
-use locmps_core::{CommModel, LocMps, LocMpsConfig, Scheduler, SchedulerOutput, SearchCounters};
+use locmps_analysis::{replay, replay_and_audit};
+use locmps_baselines::registry::Registered;
+use locmps_core::{SchedulerOutput, SearchCounters};
 use locmps_platform::Cluster;
-use locmps_sim::{simulate, NoiseModel, SimConfig};
+use locmps_sim::NoiseModel;
 use locmps_taskgraph::TaskGraph;
-
-/// Every scheduling scheme of the paper's evaluation, plus the no-backfill
-/// ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedulerKind {
-    /// The paper's contribution.
-    LocMps,
-    /// LoC-MPS scheduling without backfilling (Figure 6 ablation).
-    LocMpsNoBackfill,
-    /// The authors' communication-blind prior work.
-    Icaslb,
-    /// Critical Path Reduction baseline.
-    Cpr,
-    /// Critical Path and Allocation baseline.
-    Cpa,
-    /// Pure task parallelism.
-    Task,
-    /// Pure data parallelism.
-    Data,
-    /// Two-step convex allocation + list scheduling (Ramaswamy et al.,
-    /// TPDS'97) — the ancestor baseline CPR/CPA were measured against.
-    Tsas,
-}
-
-impl SchedulerKind {
-    /// The schemes of Figures 4/5/8/9 in the paper's plotting order.
-    pub const PAPER_SET: [SchedulerKind; 6] = [
-        SchedulerKind::LocMps,
-        SchedulerKind::Icaslb,
-        SchedulerKind::Cpr,
-        SchedulerKind::Cpa,
-        SchedulerKind::Task,
-        SchedulerKind::Data,
-    ];
-
-    /// The paper set plus the extended baselines (TSAS, no-backfill).
-    pub const EXTENDED_SET: [SchedulerKind; 8] = [
-        SchedulerKind::LocMps,
-        SchedulerKind::LocMpsNoBackfill,
-        SchedulerKind::Icaslb,
-        SchedulerKind::Cpr,
-        SchedulerKind::Cpa,
-        SchedulerKind::Tsas,
-        SchedulerKind::Task,
-        SchedulerKind::Data,
-    ];
-
-    /// Display name matching the paper.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerKind::LocMps => "LoC-MPS",
-            SchedulerKind::LocMpsNoBackfill => "LoC-MPS(nb)",
-            SchedulerKind::Icaslb => "iCASLB",
-            SchedulerKind::Cpr => "CPR",
-            SchedulerKind::Cpa => "CPA",
-            SchedulerKind::Task => "TASK",
-            SchedulerKind::Data => "DATA",
-            SchedulerKind::Tsas => "TSAS",
-        }
-    }
-
-    /// Whether the runtime behind this scheduler manages data-layout
-    /// alignment (see [`locmps_sim::SimConfig::locality_aware`]): CPR and
-    /// CPA pay full aggregate redistribution costs, everything else reuses
-    /// resident block-cyclic data.
-    pub fn locality_aware_runtime(&self) -> bool {
-        !matches!(
-            self,
-            SchedulerKind::Cpr | SchedulerKind::Cpa | SchedulerKind::Tsas
-        )
-    }
-
-    /// Instantiates the scheduler.
-    pub fn build(&self) -> Box<dyn Scheduler + Send + Sync> {
-        match self {
-            SchedulerKind::LocMps => Box::new(LocMps::default()),
-            SchedulerKind::LocMpsNoBackfill => Box::new(LocMps::new(LocMpsConfig::no_backfill())),
-            SchedulerKind::Icaslb => Box::new(LocMps::new(LocMpsConfig::icaslb())),
-            SchedulerKind::Cpr => Box::new(Cpr),
-            SchedulerKind::Cpa => Box::new(Cpa),
-            SchedulerKind::Task => Box::new(TaskParallel),
-            SchedulerKind::Data => Box::new(DataParallel),
-            SchedulerKind::Tsas => Box::new(Tsas::default()),
-        }
-    }
-}
 
 /// One (graph, scheduler) measurement.
 #[derive(Debug, Clone)]
@@ -113,7 +29,7 @@ pub struct RunMeasurement {
 #[derive(Debug, Clone)]
 pub struct SuiteResult {
     /// Which scheduler.
-    pub kind: SchedulerKind,
+    pub kind: &'static Registered,
     /// Per-graph measurements, in suite order.
     pub runs: Vec<RunMeasurement>,
 }
@@ -131,19 +47,17 @@ impl SuiteResult {
 }
 
 /// Runs one scheduler on one graph, timing the scheduling call and
-/// replaying the result under the true model (optionally with noise).
+/// replaying the result under its runtime (optionally with noise).
 ///
-/// With `analyze` set (and no noise — jittered replays legitimately drift
-/// from the deterministic communication model), the as-executed schedule is
-/// passed through [`locmps_analysis::analyze_schedule`] and any
+/// A noise-free replay is also audited ([`replay_and_audit`]) and any
 /// Error-severity diagnostic is a panic: every measurement then comes with
-/// a proof that the schedule it measured was legal.
+/// a proof that the schedule it measured was legal. Jittered replays
+/// legitimately drift from the deterministic model and are not audited.
 pub fn run_one(
     g: &TaskGraph,
     cluster: &Cluster,
-    kind: SchedulerKind,
+    kind: &Registered,
     noise: Option<NoiseModel>,
-    analyze: bool,
 ) -> RunMeasurement {
     let scheduler = kind.build();
     let t0 = Instant::now();
@@ -151,36 +65,21 @@ pub fn run_one(
         .schedule(g, cluster)
         .unwrap_or_else(|e| panic!("{} failed: {e}", kind.name()));
     let scheduling_seconds = t0.elapsed().as_secs_f64();
-    let report = simulate(
-        g,
-        cluster,
-        &out,
-        SimConfig {
-            noise,
-            locality_aware: kind.locality_aware_runtime(),
-        },
-    );
-    if analyze && noise.is_none() {
-        // Locality-oblivious runtimes (CPR/CPA/TSAS) pay the *aggregate*
-        // redistribution estimate, which brackets the exact block-cyclic
-        // transfer time from either side — their executed timestamps are
-        // only meaningful under the communication-blind model.
-        let model = if kind.locality_aware_runtime() {
-            CommModel::new(cluster)
-        } else {
-            CommModel::blind(cluster)
-        };
-        let diags = locmps_analysis::analyze_schedule(&report.executed, g, &model);
+    let executed_makespan = if noise.is_some() {
+        replay(g, cluster, kind.name(), &out, noise).makespan
+    } else {
+        let replayed = replay_and_audit(g, cluster, kind.name(), &out);
         assert!(
-            !diags.has_errors(),
+            !replayed.report.has_errors(),
             "{} produced a diagnostic-dirty schedule:\n{}",
             kind.name(),
-            diags.render_text()
+            replayed.report.render_text()
         );
-    }
+        replayed.sim.makespan
+    };
     RunMeasurement {
         planned_makespan: out.makespan(),
-        executed_makespan: report.makespan,
+        executed_makespan,
         scheduling_seconds,
         search: out.counters,
     }
@@ -188,21 +87,17 @@ pub fn run_one(
 
 /// Runs a set of schedulers over a suite of graphs on one cluster size.
 /// Graphs are processed in parallel, one worker per available core.
-/// `analyze` is forwarded to [`run_one`] for every cell of the suite.
 pub fn run_suite(
     graphs: &[TaskGraph],
     cluster: &Cluster,
-    kinds: &[SchedulerKind],
+    kinds: &[&'static Registered],
     noise: Option<NoiseModel>,
-    analyze: bool,
 ) -> Vec<SuiteResult> {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     kinds
         .iter()
         .map(|&kind| {
-            let runs = par_map(graphs, workers, |g| {
-                run_one(g, cluster, kind, noise, analyze)
-            });
+            let runs = par_map(graphs, workers, |g| run_one(g, cluster, kind, noise));
             SuiteResult { kind, runs }
         })
         .collect()
@@ -231,10 +126,10 @@ fn par_map<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> R + 
 /// The paper's relative-performance metric for a suite: the mean over
 /// graphs of `makespan(LoC-MPS) / makespan(X)` (1.0 for LoC-MPS itself;
 /// < 1 means `X` is slower).
-pub fn relative_performance(results: &[SuiteResult]) -> Vec<(SchedulerKind, f64)> {
+pub fn relative_performance(results: &[SuiteResult]) -> Vec<(&'static Registered, f64)> {
     let reference = results
         .iter()
-        .find(|r| r.kind == SchedulerKind::LocMps)
+        .find(|r| r.kind.name() == "locmps")
         .expect("LoC-MPS must be part of every comparison");
     results
         .iter()
@@ -254,7 +149,12 @@ pub fn relative_performance(results: &[SuiteResult]) -> Vec<(SchedulerKind, f64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locmps_baselines::registry::{paper_set, registered};
     use locmps_workloads::synthetic::{synthetic_graph, SyntheticConfig};
+
+    fn kind(name: &str) -> &'static Registered {
+        registered(name).unwrap()
+    }
 
     #[test]
     fn par_map_keeps_input_order() {
@@ -289,7 +189,7 @@ mod tests {
             ..Default::default()
         });
         let cluster = Cluster::new(4, 12.5);
-        let m = run_one(&g, &cluster, SchedulerKind::Cpa, None, true);
+        let m = run_one(&g, &cluster, kind("cpa"), None);
         assert!(m.planned_makespan > 0.0);
         assert!(m.executed_makespan > 0.0);
         assert!(m.scheduling_seconds >= 0.0);
@@ -309,13 +209,10 @@ mod tests {
             })
             .collect();
         let cluster = Cluster::new(4, 12.5);
-        let kinds = [SchedulerKind::LocMps, SchedulerKind::Data];
-        let results = run_suite(&graphs, &cluster, &kinds, None, true);
+        let kinds = [kind("locmps"), kind("data")];
+        let results = run_suite(&graphs, &cluster, &kinds, None);
         let rel = relative_performance(&results);
-        let loc = rel
-            .iter()
-            .find(|(k, _)| *k == SchedulerKind::LocMps)
-            .unwrap();
+        let loc = rel.iter().find(|(k, _)| k.name() == "locmps").unwrap();
         assert!((loc.1 - 1.0).abs() < 1e-12);
     }
 
@@ -330,7 +227,7 @@ mod tests {
             ..Default::default()
         });
         let cluster = Cluster::new(8, 12.5);
-        let m = run_one(&g, &cluster, SchedulerKind::LocMps, None, true);
+        let m = run_one(&g, &cluster, kind("locmps"), None);
         assert!(
             (m.planned_makespan - m.executed_makespan).abs() < 1e-6 * m.executed_makespan.max(1.0),
             "planned {} vs executed {}",
@@ -343,11 +240,16 @@ mod tests {
     }
 
     #[test]
-    fn all_kinds_build_and_name() {
-        for k in SchedulerKind::PAPER_SET {
-            assert!(!k.build().name().is_empty());
-            assert!(!k.name().is_empty());
+    fn noisy_runs_replay_without_an_audit() {
+        let g = synthetic_graph(&SyntheticConfig {
+            n_tasks: 10,
+            seed: 2,
+            ..Default::default()
+        });
+        let cluster = Cluster::new(4, 12.5);
+        for k in paper_set() {
+            let m = run_one(&g, &cluster, k, Some(NoiseModel::mild(7)));
+            assert!(m.executed_makespan > 0.0, "{}", k.name());
         }
-        assert_eq!(SchedulerKind::LocMpsNoBackfill.name(), "LoC-MPS(nb)");
     }
 }

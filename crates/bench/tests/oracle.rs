@@ -6,7 +6,8 @@
 //! away — and catches regressions where a "fix" silently degrades search
 //! quality.
 
-use locmps_bench::runner::{run_one, SchedulerKind};
+use locmps_baselines::registry::registered;
+use locmps_bench::runner::run_one;
 use locmps_core::{Allocation, CommModel, Locbs, LocbsOptions};
 use locmps_platform::Cluster;
 use locmps_speedup::{DowneyParams, ExecutionProfile, SpeedupModel};
@@ -103,7 +104,7 @@ fn locmps_stays_close_to_the_exhaustive_optimum() {
         let cluster = Cluster::new(p, 12.5);
         for (idx, g) in small_graphs().into_iter().enumerate() {
             let oracle = brute_force_best(&g, &cluster);
-            let loc = run_one(&g, &cluster, SchedulerKind::LocMps, None, true).executed_makespan;
+            let loc = run_one(&g, &cluster, registered("locmps").unwrap(), None).executed_makespan;
             assert!(
                 loc <= oracle * 1.25 + 1e-9,
                 "graph {idx} on P={p}: LoC-MPS {loc} vs exhaustive best {oracle}"
@@ -127,7 +128,7 @@ fn locmps_matches_the_oracle_on_most_small_instances() {
         let cluster = Cluster::new(p, 12.5);
         for g in small_graphs() {
             let oracle = brute_force_best(&g, &cluster);
-            let loc = run_one(&g, &cluster, SchedulerKind::LocMps, None, true).executed_makespan;
+            let loc = run_one(&g, &cluster, registered("locmps").unwrap(), None).executed_makespan;
             total += 1;
             if loc <= oracle * (1.0 + 1e-9) {
                 hits += 1;
@@ -145,10 +146,10 @@ fn baselines_never_beat_the_oracle() {
     let cluster = Cluster::new(3, 12.5);
     for g in small_graphs() {
         let oracle = brute_force_best(&g, &cluster);
-        for kind in [SchedulerKind::Task, SchedulerKind::Data] {
+        for kind in ["task", "data"].map(|n| registered(n).unwrap()) {
             // TASK and DATA use LoCBS-compatible placements, so the
             // exhaustive LoCBS optimum bounds them from below.
-            let ms = run_one(&g, &cluster, kind, None, true).executed_makespan;
+            let ms = run_one(&g, &cluster, kind, None).executed_makespan;
             assert!(
                 ms + 1e-9 >= oracle,
                 "{} found {ms} below the oracle {oracle}",

@@ -1,8 +1,9 @@
 //! The CLI subcommands.
 
-use locmps_core::{GanttOptions, Scheduler};
+use locmps_analysis::replay;
+use locmps_baselines::registry::{paper_set, scheduler_by_name, schemes, Registered};
+use locmps_core::GanttOptions;
 use locmps_platform::Cluster;
-use locmps_sim::{simulate, SimConfig};
 use locmps_taskgraph::{GraphStats, TaskGraph};
 use locmps_workloads::strassen::{strassen_graph, StrassenConfig};
 use locmps_workloads::synthetic::{synthetic_graph, SyntheticConfig};
@@ -220,17 +221,6 @@ fn svg(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One registry for every front end: the CLI resolves scheduler names
-/// through `locmps-serve`'s table, so `locmps schedule --algo X` and a
-/// daemon submission with `"algo": "X"` can never drift apart.
-fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler + Send + Sync>, String> {
-    locmps_serve::scheduler_by_name(name)
-}
-
-fn locality_aware(name: &str) -> bool {
-    locmps_serve::registry::locality_aware(name)
-}
-
 fn schedule(args: &Args) -> Result<(), String> {
     let g = load_graph(args)?;
     let cluster = cluster_from(args)?;
@@ -240,15 +230,7 @@ fn schedule(args: &Args) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     let out = s.schedule(&g, &cluster).map_err(|e| e.to_string())?;
     let took = t0.elapsed().as_secs_f64();
-    let rep = simulate(
-        &g,
-        &cluster,
-        &out,
-        SimConfig {
-            locality_aware: locality_aware(&algo),
-            ..Default::default()
-        },
-    );
+    let rep = replay(&g, &cluster, &algo, &out, None);
 
     println!("scheduler          : {}", s.name());
     println!("planned makespan   : {:.3} s", out.makespan());
@@ -291,58 +273,16 @@ fn schedule(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Names accepted by `analyze --algo all`: the paper's six-scheme set.
-const ANALYZE_ALL: [&str; 6] = ["locmps", "icaslb", "cpr", "cpa", "task", "data"];
-
 fn analyze(args: &Args) -> Result<(), String> {
-    use locmps_analysis::{analyze_schedule, lint_input, Severity};
-    use locmps_core::CommModel;
+    use locmps_analysis::{analyze_schedulers, Severity};
 
     let g = load_graph(args)?;
     let cluster = cluster_from(args)?;
-
-    let mut report = lint_input(&g, &cluster);
-
-    let algo = args.option("algo").unwrap_or("locmps").to_string();
-    let algos: Vec<&str> = if algo == "all" {
-        ANALYZE_ALL.to_vec()
-    } else {
-        vec![algo.as_str()]
+    let algos: Vec<&str> = match args.option("algo").unwrap_or("locmps") {
+        "all" => paper_set().map(Registered::name).collect(),
+        algo => vec![algo],
     };
-    // Input errors make scheduling pointless; skip it but still report.
-    if !report.has_errors() {
-        for name in algos {
-            let s = scheduler_by_name(name)?;
-            let out = s.schedule(&g, &cluster).map_err(|e| e.to_string())?;
-            let rep = simulate(
-                &g,
-                &cluster,
-                &out,
-                SimConfig {
-                    locality_aware: locality_aware(name),
-                    ..Default::default()
-                },
-            );
-            // Locality-oblivious runtimes execute under the aggregate cost
-            // estimate; their timestamps are only meaningful against the
-            // communication-blind model (see locmps-bench::runner).
-            let model = if locality_aware(name) {
-                CommModel::new(&cluster)
-            } else {
-                CommModel::blind(&cluster)
-            };
-            let mut sched_report = analyze_schedule(&rep.executed, &g, &model);
-            if let Some(d) = locmps_analysis::search_effort_diagnostic(&out.counters) {
-                sched_report.push(d);
-            }
-            eprintln!(
-                "analyzed {} schedule: {} diagnostic(s)",
-                s.name(),
-                sched_report.len()
-            );
-            report.merge(sched_report);
-        }
-    }
+    let report = analyze_schedulers(&g, &cluster, &algos)?;
 
     if args.has("json") {
         println!("{}", report.to_json());
@@ -365,30 +305,8 @@ fn analyze(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// JSON payload of `locmps run --json`: the resilience headline numbers,
-/// the full structured event log and the LM3xx audit.
-#[derive(serde::Serialize)]
-struct RunSummary {
-    policy: String,
-    recovery: String,
-    n_tasks: usize,
-    completed: usize,
-    aborted: bool,
-    makespan: f64,
-    work_lost: f64,
-    retries: usize,
-    replans: usize,
-    procs_lost: usize,
-    trace: locmps_runtime::ExecutionTrace,
-    report: locmps_analysis::Report,
-}
-
 fn run_online(args: &Args) -> Result<(), String> {
-    use locmps_analysis::{analyze_model, analyze_trace};
-    use locmps_runtime::{
-        recovery_by_name, FaultPlan, GreedyOneProc, Hedged, OnlineConfig, OnlineLocbs,
-        OnlinePolicy, PerfModelStore, PlanFollower, RecoveryPolicy, Remold, RuntimeEngine,
-    };
+    use locmps_runtime::{FaultPlan, OnlineConfig, PerfModelStore};
 
     let g = load_graph(args)?;
     let cluster = cluster_from(args)?;
@@ -402,7 +320,7 @@ fn run_online(args: &Args) -> Result<(), String> {
     if store_path.is_some() && !adapt {
         return Err("--model-store requires --adapt".into());
     }
-    let mut store = match store_path {
+    let store = match store_path {
         Some(p) if std::path::Path::new(p).exists() => {
             let text = std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"))?;
             PerfModelStore::from_json(&text).map_err(|e| format!("{p}: {e}"))?
@@ -426,41 +344,28 @@ fn run_online(args: &Args) -> Result<(), String> {
         max_attempts: args.get_or("max-attempts", 16u32)?,
         backoff: args.get_or("backoff", 0.0f64)?,
     };
-    // The engine's own typed admission checks; --cv maps to exec_cv etc.
-    cfg.validate().map_err(|e| e.to_string())?;
-
-    let mut policy: Box<dyn OnlinePolicy> = match args.option("policy").unwrap_or("plan") {
-        "plan" => Box::new(PlanFollower::locmps()),
-        "online" => Box::new(OnlineLocbs::default()),
-        "greedy" => Box::new(GreedyOneProc),
-        other => return Err(format!("unknown policy {other:?}")),
-    };
-    let rec_name = args
+    let policy = args.option("policy").unwrap_or("plan");
+    let mut recovery = args
         .option("recovery")
-        .unwrap_or(if adapt { "remold" } else { "failstop" });
-    let mut recovery: Box<dyn RecoveryPolicy> = if adapt && rec_name == "remold" {
-        // Seed the re-molder with the loaded store so corrections learned
-        // in earlier invocations steer this run's re-molds.
-        Box::new(Remold::with_store(store.clone()))
-    } else {
-        recovery_by_name(rec_name).ok_or_else(|| format!("unknown recovery {rec_name:?}"))?
-    };
-    if hedge && !recovery.name().starts_with("hedged-") {
-        recovery = Box::new(Hedged::new(recovery));
+        .unwrap_or(if adapt { "remold" } else { "failstop" })
+        .to_string();
+    // --hedge is the `hedged-` spelling: one name, one way to build it.
+    if hedge && !recovery.starts_with("hedged-") {
+        recovery = format!("hedged-{recovery}");
     }
 
-    let engine = RuntimeEngine::new(&g, &cluster, cfg);
-    let trace = engine.run_with_faults(policy.as_mut(), &faults, recovery.as_mut());
-    let mut report = analyze_trace(&trace, &g, &cluster);
-
-    if adapt {
-        // Post-run ingestion uses the fault plan to deflate slowdown
-        // windows out of the observations — the authoritative numbers,
-        // unlike the raw in-run lower bounds the re-molder steers by.
-        let ingest = store
-            .ingest_trace(&trace, &g, &faults)
-            .map_err(|e| format!("ingesting trace: {e}"))?;
-        report.merge(analyze_model(&store, &g));
+    let store = std::sync::Mutex::new(store);
+    let run = locmps_serve::run_and_audit(
+        &g,
+        &cluster,
+        cfg,
+        policy,
+        &recovery,
+        &faults,
+        adapt.then_some(&store),
+    )?;
+    if let Some(ingest) = run.ingest {
+        let store = store.into_inner().unwrap_or_else(|e| e.into_inner());
         if let Some(p) = store_path {
             let json = store
                 .to_json()
@@ -477,50 +382,33 @@ fn run_online(args: &Args) -> Result<(), String> {
         }
     }
 
+    let summary = run.summary;
     if args.has("json") {
-        let summary = RunSummary {
-            policy: policy.name().to_string(),
-            recovery: recovery.name().to_string(),
-            n_tasks: trace.n_tasks,
-            completed: trace.completed,
-            aborted: trace.aborted,
-            makespan: trace.makespan,
-            work_lost: trace.work_lost(),
-            retries: trace.retries(),
-            replans: trace.replans(),
-            procs_lost: trace.procs_lost(),
-            trace,
-            report,
-        };
         // Checked serialization: a non-finite headline number would
         // otherwise degrade to `null` and corrupt downstream tooling.
         let json = serde_json::to_string_pretty_checked(&summary).map_err(|e| e.to_string())?;
         println!("{json}");
-        let report = &summary.report;
-        check_run_outcome(&summary.trace, report, args)
     } else {
-        println!("policy    : {}", policy.name());
-        println!("recovery  : {}", recovery.name());
+        println!("policy    : {}", summary.policy);
+        println!("recovery  : {}", summary.recovery);
         println!(
             "completed : {}/{}{}",
-            trace.completed,
-            trace.n_tasks,
-            if trace.aborted { "  (ABORTED)" } else { "" }
+            summary.completed,
+            summary.n_tasks,
+            if summary.aborted { "  (ABORTED)" } else { "" }
         );
-        println!("makespan  : {:.3} s", trace.makespan);
-        println!("work lost : {:.3} proc-s", trace.work_lost());
+        println!("makespan  : {:.3} s", summary.makespan);
+        println!("work lost : {:.3} proc-s", summary.work_lost);
         println!(
             "recovery  : {} retry(ies), {} replan(s), {} proc(s) lost",
-            trace.retries(),
-            trace.replans(),
-            trace.procs_lost()
+            summary.retries, summary.replans, summary.procs_lost
         );
-        if !report.is_empty() {
+        if !summary.report.is_empty() {
             println!();
-            print!("{}", report.render_text());
+            print!("{}", summary.report.render_text());
         }
-        check_run_outcome(&trace, &report, args)
     }
+    check_run_outcome(&summary.trace, &summary.report, args)
 }
 
 /// Exit-code contract of `locmps run`: incomplete executions and error
@@ -698,22 +586,12 @@ fn compare(args: &Args) -> Result<(), String> {
         "scheme", "planned (s)", "executed (s)", "sched (s)", "rel"
     );
     let mut reference: Option<f64> = None;
-    for name in [
-        "locmps", "icaslb", "cpr", "cpa", "tsas", "psonline", "task", "data",
-    ] {
-        let s = scheduler_by_name(name)?;
+    for scheme in schemes() {
+        let s = scheme.build();
         let t0 = std::time::Instant::now();
         let out = s.schedule(&g, &cluster).map_err(|e| e.to_string())?;
         let took = t0.elapsed().as_secs_f64();
-        let rep = simulate(
-            &g,
-            &cluster,
-            &out,
-            SimConfig {
-                locality_aware: locality_aware(name),
-                ..Default::default()
-            },
-        );
+        let rep = replay(&g, &cluster, scheme.name(), &out, None);
         let reference_ms = *reference.get_or_insert(rep.makespan);
         println!(
             "{:<12} {:>12.3} {:>12.3} {:>10.4} {:>8.3}",

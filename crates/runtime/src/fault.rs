@@ -959,15 +959,25 @@ impl RecoveryPolicy for Hedged {
 /// behind a `hedged-` prefix (e.g. `hedged-replan`). Returns `None` for
 /// unknown names.
 pub fn recovery_by_name(name: &str) -> Option<Box<dyn RecoveryPolicy>> {
+    recovery_with_store(name, crate::perfmodel::PerfModelStore::new())
+}
+
+/// [`recovery_by_name`] with a `remold` recovery, plain or behind
+/// `hedged-`, seeded from `store` ([`Remold::with_store`]); every other
+/// recovery ignores the store.
+pub fn recovery_with_store(
+    name: &str,
+    store: crate::perfmodel::PerfModelStore,
+) -> Option<Box<dyn RecoveryPolicy>> {
     if let Some(inner) = name.strip_prefix("hedged-") {
-        return recovery_by_name(inner)
+        return recovery_with_store(inner, store)
             .map(|p| Box::new(Hedged::new(p)) as Box<dyn RecoveryPolicy>);
     }
     match name {
         "failstop" | "fail-stop" => Some(Box::new(FailStop)),
         "retryshrink" | "retry-shrink" => Some(Box::new(RetryShrink::new())),
         "replan" => Some(Box::new(Remold::replan())),
-        "remold" => Some(Box::new(Remold::locmps())),
+        "remold" => Some(Box::new(Remold::with_store(store))),
         _ => None,
     }
 }

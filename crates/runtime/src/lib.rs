@@ -60,8 +60,8 @@ pub use engine::{
     MAX_RETRY_DELAY,
 };
 pub use fault::{
-    recovery_by_name, FailStop, Fault, FaultError, FaultPlan, Hedged, RecoveryAction, RecoveryCtx,
-    RecoveryPolicy, Remold, RetryShrink, StragglerAction,
+    recovery_by_name, recovery_with_store, FailStop, Fault, FaultError, FaultPlan, Hedged,
+    RecoveryAction, RecoveryCtx, RecoveryPolicy, Remold, RetryShrink, StragglerAction,
 };
 pub use perfmodel::{IngestError, IngestReport, PerfModelStore, WidthObs};
-pub use policy::{GreedyOneProc, OnlineLocbs, OnlinePolicy, PlanFollower};
+pub use policy::{policy_by_name, GreedyOneProc, OnlineLocbs, OnlinePolicy, PlanFollower};

@@ -26,6 +26,18 @@ pub trait OnlinePolicy {
     ) -> Vec<(TaskId, ProcSet)>;
 }
 
+/// Builds a dispatch policy from its front-end name: `plan`
+/// ([`PlanFollower::locmps`]), `online` ([`OnlineLocbs`]) or `greedy`
+/// ([`GreedyOneProc`]). Returns `None` for unknown names.
+pub fn policy_by_name(name: &str) -> Option<Box<dyn OnlinePolicy>> {
+    Some(match name {
+        "plan" => Box::new(PlanFollower::locmps()),
+        "online" => Box::new(OnlineLocbs::default()),
+        "greedy" => Box::new(GreedyOneProc),
+        _ => return None,
+    })
+}
+
 /// Follows a static offline plan: fixed allocation and mapping, adaptive
 /// timing — the conventional way to deploy an offline schedule.
 pub struct PlanFollower {

@@ -4,9 +4,9 @@
 //!
 //! * `full` — every submission gets the scheduler it asked for.
 //! * `degraded` — fresh computations of expensive schedulers fall back to
-//!   the cheap online-moldable baseline (see
-//!   [`crate::registry::degraded_fallback`]); results are tagged
-//!   `degraded: true` and excluded from the shared cache.
+//!   the cheap online-moldable baseline (see [`degraded_fallback`]);
+//!   results are tagged `degraded: true` and excluded from the shared
+//!   cache.
 //! * `shedding` — submissions are refused with a typed overload error
 //!   (the HTTP layer answers `429` with `Retry-After`).
 //!
@@ -36,6 +36,20 @@ impl HealthState {
             HealthState::Degraded => "degraded",
             HealthState::Shedding => "shedding",
         }
+    }
+}
+
+/// The cheap scheduler a degraded daemon substitutes for `name`, or
+/// `None` when `name` is already cheap enough to run under pressure.
+///
+/// The expensive set is the LoC-MPS family — their allocation search is
+/// what a single slow pass can starve the queue with. The fallback is the
+/// online-moldable baseline (Perotin–Sun's PS-ONLINE): bounded quality,
+/// near-constant cost, exactly the trade an overloaded daemon wants.
+pub fn degraded_fallback(name: &str) -> Option<&'static str> {
+    match name {
+        "locmps" | "icaslb" | "nobackfill" => Some("psonline"),
+        _ => None,
     }
 }
 
@@ -135,6 +149,17 @@ impl HealthMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locmps_baselines::registry::{scheduler_by_name, scheduler_names};
+
+    #[test]
+    fn fallbacks_are_registered_and_never_chain() {
+        for name in scheduler_names() {
+            if let Some(fb) = degraded_fallback(name) {
+                assert!(scheduler_by_name(fb).is_ok(), "{name} -> {fb}");
+                assert_eq!(degraded_fallback(fb), None, "fallback of a fallback");
+            }
+        }
+    }
 
     #[test]
     fn queue_depth_walks_the_machine_up_and_down() {

@@ -11,8 +11,8 @@
 //!
 //! The crate is split so that scheduling never touches I/O:
 //!
-//! * [`registry`] — name → scheduler construction, shared with the CLI
-//!   (one core library serves both front ends, and a future WASM build);
+//! * [`run`] — the online-run path shared with `locmps run`: execute,
+//!   audit, and learn from the trace;
 //! * [`fingerprint`] — canonical task-graph/job fingerprints (cache keys);
 //! * [`svc`] — the I/O-free service core: job table, schedule cache,
 //!   per-tenant admission control and quotas, a bounded work queue with
@@ -28,6 +28,10 @@
 //! * [`server`] — the TCP accept loop, request routing, structured
 //!   per-request logging, and the shutdown endpoint.
 //!
+//! Scheduler names resolve through `locmps_baselines::registry`, the
+//! table the CLI and the bench harness use too; its lookups are
+//! re-exported here.
+//!
 //! See `docs/SERVE.md` for the wire protocol, durability and degradation
 //! semantics, and README § Service for a curl-able walkthrough.
 #![deny(missing_docs)]
@@ -37,15 +41,16 @@ pub mod fingerprint;
 pub mod health;
 pub mod http;
 pub mod journal;
-pub mod registry;
+pub mod run;
 pub mod server;
 pub mod svc;
 
 pub use chaos::ChaosConfig;
 pub use fingerprint::{graph_fingerprint, job_fingerprint};
-pub use health::{HealthMonitor, HealthState};
+pub use health::{degraded_fallback, HealthMonitor, HealthState};
 pub use journal::{Journal, JournalError, Record, Replay};
-pub use registry::{degraded_fallback, scheduler_by_name, scheduler_names};
+pub use locmps_baselines::registry::{scheduler_by_name, scheduler_names};
+pub use run::{run_and_audit, RunOutcome, RunSummary};
 pub use server::{Server, ServerHandle};
 pub use svc::{
     JobErrorKind, JobSpec, JobState, JobStatus, Mode, RunParams, ServeConfig, Service, Stats,

@@ -30,14 +30,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use locmps_analysis::{analyze_schedule, lint_input};
-use locmps_core::CommModel;
+use locmps_analysis::analyze_schedulers;
+use locmps_baselines::registry::scheduler_names;
 use locmps_platform::Cluster;
 use locmps_taskgraph::TaskGraph;
 use serde::{field, Value};
 
 use crate::http::{self, read_request, write_json_with, ParseError, Request};
-use crate::registry::{scheduler_by_name, scheduler_names};
 use crate::svc::{JobSpec, Mode, RunParams, ServeConfig, Service, SubmitError};
 
 /// A routed response: status, JSON body, and any extra headers
@@ -268,8 +267,7 @@ fn route(req: &Request, svc: &Service, cfg: &ServeConfig, stop: &AtomicBool) -> 
         ("GET", "/v1/schedulers") => {
             let names = Value::Array(
                 scheduler_names()
-                    .iter()
-                    .map(|n| Value::Str((*n).to_string()))
+                    .map(|n| Value::Str(n.to_string()))
                     .collect(),
             );
             let body = Value::Object(vec![("schedulers".into(), names)]);
@@ -420,7 +418,8 @@ fn submit(req: &Request, svc: &Service, cfg: &ServeConfig) -> Resp {
     }
 }
 
-/// `POST /v1/analyze`: synchronous lint + schedule + LM2xx audit.
+/// `POST /v1/analyze`: the report `locmps analyze` prints
+/// ([`analyze_schedulers`]).
 fn analyze(req: &Request) -> Resp {
     let parsed = (|| -> Result<String, String> {
         let body = req.body_utf8()?;
@@ -437,16 +436,7 @@ fn analyze(req: &Request) -> Resp {
         }
         let algo = get_str_or(obj, "algo", "locmps")?;
         let cluster = Cluster::new(procs, bandwidth);
-        let mut report = lint_input(&graph, &cluster);
-        if !report.has_errors() {
-            let scheduler = scheduler_by_name(&algo)?;
-            let out = scheduler
-                .schedule(&graph, &cluster)
-                .map_err(|e| format!("{}: {e}", scheduler.name()))?;
-            let model = CommModel::new(&cluster);
-            report.merge(analyze_schedule(&out.schedule, &graph, &model));
-        }
-        Ok(report.to_json())
+        Ok(analyze_schedulers(&graph, &cluster, &[&algo])?.to_json())
     })();
     match parsed {
         Ok(json) => Resp::new(200, json),

@@ -51,22 +51,20 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use locmps_analysis::{analyze_model, analyze_service, analyze_trace, ServiceSnapshot};
+use locmps_analysis::{analyze_service, ServiceSnapshot};
+use locmps_baselines::registry::scheduler_by_name;
 use locmps_platform::Cluster;
-use locmps_runtime::{
-    recovery_by_name, FaultPlan, GreedyOneProc, OnlineConfig, OnlineLocbs, OnlinePolicy,
-    PerfModelStore, PlanFollower, Remold, RuntimeEngine,
-};
+use locmps_runtime::{FaultPlan, OnlineConfig, PerfModelStore};
 use locmps_taskgraph::TaskGraph;
 use serde::{Deserialize, Serialize};
 
 use crate::chaos::{self, ChaosConfig, ChaosDraw};
 use crate::fingerprint::{graph_fingerprint, job_fingerprint};
-use crate::health::{HealthMonitor, HealthState};
+use crate::health::{degraded_fallback, HealthMonitor, HealthState};
 use crate::journal::{
     CacheRecord, Journal, JournalError, Record, Replay, SubmitRecord, TerminalRecord,
 };
-use crate::registry::{degraded_fallback, scheduler_by_name};
+use crate::run::{resolve_run, run_and_audit};
 
 /// Ceiling on the retry backoff — the same saturation discipline as the
 /// runtime engine's `MAX_RETRY_DELAY`: `(base << attempt)` is capped here
@@ -180,7 +178,7 @@ pub struct JobSpec {
     pub procs: usize,
     /// Link bandwidth (MB/s).
     pub bandwidth: f64,
-    /// Scheduler name (see [`crate::registry`]).
+    /// Scheduler name (see [`locmps_baselines::registry`]).
     pub algo: String,
     /// Offline-only or online run.
     pub mode: Mode,
@@ -600,14 +598,8 @@ impl Service {
         }
         scheduler_by_name(&spec.algo).map_err(SubmitError::Invalid)?;
         if let Mode::Run(run) = &spec.mode {
-            run_config(run).map_err(SubmitError::Invalid)?;
-            policy_by_name(&run.policy).map_err(SubmitError::Invalid)?;
-            if recovery_by_name(&run.recovery).is_none() {
-                return Err(SubmitError::Invalid(format!(
-                    "unknown recovery {:?}",
-                    run.recovery
-                )));
-            }
+            let (cfg, store) = (run_config(run), PerfModelStore::new());
+            resolve_run(&cfg, &run.policy, &run.recovery, store).map_err(SubmitError::Invalid)?;
             FaultPlan::parse(&run.faults)
                 .map_err(|e| SubmitError::Invalid(format!("faults: {e}")))?;
         }
@@ -1448,23 +1440,13 @@ fn compaction_records(st: &State) -> Vec<Record> {
     out
 }
 
-fn policy_by_name(name: &str) -> Result<Box<dyn OnlinePolicy>, String> {
-    Ok(match name {
-        "plan" => Box::new(PlanFollower::locmps()),
-        "online" => Box::new(OnlineLocbs::default()),
-        "greedy" => Box::new(GreedyOneProc),
-        other => return Err(format!("unknown policy {other:?}")),
-    })
-}
-
-fn run_config(run: &RunParams) -> Result<OnlineConfig, String> {
-    let cfg = OnlineConfig {
+/// The engine configuration of a `"run"` job.
+fn run_config(run: &RunParams) -> OnlineConfig {
+    OnlineConfig {
         seed: run.seed,
         exec_cv: run.exec_cv,
         ..OnlineConfig::default()
-    };
-    cfg.validate().map_err(|e| e.to_string())?;
-    Ok(cfg)
+    }
 }
 
 /// JSON payload of `GET /v1/jobs/<id>/schedule`.
@@ -1479,24 +1461,10 @@ struct ScheduleResultDto {
     schedule: locmps_core::Schedule,
 }
 
-/// JSON payload of `GET /v1/jobs/<id>/trace`: the trace plus the LM3xx
-/// audit, mirroring `locmps run --json`.
-#[derive(Serialize)]
-struct TraceResultDto {
-    policy: String,
-    recovery: String,
-    n_tasks: usize,
-    completed: usize,
-    aborted: bool,
-    makespan: f64,
-    trace: locmps_runtime::ExecutionTrace,
-    report: locmps_analysis::Report,
-}
-
 /// The compute path (state lock not held; adaptive runs take the
 /// model-store lock briefly before and after the execution, never across
-/// it): schedule, optionally execute online, render both payloads through
-/// the checked JSON writer.
+/// it, see [`run_and_audit`]): schedule, optionally execute online, render
+/// both payloads through the checked JSON writer.
 fn compute(spec: &JobSpec, inner: &Inner) -> Result<JobOutput, String> {
     let cluster = Cluster::new(spec.procs, spec.bandwidth);
     let scheduler = scheduler_by_name(&spec.algo)?;
@@ -1524,47 +1492,20 @@ fn compute(spec: &JobSpec, inner: &Inner) -> Result<JobOutput, String> {
     let trace_json = match &spec.mode {
         Mode::Schedule => None,
         Mode::Run(run) => {
-            let cfg = run_config(run)?;
             let faults = FaultPlan::parse(&run.faults).map_err(|e| e.to_string())?;
-            let mut policy = policy_by_name(&run.policy)?;
-            let mut recovery = if run.adapt && run.recovery == "remold" {
-                // Seed the re-molder with a snapshot of everything the
-                // daemon has learned so far.
-                let snapshot = inner
-                    .model_store
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone();
-                Box::new(Remold::with_store(snapshot)) as Box<dyn locmps_runtime::RecoveryPolicy>
-            } else {
-                recovery_by_name(&run.recovery)
-                    .ok_or_else(|| format!("unknown recovery {:?}", run.recovery))?
-            };
-            let engine = RuntimeEngine::new(&spec.graph, &cluster, cfg);
-            let trace = engine.run_with_faults(policy.as_mut(), &faults, recovery.as_mut());
-            let mut report = analyze_trace(&trace, &spec.graph, &cluster);
-            if run.adapt {
-                let mut store = inner
-                    .model_store
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                store
-                    .ingest_trace(&trace, &spec.graph, &faults)
-                    .map_err(|e| format!("ingesting trace: {e}"))?;
-                report.merge(analyze_model(&store, &spec.graph));
-            }
-            let dto = TraceResultDto {
-                policy: policy.name().to_string(),
-                recovery: recovery.name().to_string(),
-                n_tasks: trace.n_tasks,
-                completed: trace.completed,
-                aborted: trace.aborted,
-                makespan: trace.makespan,
-                trace,
-                report,
-            };
+            let store = run.adapt.then_some(&inner.model_store);
+            let outcome = run_and_audit(
+                &spec.graph,
+                &cluster,
+                run_config(run),
+                &run.policy,
+                &run.recovery,
+                &faults,
+                store,
+            )?;
             Some(Arc::new(
-                serde_json::to_string_checked(&dto).map_err(|e| format!("render trace: {e}"))?,
+                serde_json::to_string_checked(&outcome.summary)
+                    .map_err(|e| format!("render trace: {e}"))?,
             ))
         }
     };

@@ -5,9 +5,9 @@
 //! cargo run --release --example strassen [n] [procs]
 //! ```
 
-use locmps::baselines::{Cpa, Cpr, DataParallel, TaskParallel};
+use locmps::analysis::replay;
+use locmps::baselines::registry::paper_set;
 use locmps::prelude::*;
-use locmps::sim::{simulate, SimConfig};
 use locmps::workloads::strassen::{strassen_graph, StrassenConfig};
 
 fn main() {
@@ -26,31 +26,16 @@ fn main() {
         g.n_edges()
     );
 
-    let schedulers: Vec<(Box<dyn Scheduler>, bool)> = vec![
-        (Box::new(LocMps::default()), true),
-        (Box::new(LocMps::new(LocMpsConfig::icaslb())), true),
-        (Box::new(Cpr), false),
-        (Box::new(Cpa), false),
-        (Box::new(TaskParallel), true),
-        (Box::new(DataParallel), true),
-    ];
-
     println!(
         "{:<10} {:>12} {:>12} {:>8}",
         "scheme", "planned (s)", "executed (s)", "util %"
     );
     let mut reference = None;
-    for (s, locality_aware) in schedulers {
+    for kind in paper_set() {
+        let s = kind.build();
         let out = s.schedule(&g, &cluster).expect("schedulable");
-        let rep = simulate(
-            &g,
-            &cluster,
-            &out,
-            SimConfig {
-                locality_aware,
-                ..Default::default()
-            },
-        );
+        // Each scheme runs under its own runtime (see the registry).
+        let rep = replay(&g, &cluster, kind.name(), &out, None);
         let reference_ms = *reference.get_or_insert(rep.makespan);
         println!(
             "{:<10} {:>12.3} {:>12.3} {:>7.0}%   (rel {:.3})",

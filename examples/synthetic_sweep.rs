@@ -6,9 +6,9 @@
 //! cargo run --release --example synthetic_sweep [ccr]
 //! ```
 
-use locmps::baselines::{Cpa, Cpr, DataParallel, TaskParallel};
+use locmps::analysis::replay;
+use locmps::baselines::registry::paper_set;
 use locmps::prelude::*;
-use locmps::sim::{simulate, SimConfig};
 use locmps::workloads::synthetic::{synthetic_graph, SyntheticConfig};
 
 fn main() {
@@ -34,30 +34,14 @@ fn main() {
     );
     for p in [4usize, 8, 16, 32] {
         let cluster = Cluster::fast_ethernet(p);
-        let schemes: Vec<(Box<dyn Scheduler>, bool)> = vec![
-            (Box::new(LocMps::default()), true),
-            (Box::new(LocMps::new(LocMpsConfig::icaslb())), true),
-            (Box::new(Cpr), false),
-            (Box::new(Cpa), false),
-            (Box::new(TaskParallel), true),
-            (Box::new(DataParallel), true),
-        ];
         let mut means = Vec::new();
-        for (s, locality_aware) in schemes {
+        for kind in paper_set() {
+            let s = kind.build();
             let mean: f64 = graphs
                 .iter()
                 .map(|g| {
                     let out = s.schedule(g, &cluster).expect("schedulable");
-                    simulate(
-                        g,
-                        &cluster,
-                        &out,
-                        SimConfig {
-                            locality_aware,
-                            ..Default::default()
-                        },
-                    )
-                    .makespan
+                    replay(g, &cluster, kind.name(), &out, None).makespan
                 })
                 .sum::<f64>()
                 / graphs.len() as f64;

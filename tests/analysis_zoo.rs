@@ -4,11 +4,9 @@
 //! must agree with [`Schedule::validate`] — analyzer-clean if and only if
 //! validation passes.
 
-use locmps::analysis::{analyze_schedule, codes, lint_input, Severity};
-use locmps::baselines::{Cpa, Cpr, DataParallel, TaskParallel};
-use locmps::core::CommModel;
+use locmps::analysis::{codes, lint_input, replay_and_audit, Severity};
+use locmps::baselines::registry::paper_set;
 use locmps::prelude::*;
-use locmps::sim::{simulate, SimConfig};
 use locmps::workloads::strassen::{strassen_graph, StrassenConfig};
 use locmps::workloads::synthetic::{synthetic_graph, SyntheticConfig};
 use locmps::workloads::tce::{ccsd_t1_graph, TceConfig};
@@ -46,21 +44,6 @@ fn workloads() -> Vec<(&'static str, TaskGraph)> {
     ]
 }
 
-/// The paper's six-way comparison set, with whether each scheduler's
-/// runtime pays exact (locality-aware) or aggregate (blind) transfer costs.
-/// CPR/CPA plan with aggregate redistribution estimates, so their executed
-/// timestamps are only meaningful under the communication-blind model.
-fn schedulers() -> Vec<(Box<dyn Scheduler>, bool)> {
-    vec![
-        (Box::new(LocMps::default()), true),
-        (Box::new(LocMps::new(LocMpsConfig::icaslb())), true),
-        (Box::new(Cpr), false),
-        (Box::new(Cpa), false),
-        (Box::new(TaskParallel), true),
-        (Box::new(DataParallel), true),
-    ]
-}
-
 #[test]
 fn zoo_inputs_are_lint_clean() {
     for (name, g) in workloads() {
@@ -90,23 +73,10 @@ fn zoo_schedules_are_analyzer_clean_for_all_schedulers() {
             } else {
                 Cluster::new(8, 100.0).without_overlap()
             };
-            for (s, aware) in schedulers() {
+            for kind in paper_set() {
+                let s = kind.build();
                 let out = s.schedule(&g, &cluster).unwrap();
-                let rep = simulate(
-                    &g,
-                    &cluster,
-                    &out,
-                    SimConfig {
-                        locality_aware: aware,
-                        ..Default::default()
-                    },
-                );
-                let model = if aware {
-                    CommModel::new(&cluster)
-                } else {
-                    CommModel::blind(&cluster)
-                };
-                let diag = analyze_schedule(&rep.executed, &g, &model);
+                let diag = replay_and_audit(&g, &cluster, kind.name(), &out).report;
                 assert_eq!(
                     diag.count(Severity::Error),
                     0,
@@ -126,32 +96,20 @@ fn zoo_schedules_are_analyzer_clean_for_all_schedulers() {
 fn analyzer_agrees_with_validate_on_the_zoo() {
     for (wname, g) in workloads() {
         let cluster = Cluster::new(8, 100.0);
-        for (s, aware) in schedulers() {
+        for kind in paper_set() {
+            let s = kind.build();
             let out = s.schedule(&g, &cluster).unwrap();
-            let rep = simulate(
-                &g,
-                &cluster,
-                &out,
-                SimConfig {
-                    locality_aware: aware,
-                    ..Default::default()
-                },
-            );
-            let model = if aware {
-                CommModel::new(&cluster)
-            } else {
-                CommModel::blind(&cluster)
-            };
-            let diag = analyze_schedule(&rep.executed, &g, &model);
+            let replayed = replay_and_audit(&g, &cluster, kind.name(), &out);
+            let (diag, model, executed) = (replayed.report, replayed.model, replayed.sim.executed);
             let analyzer_clean = diag.count(Severity::Error) == 0;
-            let validate_ok = rep.executed.validate(&g, &model).is_ok();
+            let validate_ok = executed.validate(&g, &model).is_ok();
             assert_eq!(
                 analyzer_clean,
                 validate_ok,
                 "{wname}/{}: analyzer said clean={analyzer_clean} but validate said ok={validate_ok}:\n{}\n{:?}",
                 s.name(),
                 diag.render_text(),
-                rep.executed.validate(&g, &model)
+                executed.validate(&g, &model)
             );
         }
     }
@@ -167,9 +125,7 @@ fn locality_stats_reported_on_communication_heavy_workloads() {
     });
     let cluster = Cluster::new(8, 100.0);
     let out = LocMps::default().schedule(&g, &cluster).unwrap();
-    let rep = simulate(&g, &cluster, &out, SimConfig::default());
-    let model = CommModel::new(&cluster);
-    let diag = analyze_schedule(&rep.executed, &g, &model);
+    let diag = replay_and_audit(&g, &cluster, "locmps", &out).report;
     let loc: Vec<_> = diag.by_code(codes::LOCALITY).collect();
     assert_eq!(loc.len(), 1, "{}", diag.render_text());
     assert_eq!(loc[0].severity, Severity::Info);
