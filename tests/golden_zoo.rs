@@ -203,6 +203,43 @@ fn fault_cases() -> Vec<(String, u64)> {
     out
 }
 
+/// Charts whose processor bitmaps span more than one 64-bit word: direct
+/// LoCBS passes at P = 96 and P = 130 on both overlap regimes, with and
+/// without backfilling, plus one LoC-MPS search at P = 96. Each case
+/// pins the schedule and the schedule-DAG (pseudo-edges included).
+fn multiword_cases() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (wname, g) in workloads() {
+        for p in [96, 130] {
+            for (cname, cluster) in [
+                ("ovl", Cluster::new(p, 50.0)),
+                ("noovl", Cluster::new(p, 50.0).without_overlap()),
+            ] {
+                for (bname, backfill) in [("backfill", true), ("no-backfill", false)] {
+                    let locbs = Locbs::new(CommModel::new(&cluster), LocbsOptions { backfill });
+                    let res = locbs.run(&g, &mixed_alloc(&g, p)).expect("zoo places");
+                    let text = serde_json::to_string(&res.schedule).expect("schedules serialize")
+                        + &res.schedule_dag.to_json();
+                    out.push((format!("{wname}/p{p}/{cname}/{bname}"), fnv(&text)));
+                }
+            }
+        }
+    }
+    let g = synthetic_graph(&SyntheticConfig {
+        n_tasks: 16,
+        ccr: 0.5,
+        seed: 7,
+        ..Default::default()
+    });
+    let outp = LocMps::default()
+        .schedule(&g, &Cluster::new(96, 50.0))
+        .expect("synthetic schedules");
+    let text = serde_json::to_string(&outp.schedule).expect("schedules serialize")
+        + &format!("{:?}", outp.allocation.as_slice());
+    out.push(("synthetic-16/p96/ovl/LoC-MPS".to_string(), fnv(&text)));
+    out
+}
+
 #[test]
 #[ignore = "generator: prints the fingerprint tables for the constants below"]
 fn dump_fingerprints() {
@@ -228,6 +265,11 @@ fn dump_fingerprints() {
     println!("];");
     println!("const FAULT_GOLDEN: &[(&str, u64)] = &[");
     for (name, fp) in fault_cases() {
+        println!("    (\"{name}\", 0x{fp:016x}),");
+    }
+    println!("];");
+    println!("const MULTIWORD_GOLDEN: &[(&str, u64)] = &[");
+    for (name, fp) in multiword_cases() {
         println!("    (\"{name}\", 0x{fp:016x}),");
     }
     println!("];");
@@ -453,6 +495,63 @@ const FAULT_GOLDEN: &[(&str, u64)] = &[
 #[test]
 fn fault_run_traces_match_pinned_fingerprints() {
     check(fault_cases(), FAULT_GOLDEN);
+}
+
+const MULTIWORD_GOLDEN: &[(&str, u64)] = &[
+    ("chain/p96/ovl/backfill", 0x634b28a080a6119b),
+    ("chain/p96/ovl/no-backfill", 0x634b28a080a6119b),
+    ("chain/p96/noovl/backfill", 0x70d6356d6d77771b),
+    ("chain/p96/noovl/no-backfill", 0x70d6356d6d77771b),
+    ("chain/p130/ovl/backfill", 0x634b28a080a6119b),
+    ("chain/p130/ovl/no-backfill", 0x634b28a080a6119b),
+    ("chain/p130/noovl/backfill", 0x70d6356d6d77771b),
+    ("chain/p130/noovl/no-backfill", 0x70d6356d6d77771b),
+    ("fork_join/p96/ovl/backfill", 0x4d9aa2c4f7001e58),
+    ("fork_join/p96/ovl/no-backfill", 0x204fd36bea1d3e21),
+    ("fork_join/p96/noovl/backfill", 0x4da5002b0310e9c3),
+    ("fork_join/p96/noovl/no-backfill", 0x4da5002b0310e9c3),
+    ("fork_join/p130/ovl/backfill", 0x4d9aa2c4f7001e58),
+    ("fork_join/p130/ovl/no-backfill", 0xfafb30b15a435cb8),
+    ("fork_join/p130/noovl/backfill", 0x418bbdb6f8cd8495),
+    ("fork_join/p130/noovl/no-backfill", 0x418bbdb6f8cd8495),
+    ("independent/p96/ovl/backfill", 0x5d926362f188bd87),
+    ("independent/p96/ovl/no-backfill", 0x5d926362f188bd87),
+    ("independent/p96/noovl/backfill", 0x5d926362f188bd87),
+    ("independent/p96/noovl/no-backfill", 0x5d926362f188bd87),
+    ("independent/p130/ovl/backfill", 0x9fc05f42e7ad0def),
+    ("independent/p130/ovl/no-backfill", 0x9fc05f42e7ad0def),
+    ("independent/p130/noovl/backfill", 0x9fc05f42e7ad0def),
+    ("independent/p130/noovl/no-backfill", 0x9fc05f42e7ad0def),
+    ("synthetic/p96/ovl/backfill", 0x2bafe55c74ce7998),
+    ("synthetic/p96/ovl/no-backfill", 0xf99b68a6f28f2aca),
+    ("synthetic/p96/noovl/backfill", 0xbfb24119669018ed),
+    ("synthetic/p96/noovl/no-backfill", 0xafdbe90361a19a21),
+    ("synthetic/p130/ovl/backfill", 0x95cdefdc07971413),
+    ("synthetic/p130/ovl/no-backfill", 0xedce45de88d4c1a7),
+    ("synthetic/p130/noovl/backfill", 0xb9e38595b70a0e32),
+    ("synthetic/p130/noovl/no-backfill", 0x1290f17775365d98),
+    ("strassen/p96/ovl/backfill", 0x03d6791ee4d7f393),
+    ("strassen/p96/ovl/no-backfill", 0x37527565b2154fa7),
+    ("strassen/p96/noovl/backfill", 0x544c2ecd111195ee),
+    ("strassen/p96/noovl/no-backfill", 0x0402f609848a7dda),
+    ("strassen/p130/ovl/backfill", 0x2b99f356c7d62c90),
+    ("strassen/p130/ovl/no-backfill", 0x2ce43abc7758750c),
+    ("strassen/p130/noovl/backfill", 0xaeb939bacac52f6c),
+    ("strassen/p130/noovl/no-backfill", 0xd7540ca484c9df4f),
+    ("ccsd_t1/p96/ovl/backfill", 0x4cd385becc0e819a),
+    ("ccsd_t1/p96/ovl/no-backfill", 0x2c214bd532e55b10),
+    ("ccsd_t1/p96/noovl/backfill", 0x2905ee3ed466d2e6),
+    ("ccsd_t1/p96/noovl/no-backfill", 0x2c6bf74df1f49cd1),
+    ("ccsd_t1/p130/ovl/backfill", 0xa04d9c8da5b963fc),
+    ("ccsd_t1/p130/ovl/no-backfill", 0x71471e65e09d2f8f),
+    ("ccsd_t1/p130/noovl/backfill", 0xfcbaa69be30c26eb),
+    ("ccsd_t1/p130/noovl/no-backfill", 0x2cd5fb910c720de0),
+    ("synthetic-16/p96/ovl/LoC-MPS", 0x3f30f2ea0e01708a),
+];
+
+#[test]
+fn multiword_charts_match_pinned_fingerprints() {
+    check(multiword_cases(), MULTIWORD_GOLDEN);
 }
 
 /// Buffer reuse must be invisible: `run_into` with one schedule-DAG per
