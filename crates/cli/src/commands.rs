@@ -355,11 +355,13 @@ fn run_online(args: &Args) -> Result<(), String> {
     }
 
     let store = std::sync::Mutex::new(store);
+    // No offline schedule to follow: `plan` plans with the default LoC-MPS.
+    let dispatch = locmps_serve::Dispatch { policy, plan: None };
     let run = locmps_serve::run_and_audit(
         &g,
         &cluster,
         cfg,
-        policy,
+        dispatch,
         &recovery,
         &faults,
         adapt.then_some(&store),

@@ -3,21 +3,34 @@
 //!
 //! Parallel job scheduling "can be viewed as a 2D chart with time along one
 //! axis and the processors along the other"; backfilling finds *holes* in
-//! that chart. [`Timeline`] tracks the busy intervals of every processor and
-//! enumerates the candidate start times at which the set of free processors
-//! changes — every minimal-finish-time placement starts either at the task's
-//! ready time or at some interval end, so scanning those candidates finds
-//! the optimal hole.
+//! that chart. [`Timeline`] records every booking and enumerates the
+//! candidate start times at which the set of free processors changes —
+//! every minimal-finish-time placement starts either at the task's ready
+//! time or at some booking end, so scanning those candidates finds the
+//! optimal hole.
 //!
-//! # Incremental event list
+//! # Bookings sorted by end
 //!
-//! Candidate starts are booking *ends*. Instead of re-gathering and sorting
-//! every processor's interval ends per query (`O(B log B)` per task, `B` =
-//! total bookings), [`Timeline::occupy`] maintains one globally sorted end
-//! list — a single ordered insert per booking — and queries walk a slice of
-//! it: [`Timeline::candidate_times`] is an `O(log B + k)` scan, and the
-//! streaming [`CandidateTimes`] cursor lets the placement loop stop at its
-//! current best finish time without materializing anything.
+//! The chart is one list of bookings, each a window `[start, end)` and the
+//! processor bitmap it occupies, kept sorted by end. One list serves every
+//! query:
+//!
+//! * the candidate starts are the booking ends, so the streaming
+//!   [`CandidateTimes`] cursor walks the list from the ready time and stops
+//!   at the caller's best finish time without materializing anything;
+//! * a booking can overlap a window only if it ends after the window
+//!   starts, so the hole queries binary-search to the first such booking
+//!   and scan from there. [`Timeline::free_set_into`] starts from all
+//!   processors and clears the bitmap of every overlapping booking, and
+//!   [`Timeline::is_set_free`] tests a whole processor set against each
+//!   one: a few word operations per booking instead of one binary search
+//!   per processor;
+//! * [`Timeline::occupy`] checks the new booking against the overlapping
+//!   bookings that share a processor, then makes one ordered insert.
+//!
+//! A per-processor last end answers [`Timeline::last_free_time`], all the
+//! no-backfill variant reads. A reset chart keeps every booking's storage,
+//! bitmap included, so a warm pass books without allocating.
 //!
 //! # Tolerance
 //!
@@ -42,13 +55,25 @@ fn bounded_eps(scale: f64, a_len: f64, b_len: f64) -> f64 {
     time_eps(scale).min(0.5 * a_len.min(b_len))
 }
 
-/// Per-processor busy intervals with hole queries.
+/// One booking: `[start, end)` on every processor of `procs`.
+#[derive(Debug, Clone, Default)]
+struct Booking {
+    start: f64,
+    end: f64,
+    procs: ProcSet,
+}
+
+/// The resource chart: bookings sorted by end, with hole queries.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    busy: Vec<Vec<(f64, f64)>>,
-    /// Every booking's end time, kept sorted across all processors — the
-    /// shared candidate-start event list.
-    ends: Vec<f64>,
+    /// `bookings[..live]` is the chart, sorted by end; the slots past
+    /// `live` are storage kept from before the last reset.
+    bookings: Vec<Booking>,
+    live: usize,
+    /// Each processor's last booking end; `NEG_INFINITY` when never booked.
+    last_end: Vec<f64>,
+    /// `{0, …, n_procs - 1}`: where every free-set query starts.
+    all: ProcSet,
 }
 
 impl Timeline {
@@ -62,63 +87,90 @@ impl Timeline {
     /// Makes this an all-idle chart for `n_procs` processors, keeping its
     /// allocations for the next pass.
     pub(crate) fn reset(&mut self, n_procs: usize) {
-        self.busy.truncate(n_procs);
-        self.busy.iter_mut().for_each(Vec::clear);
-        self.busy.resize_with(n_procs, Vec::new);
-        self.ends.clear();
+        self.live = 0;
+        self.last_end.clear();
+        self.last_end.resize(n_procs, f64::NEG_INFINITY);
+        if self.all.len() != n_procs {
+            self.all = ProcSet::all(n_procs);
+        }
     }
 
     /// Number of processors tracked.
     pub fn n_procs(&self) -> usize {
-        self.busy.len()
+        self.last_end.len()
+    }
+
+    /// The chart's bookings, sorted by end.
+    fn live(&self) -> &[Booking] {
+        &self.bookings[..self.live]
+    }
+
+    /// The bookings that overlap `[start, finish)` beyond the window's
+    /// tolerance. A processor is idle throughout the window exactly when
+    /// none of them holds it.
+    fn overlapping(&self, start: f64, finish: f64) -> impl Iterator<Item = &Booking> {
+        let eps = time_eps(finish).min(0.5 * (finish - start));
+        let live = self.live();
+        let from = live.partition_point(|b| b.end <= start + eps);
+        live[from..].iter().filter(move |b| b.start + eps < finish)
     }
 
     /// Marks `[start, finish)` busy on every processor in `procs`.
     ///
     /// # Panics
     /// Panics if the interval is inverted or overlaps an existing booking
-    /// (double-booking is a scheduler bug and must never be silent).
+    /// (double-booking is a scheduler bug and must never be silent). A
+    /// rejected booking leaves the chart unchanged.
     pub fn occupy(&mut self, procs: &ProcSet, start: f64, finish: f64) {
         assert!(finish >= start, "inverted interval");
         if finish <= start {
             return; // zero-length bookings occupy nothing
         }
         let len = finish - start;
-        for p in procs.iter() {
-            let intervals = &mut self.busy[p as usize];
-            let idx = intervals.partition_point(|iv| iv.0 < start);
-            if idx > 0 {
-                let (ps, pf) = intervals[idx - 1];
-                let eps = bounded_eps(finish, len, pf - ps);
-                assert!(pf <= start + eps, "double booking on p{p}");
-            }
-            if idx < intervals.len() {
-                let (ns, nf) = intervals[idx];
-                let eps = bounded_eps(finish, len, nf - ns);
-                assert!(ns + eps >= finish, "double booking on p{p}");
-            }
-            intervals.insert(idx, (start, finish));
+        // A booking that ends by `start` cannot overlap.
+        let from = self.live().partition_point(|b| b.end <= start);
+        for b in &self.live()[from..] {
+            let eps = bounded_eps(finish, len, b.end - b.start);
+            let overlaps = b.end > start + eps && b.start + eps < finish;
+            assert!(
+                !overlaps || b.procs.is_disjoint(procs),
+                "double booking on {}",
+                b.procs.intersection(procs)
+            );
         }
-        let at = self.ends.partition_point(|&e| e < finish);
-        self.ends.insert(at, finish);
+        for p in procs.iter() {
+            let last = &mut self.last_end[p as usize];
+            *last = last.max(finish);
+        }
+        let at = self.live().partition_point(|b| b.end < finish);
+        if self.live == self.bookings.len() {
+            self.bookings.push(Booking::default());
+        }
+        let slot = &mut self.bookings[self.live];
+        slot.start = start;
+        slot.end = finish;
+        slot.procs.clone_from(procs);
+        self.bookings[at..=self.live].rotate_right(1);
+        self.live += 1;
         crate::invariant!(
-            self.ends.windows(2).all(|w| w[0] <= w[1]),
-            "candidate-end event list must stay sorted after every insert"
+            self.live().windows(2).all(|w| w[0].end <= w[1].end),
+            "bookings must stay sorted by end after every insert"
         );
     }
 
     /// Whether processor `p` is idle throughout `[start, finish)`.
     /// Touching interval endpoints do not conflict.
     pub fn is_free(&self, p: ProcId, start: f64, finish: f64) -> bool {
-        let eps = time_eps(finish).min(0.5 * (finish - start));
-        let intervals = &self.busy[p as usize];
-        // First interval that could intersect: the one before the partition
-        // point and the one at it.
-        let idx = intervals.partition_point(|iv| iv.1 <= start + eps);
-        match intervals.get(idx) {
-            Some(&(s, _)) => s + eps >= finish,
-            None => true,
-        }
+        self.overlapping(start, finish)
+            .all(|b| !b.procs.contains(p))
+    }
+
+    /// Whether every processor in `procs` is idle throughout
+    /// `[start, finish)`: [`Timeline::is_free`] for the whole set in one
+    /// scan.
+    pub fn is_set_free(&self, procs: &ProcSet, start: f64, finish: f64) -> bool {
+        self.overlapping(start, finish)
+            .all(|b| b.procs.is_disjoint(procs))
     }
 
     /// The set of processors idle throughout `[start, finish)`.
@@ -131,11 +183,9 @@ impl Timeline {
     /// Fills `out` with the processors idle throughout `[start, finish)`,
     /// reusing its allocation.
     pub fn free_set_into(&self, start: f64, finish: f64, out: &mut ProcSet) {
-        out.clear();
-        for p in 0..self.busy.len() as ProcId {
-            if self.is_free(p, start, finish) {
-                out.insert(p);
-            }
+        out.clone_from(&self.all);
+        for b in self.overlapping(start, finish) {
+            out.difference_with(&b.procs);
         }
     }
 
@@ -143,7 +193,12 @@ impl Timeline {
     /// booking's end; 0 when never booked). This is the only availability
     /// information the *no-backfill* scheduler variant keeps (Fig. 6).
     pub fn last_free_time(&self, p: ProcId) -> f64 {
-        self.busy[p as usize].last().map_or(0.0, |iv| iv.1)
+        let last = self.last_end[p as usize];
+        if last == f64::NEG_INFINITY {
+            0.0
+        } else {
+            last
+        }
     }
 
     /// Candidate start times for a placement not before `after`: `after`
@@ -170,18 +225,25 @@ impl Timeline {
     /// `after` — the zero-allocation form of
     /// [`Timeline::candidate_times_below`] used by the placement loop.
     pub fn candidates_after(&self, after: f64) -> CandidateTimes<'_> {
-        let from = self.ends.partition_point(|&e| e <= after);
+        let bookings = self.live();
         CandidateTimes {
-            ends: &self.ends,
-            i: from,
+            i: bookings.partition_point(|b| b.end <= after),
+            bookings,
             after,
             last: None,
         }
     }
 
     /// All bookings on processor `p`, in time order (test/debug aid).
-    pub fn bookings(&self, p: ProcId) -> &[(f64, f64)] {
-        &self.busy[p as usize]
+    pub fn bookings(&self, p: ProcId) -> Vec<(f64, f64)> {
+        let mut out: Vec<(f64, f64)> = self
+            .live()
+            .iter()
+            .filter(|b| b.procs.contains(p))
+            .map(|b| (b.start, b.end))
+            .collect();
+        out.sort_by(|a, b| a.0.total_cmp(&b.0));
+        out
     }
 }
 
@@ -190,7 +252,7 @@ impl Timeline {
 /// candidate. Created by [`Timeline::candidates_after`].
 #[derive(Debug)]
 pub struct CandidateTimes<'a> {
-    ends: &'a [f64],
+    bookings: &'a [Booking],
     i: usize,
     after: f64,
     last: Option<f64>,
@@ -210,7 +272,7 @@ impl CandidateTimes<'_> {
             self.last = Some(self.after);
             return Some(self.after);
         };
-        while let Some(&e) = self.ends.get(self.i) {
+        while let Some(e) = self.bookings.get(self.i).map(|b| b.end) {
             if (e - last).abs() <= time_eps(e) {
                 self.i += 1; // within tolerance of the previous candidate
                 continue;
@@ -365,6 +427,21 @@ mod tests {
         }
         assert_eq!(tl.free_set(4.0, 5.0), fresh.free_set(4.0, 5.0));
         assert_eq!(tl.candidate_times(0.0), fresh.candidate_times(0.0));
+    }
+
+    #[test]
+    fn a_reset_chart_books_into_its_kept_slots() {
+        let mut tl = Timeline::new(130);
+        let wide = set(&[0, 64, 129]);
+        for round in 0..3 {
+            tl.reset(130);
+            tl.occupy(&wide, 0.0, 4.0);
+            tl.occupy(&set(&[1]), 1.0, 2.0);
+            assert_eq!(tl.bookings.len(), 2, "round {round}: no new slot");
+            assert_eq!(tl.free_set(0.5, 1.5).len(), 126);
+            assert!(tl.is_set_free(&set(&[2, 65]), 0.0, 4.0));
+            assert!(!tl.is_set_free(&set(&[2, 64]), 3.0, 5.0));
+        }
     }
 
     #[test]

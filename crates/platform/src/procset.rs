@@ -27,9 +27,22 @@ const BITS: usize = 64;
 /// assert_eq!(a.union(&b).len(), 5);
 /// assert_eq!(a.to_vec(), vec![0, 1, 2, 3]);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Default, Serialize, Deserialize)]
 pub struct ProcSet {
     words: Vec<u64>,
+}
+
+impl Clone for ProcSet {
+    fn clone(&self) -> Self {
+        Self {
+            words: self.words.clone(),
+        }
+    }
+
+    /// Copies `source` into this set's allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl ProcSet {
@@ -155,6 +168,13 @@ impl ProcSet {
         }
     }
 
+    /// In-place difference: removes every member of `other`.
+    pub fn difference_with(&mut self, other: &ProcSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= !b;
+        }
+    }
+
     /// Number of shared processors — the heart of the locality metric.
     pub fn intersection_len(&self, other: &ProcSet) -> usize {
         self.words
@@ -166,7 +186,7 @@ impl ProcSet {
 
     /// Whether the sets share no processor.
     pub fn is_disjoint(&self, other: &ProcSet) -> bool {
-        self.intersection_len(other) == 0
+        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
     }
 
     /// Whether every member of `self` is in `other`.
@@ -280,11 +300,39 @@ mod tests {
         assert_eq!(a.union(&b).to_vec(), vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(a.intersection(&b).to_vec(), vec![2, 3]);
         assert_eq!(a.difference(&b).to_vec(), vec![0, 1]);
+        let mut d = a.clone();
+        d.difference_with(&b);
+        assert_eq!(d, a.difference(&b));
         assert_eq!(a.intersection_len(&b), 2);
         assert!(!a.is_disjoint(&b));
         assert!(a.intersection(&b).is_subset(&a));
         let c: ProcSet = [100u32].into_iter().collect();
         assert!(a.is_disjoint(&c));
+    }
+
+    #[test]
+    fn in_place_difference_spans_words() {
+        let mut a: ProcSet = [1u32, 63, 64, 130].into_iter().collect();
+        // `other` shorter than `self`: the upper words stay as they are.
+        a.difference_with(&[1u32, 5].into_iter().collect());
+        assert_eq!(a.to_vec(), vec![63, 64, 130]);
+        // `other` longer than `self`: its extra words remove nothing.
+        a.difference_with(&[64u32, 200].into_iter().collect());
+        assert_eq!(a.to_vec(), vec![63, 130]);
+        a.difference_with(&a.clone());
+        assert!(a.is_empty());
+    }
+
+    #[test]
+    fn clone_from_reuses_the_allocation() {
+        let wide: ProcSet = [0u32, 70, 140].into_iter().collect();
+        let mut s = wide.clone();
+        let words = s.words.as_ptr();
+        s.clone_from(&ProcSet::single(3));
+        assert_eq!(s, ProcSet::single(3));
+        assert_eq!(s.words.as_ptr(), words, "clone_from must not reallocate");
+        s.clone_from(&wide);
+        assert_eq!(s, wide);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Online dispatch policies.
 
-use locmps_core::{LocMps, LocMpsConfig, Scheduler, SchedulerOutput};
+use locmps_core::{LocMps, LocMpsConfig, Schedule, Scheduler};
 use locmps_platform::{Cluster, ProcSet};
 use locmps_taskgraph::{Levels, TaskGraph, TaskId};
 
@@ -27,11 +27,17 @@ pub trait OnlinePolicy {
 }
 
 /// Builds a dispatch policy from its front-end name: `plan`
-/// ([`PlanFollower::locmps`]), `online` ([`OnlineLocbs`]) or `greedy`
-/// ([`GreedyOneProc`]). Returns `None` for unknown names.
-pub fn policy_by_name(name: &str) -> Option<Box<dyn OnlinePolicy>> {
+/// ([`PlanFollower`]), `online` ([`OnlineLocbs`]) or `greedy`
+/// ([`GreedyOneProc`]). `plan` follows `plan` when one is given (the
+/// offline schedule of the run's graph) and otherwise plans with the
+/// default LoC-MPS; the other policies ignore it. Returns `None` for
+/// unknown names.
+pub fn policy_by_name(name: &str, plan: Option<&Schedule>) -> Option<Box<dyn OnlinePolicy>> {
     Some(match name {
-        "plan" => Box::new(PlanFollower::locmps()),
+        "plan" => Box::new(match plan {
+            Some(plan) => PlanFollower::following(plan.clone()),
+            None => PlanFollower::locmps(),
+        }),
         "online" => Box::new(OnlineLocbs::default()),
         "greedy" => Box::new(GreedyOneProc),
         _ => return None,
@@ -41,15 +47,16 @@ pub fn policy_by_name(name: &str) -> Option<Box<dyn OnlinePolicy>> {
 /// Follows a static offline plan: fixed allocation and mapping, adaptive
 /// timing — the conventional way to deploy an offline schedule.
 pub struct PlanFollower {
-    scheduler: LocMps,
-    plan: Option<SchedulerOutput>,
+    /// Plans on `prepare`; `None` follows the plan it was built with.
+    scheduler: Option<LocMps>,
+    plan: Option<Schedule>,
 }
 
 impl PlanFollower {
     /// Plans with the given LoC-MPS configuration.
     pub fn new(config: LocMpsConfig) -> Self {
         Self {
-            scheduler: LocMps::new(config),
+            scheduler: Some(LocMps::new(config)),
             plan: None,
         }
     }
@@ -57,6 +64,15 @@ impl PlanFollower {
     /// Plans with the default LoC-MPS.
     pub fn locmps() -> Self {
         Self::new(LocMpsConfig::default())
+    }
+
+    /// Follows `plan`, an offline schedule already computed for the graph
+    /// it will run, without planning again.
+    pub fn following(plan: Schedule) -> Self {
+        Self {
+            scheduler: None,
+            plan: Some(plan),
+        }
     }
 }
 
@@ -66,10 +82,15 @@ impl OnlinePolicy for PlanFollower {
     }
 
     fn prepare(&mut self, g: &TaskGraph, cluster: &Cluster) {
-        self.plan = Some(
-            self.scheduler
+        if let Some(scheduler) = &self.scheduler {
+            let out = scheduler
                 .schedule(g, cluster)
-                .expect("planning failed on a valid graph"),
+                .expect("planning failed on a valid graph");
+            self.plan = Some(out.schedule);
+        }
+        assert!(
+            self.plan.as_ref().is_some_and(|p| p.len() == g.n_tasks()),
+            "the plan must cover the graph it runs"
         );
     }
 
@@ -87,12 +108,12 @@ impl OnlinePolicy for PlanFollower {
         // Earliest planned start first, so the plan's intent is preserved.
         let mut order: Vec<TaskId> = ready.to_vec();
         order.sort_by(|&a, &b| {
-            let sa = plan.schedule.get(a).expect("planned").start;
-            let sb = plan.schedule.get(b).expect("planned").start;
+            let sa = plan.get(a).expect("planned").start;
+            let sb = plan.get(b).expect("planned").start;
             sa.total_cmp(&sb).then(a.cmp(&b))
         });
         for t in order {
-            let procs = &plan.schedule.get(t).expect("planned").procs;
+            let procs = &plan.get(t).expect("planned").procs;
             if procs.is_subset(&remaining) {
                 remaining = remaining.difference(procs);
                 launches.push((t, procs.clone()));

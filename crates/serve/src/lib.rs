@@ -50,7 +50,7 @@ pub use fingerprint::{graph_fingerprint, job_fingerprint};
 pub use health::{degraded_fallback, HealthMonitor, HealthState};
 pub use journal::{Journal, JournalError, Record, Replay};
 pub use locmps_baselines::registry::{scheduler_by_name, scheduler_names};
-pub use run::{run_and_audit, RunOutcome, RunSummary};
+pub use run::{run_and_audit, Dispatch, RunOutcome, RunSummary};
 pub use server::{Server, ServerHandle};
 pub use svc::{
     JobErrorKind, JobSpec, JobState, JobStatus, Mode, RunParams, ServeConfig, Service, Stats,

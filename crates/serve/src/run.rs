@@ -5,6 +5,7 @@
 use std::sync::{Mutex, PoisonError};
 
 use locmps_analysis::{analyze_model, analyze_trace, Report};
+use locmps_core::Schedule;
 use locmps_platform::Cluster;
 use locmps_runtime::{
     policy_by_name, recovery_with_store, ExecutionTrace, FaultPlan, IngestReport, OnlineConfig,
@@ -54,28 +55,41 @@ pub struct RunOutcome {
 /// A run's dispatch and recovery policies.
 pub type Policies = (Box<dyn OnlinePolicy>, Box<dyn RecoveryPolicy>);
 
-/// Checks `cfg` and resolves the dispatch policy `policy` (see
-/// [`policy_by_name`]) and the recovery `recovery`, seeded from `store`
-/// (see [`recovery_with_store`]). The daemon calls it on submission, so a
-/// run it accepts cannot fail on its configuration.
+/// How a run dispatches: a policy name (see [`policy_by_name`]) and the
+/// offline schedule of the run's graph, which the `plan` policy follows
+/// (`None`: it plans with the default LoC-MPS).
+#[derive(Debug, Clone, Copy)]
+pub struct Dispatch<'a> {
+    /// The dispatch policy's front-end name.
+    pub policy: &'a str,
+    /// The schedule `plan` follows.
+    pub plan: Option<&'a Schedule>,
+}
+
+/// Checks `cfg` and resolves the dispatch policy of `dispatch` and the
+/// recovery `recovery`, seeded from `store` (see [`recovery_with_store`]).
+/// The daemon calls it on submission, so a run it accepts cannot fail on
+/// its configuration.
 ///
 /// # Errors
 /// An invalid `cfg`, or an unknown policy or recovery name.
 pub fn resolve_run(
     cfg: &OnlineConfig,
-    policy: &str,
+    dispatch: Dispatch<'_>,
     recovery: &str,
     store: PerfModelStore,
 ) -> Result<Policies, String> {
     cfg.validate().map_err(|e| e.to_string())?;
-    let policy = policy_by_name(policy).ok_or_else(|| format!("unknown policy {policy:?}"))?;
+    let name = dispatch.policy;
+    let policy =
+        policy_by_name(name, dispatch.plan).ok_or_else(|| format!("unknown policy {name:?}"))?;
     let recovery = recovery_with_store(recovery, store)
         .ok_or_else(|| format!("unknown recovery {recovery:?}"))?;
     Ok((policy, recovery))
 }
 
 /// Executes `g` on `cluster` online under the policies [`resolve_run`]
-/// names, injecting `faults`, and audits the trace.
+/// resolves, injecting `faults`, and audits the trace.
 ///
 /// With a `store` the run is adaptive: a `remold` recovery, plain or
 /// hedged, is seeded from a snapshot of the store; afterwards the trace is
@@ -89,7 +103,7 @@ pub fn run_and_audit(
     g: &TaskGraph,
     cluster: &Cluster,
     cfg: OnlineConfig,
-    policy: &str,
+    dispatch: Dispatch<'_>,
     recovery: &str,
     faults: &FaultPlan,
     store: Option<&Mutex<PerfModelStore>>,
@@ -97,7 +111,7 @@ pub fn run_and_audit(
     let snapshot = store.map_or_else(PerfModelStore::new, |s| {
         s.lock().unwrap_or_else(PoisonError::into_inner).clone()
     });
-    let (mut policy, mut recovery) = resolve_run(&cfg, policy, recovery, snapshot)?;
+    let (mut policy, mut recovery) = resolve_run(&cfg, dispatch, recovery, snapshot)?;
 
     let engine = RuntimeEngine::new(g, cluster, cfg);
     let trace = engine.run_with_faults(policy.as_mut(), faults, recovery.as_mut());

@@ -64,7 +64,7 @@ use crate::health::{degraded_fallback, HealthMonitor, HealthState};
 use crate::journal::{
     CacheRecord, Journal, JournalError, Record, Replay, SubmitRecord, TerminalRecord,
 };
-use crate::run::{resolve_run, run_and_audit};
+use crate::run::{resolve_run, run_and_audit, Dispatch};
 
 /// Ceiling on the retry backoff — the same saturation discipline as the
 /// runtime engine's `MAX_RETRY_DELAY`: `(base << attempt)` is capped here
@@ -599,7 +599,11 @@ impl Service {
         scheduler_by_name(&spec.algo).map_err(SubmitError::Invalid)?;
         if let Mode::Run(run) = &spec.mode {
             let (cfg, store) = (run_config(run), PerfModelStore::new());
-            resolve_run(&cfg, &run.policy, &run.recovery, store).map_err(SubmitError::Invalid)?;
+            let dispatch = Dispatch {
+                policy: &run.policy,
+                plan: None,
+            };
+            resolve_run(&cfg, dispatch, &run.recovery, store).map_err(SubmitError::Invalid)?;
             FaultPlan::parse(&run.faults)
                 .map_err(|e| SubmitError::Invalid(format!("faults: {e}")))?;
         }
@@ -1464,7 +1468,8 @@ struct ScheduleResultDto {
 /// The compute path (state lock not held; adaptive runs take the
 /// model-store lock briefly before and after the execution, never across
 /// it, see [`run_and_audit`]): schedule, optionally execute online, render
-/// both payloads through the checked JSON writer.
+/// both payloads through the checked JSON writer. A `plan` run follows
+/// the schedule served at `/schedule`.
 fn compute(spec: &JobSpec, inner: &Inner) -> Result<JobOutput, String> {
     let cluster = Cluster::new(spec.procs, spec.bandwidth);
     let scheduler = scheduler_by_name(&spec.algo)?;
@@ -1494,11 +1499,15 @@ fn compute(spec: &JobSpec, inner: &Inner) -> Result<JobOutput, String> {
         Mode::Run(run) => {
             let faults = FaultPlan::parse(&run.faults).map_err(|e| e.to_string())?;
             let store = run.adapt.then_some(&inner.model_store);
+            let dispatch = Dispatch {
+                policy: &run.policy,
+                plan: Some(&result.schedule),
+            };
             let outcome = run_and_audit(
                 &spec.graph,
                 &cluster,
                 run_config(run),
-                &run.policy,
+                dispatch,
                 &run.recovery,
                 &faults,
                 store,

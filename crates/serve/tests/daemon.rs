@@ -193,6 +193,63 @@ fn daemon_serves_the_full_protocol() {
 /// mutex is deliberately poisoned, `/healthz` and `/v1/stats` still
 /// answer over HTTP, fresh submissions compute to completion, and the
 /// shutdown path drains cleanly.
+/// The tasks of a schedule JSON object, each as its `(task, procs)`
+/// values, in task order.
+fn placements(schedule: &serde::Value) -> Vec<(serde::Value, serde::Value)> {
+    let obj = |v: &serde::Value| v.as_object().expect("an object").to_vec();
+    let entries = serde::field(&obj(schedule), "entries").unwrap().clone();
+    entries
+        .as_array()
+        .expect("an entry array")
+        .iter()
+        .map(|e| {
+            let e = obj(e);
+            let task = serde::field(&e, "task").unwrap().clone();
+            (task, serde::field(&e, "procs").unwrap().clone())
+        })
+        .collect()
+}
+
+/// A `plan` run follows the job's own schedule, whatever scheduler made
+/// it: a fault-free CPR run job launches every task on the processors
+/// `/schedule` serves for it.
+#[test]
+fn plan_runs_follow_the_schedule_the_job_serves() {
+    use locmps_workloads::synthetic::{synthetic_graph, SyntheticConfig};
+    let g = synthetic_graph(&SyntheticConfig {
+        n_tasks: 24,
+        ccr: 0.5,
+        seed: 7,
+        ..Default::default()
+    });
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.addr();
+    let handle = server.spawn();
+    let body = format!(
+        "{{\"procs\":16,\"bandwidth\":125.0,\"algo\":\"cpr\",\"wait\":true,\
+         \"run\":{{\"policy\":\"plan\"}},\"graph\":{}}}",
+        g.to_json()
+    );
+    let (status, ack) = exchange(addr, "POST", "/v1/jobs", &body);
+    assert_eq!(status, 200, "{ack}");
+    assert!(ack.contains("\"state\":\"done\""), "{ack}");
+    let parse = |text: &str| -> serde::Value { serde_json::from_str(text).expect("JSON") };
+    let field = |v: &serde::Value, name: &str| {
+        serde::field(v.as_object().expect("an object"), name)
+            .unwrap()
+            .clone()
+    };
+    let (status, planned) = exchange(addr, "GET", "/v1/jobs/0/schedule", "");
+    assert_eq!(status, 200, "{planned}");
+    let (status, run) = exchange(addr, "GET", "/v1/jobs/0/trace", "");
+    assert_eq!(status, 200, "{run}");
+    let planned = placements(&field(&parse(&planned), "schedule"));
+    let executed = placements(&field(&field(&parse(&run), "trace"), "schedule"));
+    assert_eq!(planned.len(), g.n_tasks());
+    assert_eq!(executed, planned, "every task runs where /schedule put it");
+    handle.shutdown();
+}
+
 #[test]
 fn a_poisoned_service_lock_still_serves_and_drains() {
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");

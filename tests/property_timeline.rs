@@ -1,20 +1,23 @@
-//! Property tests pinning the incrementally maintained timeline (sorted
-//! event list + scratch free-set buffers) to a straight re-implementation
-//! of the seed algorithm: per-query gather-and-sort of candidate ends and
-//! freshly allocated free sets.
+//! Property tests pinning the resource chart (bookings sorted by end,
+//! word-parallel hole queries) to a straight per-processor
+//! re-implementation: one start-sorted interval vector per processor, a
+//! neighbour check on every insert, candidates re-gathered and sorted per
+//! query, freshly allocated free sets.
 //!
-//! Time scales are kept where the length-bounded booking tolerance equals
-//! the seed's purely relative one (durations ≥ 1, times ≪ 1e6), so the two
-//! implementations must agree *exactly* on every query after every random
-//! gated occupy sequence.
+//! The reference uses the chart's own tolerance expressions (relative
+//! `time_eps`, bounded by half the intervals involved), so the two must
+//! agree *exactly* on every query after every random booking sequence —
+//! including charts wider than one bitmap word, durations short enough
+//! that the length bound binds, and bookings that touch earlier ones.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use locmps::core::schedule::time_eps;
 use locmps::core::timeline::Timeline;
 use locmps::platform::{ProcId, ProcSet};
 use proptest::prelude::*;
 
-/// The seed implementation, verbatim: one vector of busy intervals per
-/// processor, candidates re-gathered and sorted per query.
+/// The per-processor chart the booking list replaced.
 struct RefTimeline {
     busy: Vec<Vec<(f64, f64)>>,
 }
@@ -27,7 +30,7 @@ impl RefTimeline {
     }
 
     fn is_free(&self, p: ProcId, start: f64, finish: f64) -> bool {
-        let eps = time_eps(finish);
+        let eps = time_eps(finish).min(0.5 * (finish - start));
         let intervals = &self.busy[p as usize];
         let idx = intervals.partition_point(|iv| iv.1 <= start + eps);
         match intervals.get(idx) {
@@ -36,7 +39,33 @@ impl RefTimeline {
         }
     }
 
+    /// Whether booking `[start, finish)` on `procs` passes the neighbour
+    /// check: on every processor, the interval before it must end and the
+    /// interval after it must start within the length-bounded tolerance.
+    fn accepts(&self, procs: &ProcSet, start: f64, finish: f64) -> bool {
+        if finish <= start {
+            return true;
+        }
+        let len = finish - start;
+        let eps = |other: (f64, f64)| time_eps(finish).min(0.5 * len.min(other.1 - other.0));
+        procs.iter().all(|p| {
+            let intervals = &self.busy[p as usize];
+            let idx = intervals.partition_point(|iv| iv.0 < start);
+            let prev_ok = idx == 0 || {
+                let prev = intervals[idx - 1];
+                prev.1 <= start + eps(prev)
+            };
+            let next_ok = intervals
+                .get(idx)
+                .is_none_or(|&next| next.0 + eps(next) >= finish);
+            prev_ok && next_ok
+        })
+    }
+
     fn occupy(&mut self, procs: &ProcSet, start: f64, finish: f64) {
+        if finish <= start {
+            return;
+        }
         for p in procs.iter() {
             let intervals = &mut self.busy[p as usize];
             let idx = intervals.partition_point(|iv| iv.0 < start);
@@ -69,51 +98,113 @@ impl RefTimeline {
     }
 }
 
-fn proc_subset(mask: u64, n_procs: usize) -> ProcSet {
+/// A processor subset of `0..n_procs` from three random words, thinned by
+/// `density` (0: a single processor; 1–3: about 1/8, 1/4 and 1/2 of the
+/// processors).
+fn proc_subset(words: [u64; 3], density: u32, n_procs: usize) -> ProcSet {
+    let thin = |w: u64| match density {
+        1 => w & w.rotate_left(13) & w.rotate_left(29),
+        2 => w & w.rotate_left(7),
+        _ => w,
+    };
     let mut s = ProcSet::new();
-    for p in 0..n_procs {
-        if mask & (1 << p) != 0 {
-            s.insert(p as ProcId);
+    if density > 0 {
+        for p in 0..n_procs {
+            if thin(words[p / 64]) & (1 << (p % 64)) != 0 {
+                s.insert(p as ProcId);
+            }
         }
     }
     if s.is_empty() {
-        s.insert((mask % n_procs as u64) as ProcId);
+        s.insert((words[0] % n_procs as u64) as ProcId);
     }
     s
 }
 
+/// A duration from a unit draw: long (1–50), medium (1e-3–1) or short
+/// (1e-7–1e-4, where half the duration is below `time_eps`).
+fn duration(kind: u32, u: f64) -> f64 {
+    match kind {
+        0 => 1.0 + 49.0 * u,
+        1 => 10f64.powf(-3.0 + 3.0 * u),
+        _ => 10f64.powf(-7.0 + 3.0 * u),
+    }
+}
+
+/// The default hook reports every caught double booking; keep the
+/// expected ones quiet and everything else loud.
+fn quiet_double_booking_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let msg = info.payload().downcast_ref::<String>();
+            if !msg.is_some_and(|m| m.starts_with("double booking")) {
+                default(info);
+            }
+        }));
+    });
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(300))]
 
     #[test]
     fn event_list_timeline_matches_seed_reference(
-        n_procs in 2usize..10,
+        n_procs in prop_oneof![2usize..10, 60usize..70, 125usize..135],
         ops in proptest::collection::vec(
-            (any::<u64>(), 0.0..500.0f64, 1.0..50.0f64),
+            (
+                (any::<u64>(), any::<u64>(), any::<u64>()),
+                0u32..4,
+                (0u32..5, 0.0..500.0f64, any::<u64>()),
+                (0u32..3, 0.0..1.0f64),
+            ),
             1..40,
         ),
     ) {
+        quiet_double_booking_panics();
         let mut tl = Timeline::new(n_procs);
         let mut reference = RefTimeline::new(n_procs);
+        let mut booked: Vec<(f64, f64)> = Vec::new();
         let mut scratch = ProcSet::new();
 
-        for (mask, start, dur) in ops {
-            let procs = proc_subset(mask, n_procs);
+        for ((w0, w1, w2), density, (start_kind, raw_start, pick), (dur_kind, u)) in ops {
+            let procs = proc_subset([w0, w1, w2], density, n_procs);
+            let dur = duration(dur_kind, u);
+            // Random starts, plus starts and finishes that touch earlier
+            // bookings exactly or within a few tolerances.
+            let earlier = booked.get(pick as usize % booked.len().max(1)).copied();
+            let start = match (start_kind, earlier) {
+                (2, Some((_, end))) => end,
+                (3, Some((_, end))) => end + (raw_start / 500.0 - 0.5) * 4.0 * time_eps(end),
+                (4, Some((start, _))) => (start - dur).max(0.0),
+                _ => raw_start,
+            };
             let finish = start + dur;
 
-            // The implementations must agree on freeness before booking...
-            for p in procs.iter() {
+            // Every processor, and the set as a whole, agree on freeness
+            // before booking...
+            for p in 0..n_procs as ProcId {
                 prop_assert_eq!(
                     tl.is_free(p, start, finish),
                     reference.is_free(p, start, finish),
                     "is_free(p{}, {}, {})", p, start, finish
                 );
             }
-            // ...and only conflict-free bookings are applied (occupy panics
-            // on overlap by design).
-            if procs.iter().all(|p| tl.is_free(p, start, finish)) {
-                tl.occupy(&procs, start, finish);
+            prop_assert_eq!(
+                tl.is_set_free(&procs, start, finish),
+                procs.iter().all(|p| reference.is_free(p, start, finish)),
+                "is_set_free({}, {}, {})", &procs, start, finish
+            );
+            // ...and the chart refuses a booking exactly when the
+            // per-processor neighbour check does, leaving itself unchanged.
+            let accepts = reference.accepts(&procs, start, finish);
+            let booked_ok =
+                catch_unwind(AssertUnwindSafe(|| tl.occupy(&procs, start, finish))).is_ok();
+            prop_assert_eq!(booked_ok, accepts, "occupy({}, {}, {})", &procs, start, finish);
+            if accepts {
                 reference.occupy(&procs, start, finish);
+                booked.push((start, finish));
             }
 
             // Candidate enumeration: full, from a booking end, and cut off
@@ -128,11 +219,21 @@ proptest! {
                 }
             }
 
-            // Free sets through the reused scratch buffer.
-            for (ws, wf) in [(start, finish), (0.0, 600.0), (finish, finish + 10.0)] {
+            // Free sets through the reused scratch buffer, and the set
+            // query on the same windows.
+            for (ws, wf) in [
+                (start, finish),
+                (0.0, 600.0),
+                (finish, finish + 10.0),
+                (finish, finish + dur),
+            ] {
                 tl.free_set_into(ws, wf, &mut scratch);
                 prop_assert_eq!(&scratch.to_vec(), &reference.free_set(ws, wf));
                 prop_assert_eq!(&tl.free_set(ws, wf), &scratch);
+                prop_assert_eq!(
+                    tl.is_set_free(&procs, ws, wf),
+                    procs.iter().all(|p| reference.is_free(p, ws, wf))
+                );
             }
             for p in 0..n_procs as ProcId {
                 prop_assert_eq!(tl.last_free_time(p), reference.last_free_time(p));
