@@ -403,18 +403,20 @@ pub fn search_effort_diagnostic(counters: &locmps_core::SearchCounters) -> Optio
             Severity::Info,
             "scheduler",
             format!(
-                "{} LoCBS passes ({} memoized, {} probes aborted, {} placements replayed) \
-                 over {} commit(s)",
+                "{} LoCBS passes ({} memoized, {} probes aborted, {} placements replayed), \
+                 {} transfers reused, over {} commit(s)",
                 counters.locbs_passes,
                 counters.pass_memo_hits,
                 counters.probes_aborted,
                 counters.placements_replayed,
+                counters.transfers_reused,
                 counters.commits
             ),
         )
         .with("locbs_passes", counters.locbs_passes)
         .with("pass_memo_hits", counters.pass_memo_hits)
         .with("placements_replayed", counters.placements_replayed)
+        .with("transfers_reused", counters.transfers_reused)
         .with("probes_aborted", counters.probes_aborted)
         .with("branches_pruned", counters.branches_pruned)
         .with("lookahead_cutoffs", counters.lookahead_cutoffs)
@@ -625,6 +627,14 @@ mod tests {
         assert!(d.message.contains(&format!(
             "{} placements replayed",
             out.counters.placements_replayed
+        )));
+        assert_eq!(
+            get("transfers_reused"),
+            out.counters.transfers_reused.to_string()
+        );
+        assert!(d.message.contains(&format!(
+            "{} transfers reused",
+            out.counters.transfers_reused
         )));
     }
 }

@@ -232,8 +232,8 @@ fn render_locmps_json(cases: &[LocmpsCase]) -> Result<String, serde_json::NonFin
              \"makespan\": {}, \"exhaustive_passes\": {}, \
              \"full_pass_reduction\": {}, \"counters\": {{\
              \"locbs_passes\": {}, \"pass_memo_hits\": {}, \"probes_aborted\": {}, \
-             \"placements_replayed\": {}, \"branches_pruned\": {}, \
-             \"lookahead_cutoffs\": {}, \"commits\": {}}}}}{}\n",
+             \"placements_replayed\": {}, \"transfers_reused\": {}, \
+             \"branches_pruned\": {}, \"lookahead_cutoffs\": {}, \"commits\": {}}}}}{}\n",
             c.n_tasks,
             c.p,
             c.max_rounds,
@@ -247,6 +247,7 @@ fn render_locmps_json(cases: &[LocmpsCase]) -> Result<String, serde_json::NonFin
             k.pass_memo_hits,
             k.probes_aborted,
             k.placements_replayed,
+            k.transfers_reused,
             k.branches_pruned,
             k.lookahead_cutoffs,
             k.commits,

@@ -242,11 +242,13 @@ fn schedule(args: &Args) -> Result<(), String> {
         let c = out.counters;
         println!(
             "search effort      : {} LoCBS passes, {} memo hits, {} probes aborted, \
-             {} placements replayed, {} branches pruned, {} look-ahead cutoffs, {} commits",
+             {} placements replayed, {} transfers reused, {} branches pruned, \
+             {} look-ahead cutoffs, {} commits",
             c.locbs_passes,
             c.pass_memo_hits,
             c.probes_aborted,
             c.placements_replayed,
+            c.transfers_reused,
             c.branches_pruned,
             c.lookahead_cutoffs,
             c.commits

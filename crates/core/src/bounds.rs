@@ -23,7 +23,7 @@
 //! backfilling variant alike.
 
 use crate::allocation::Allocation;
-use locmps_taskgraph::{TaskGraph, TaskId};
+use locmps_taskgraph::{Levels, TaskGraph, TaskId};
 
 /// Critical-path lower bound: the longest path where every task takes its
 /// best possible time over `1..=p` processors and communication is free.
@@ -36,10 +36,10 @@ pub fn critical_path_bound(g: &TaskGraph, p: usize) -> f64 {
 }
 
 /// Area lower bound: total work cannot be processed faster than `P`
-/// processors allow. Work is minimized at one processor for non-increasing
-/// efficiency, but a task never takes less area than `et(t,1)·1`... in
-/// general the minimum area over allocations bounds the makespan:
-/// `max_t min_p (p·et(t,p)) / P` summed over tasks.
+/// processors allow. Each task occupies at least its smallest area over
+/// every width, `min_{n ∈ [1, P]} n·et(t, n)` (at one processor whenever
+/// efficiency never rises with width), so the makespan is at least
+/// `Σ_t min_n n·et(t, n) / P`.
 pub fn area_bound(g: &TaskGraph, p: usize) -> f64 {
     let total: f64 = g
         .task_ids()
@@ -78,10 +78,16 @@ pub fn allocation_lower_bound(g: &TaskGraph, alloc: &Allocation, p: usize) -> f6
 /// For each task and width `np`, the structure holds
 /// `min_{n ∈ [np, p]} et(t, n)` and `min_{n ∈ [np, p]} n·et(t, n)`;
 /// [`WideningBounds::cone_bound`] assembles them into the critical-path /
-/// area bound in `O(V + E)`. Building costs `O(V·p)` once per graph.
+/// area bound in `O(V + E)`. Building costs `O(V·p)` once per graph, plus
+/// one topological sort whose order every later bound sweeps along, so a
+/// bound sorts nothing; [`WideningBounds::cone_bound_within_in`] also
+/// sweeps into the caller's [`ConeBuffers`] and allocates nothing. Every
+/// query takes the graph the bounds were built for.
 #[derive(Debug, Clone)]
 pub struct WideningBounds {
     p: usize,
+    /// A topological order of the graph, from [`TaskGraph::topo_order`].
+    order: Vec<TaskId>,
     /// Row-major `[task][np-1]`: `et(t, np)` verbatim.
     time: Vec<f64>,
     /// Row-major `[task][np-1]`: `np·et(t, np)` verbatim.
@@ -94,7 +100,11 @@ pub struct WideningBounds {
 
 impl WideningBounds {
     /// Precomputes the tables for `g` on `p` processors.
+    ///
+    /// # Panics
+    /// Panics if the graph is cyclic or empty — callers validate first.
     pub fn new(g: &TaskGraph, p: usize) -> Self {
+        let order = g.topo_order().expect("widening bounds on invalid graph");
         let p = p.max(1);
         let n_tasks = g.n_tasks();
         let mut time = vec![f64::INFINITY; n_tasks * p];
@@ -118,6 +128,7 @@ impl WideningBounds {
         }
         Self {
             p,
+            order,
             time,
             area,
             min_time,
@@ -140,9 +151,14 @@ impl WideningBounds {
     /// `np'(t) ∈ [np(t), p]`): critical path under the per-task suffix-min
     /// execution times (zero edge weights) vs. the suffix-min area.
     pub fn cone_bound(&self, g: &TaskGraph, alloc: &Allocation) -> f64 {
-        let cp = g
-            .levels(|t| self.min_time[self.idx(t, alloc.np(t))], |_| 0.0)
-            .cp_length();
+        let mut levels = Levels::default();
+        g.levels_along(
+            &self.order,
+            |t| self.min_time[self.idx(t, alloc.np(t))],
+            |_| 0.0,
+            &mut levels,
+        );
+        let cp = levels.cp_length();
         let area: f64 = g
             .task_ids()
             .map(|t| self.min_area[self.idx(t, alloc.np(t))])
@@ -171,12 +187,27 @@ impl WideningBounds {
     /// the bound far tighter than the full cone early in a walk, and it
     /// tightens further as the remaining depth shrinks.
     pub fn cone_bound_within(&self, g: &TaskGraph, alloc: &Allocation, steps: usize) -> f64 {
-        let cp = g
-            .levels(
-                |t| self.window_min(&self.time, &self.min_time, t, alloc.np(t), steps),
-                |_| 0.0,
-            )
-            .cp_length();
+        self.cone_bound_within_in(g, alloc, steps, &mut ConeBuffers::default())
+    }
+
+    /// [`WideningBounds::cone_bound_within`] with `buf` as its working
+    /// memory: each task's window minimum is taken once into a table, and
+    /// both level sweeps read that table along the stored order.
+    pub fn cone_bound_within_in(
+        &self,
+        g: &TaskGraph,
+        alloc: &Allocation,
+        steps: usize,
+        buf: &mut ConeBuffers,
+    ) -> f64 {
+        buf.time.clear();
+        buf.time.extend(
+            g.task_ids()
+                .map(|t| self.window_min(&self.time, &self.min_time, t, alloc.np(t), steps)),
+        );
+        let time = &buf.time;
+        g.levels_along(&self.order, |t| time[t.index()], |_| 0.0, &mut buf.levels);
+        let cp = buf.levels.cp_length();
         let area: f64 = g
             .task_ids()
             .map(|t| self.window_min(&self.area, &self.min_area, t, alloc.np(t), steps))
@@ -184,6 +215,16 @@ impl WideningBounds {
             / self.p as f64;
         cp.max(area)
     }
+}
+
+/// Working memory of [`WideningBounds::cone_bound_within_in`]: the
+/// per-task window minima of `et` and the levels swept over them. Only
+/// buffers, refilled by every call, so one set serves every bound of a
+/// search.
+#[derive(Debug, Default)]
+pub struct ConeBuffers {
+    time: Vec<f64>,
+    levels: Levels,
 }
 
 #[cfg(test)]
@@ -271,6 +312,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "widening bounds on invalid graph")]
+    fn widening_bounds_reject_a_cyclic_graph() {
+        let mut g = TaskGraph::new();
+        let a = g.add_task("a", ExecutionProfile::linear(1.0));
+        let b = g.add_task("b", ExecutionProfile::linear(1.0));
+        g.add_edge(a, b, 0.0).unwrap();
+        g.add_edge(b, a, 0.0).unwrap();
+        WideningBounds::new(&g, 4);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod timeline;
 mod scheduler;
 
 pub use allocation::Allocation;
-pub use bounds::{allocation_lower_bound, makespan_lower_bound, WideningBounds};
+pub use bounds::{allocation_lower_bound, makespan_lower_bound, ConeBuffers, WideningBounds};
 pub use commcost::CommModel;
 pub use locbs::{Locbs, LocbsOptions, LocbsResult, LocbsScratch, PlacementLog};
 pub use locmps::{LocMps, LocMpsConfig};

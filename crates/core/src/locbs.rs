@@ -130,15 +130,30 @@ impl PlacementLog {
 /// one scratch for every probe and look-ahead pass of a search, which
 /// saves the allocations. (A [`PlacementLog`] is not part of the scratch:
 /// it is the caller's, passed to [`Locbs::run_into_resumed`].)
+///
+/// A pass fills them in this order: the validating sort (`order`, with
+/// `unplaced_preds` as its working memory), `et(t, np(t))` once per task
+/// (`et`), the priority inputs (`edge_est`, a bottom-level sweep into
+/// `bottom`, then `priority`), for bounded passes the zero-communication
+/// chain below each task (`chain_below`, from a second bottom sweep), and
+/// then the placement loop (`unplaced_preds`, `ready`, `placed`, the chart
+/// and the per-candidate buffers of `place`).
 #[derive(Debug, Default)]
 pub struct LocbsScratch {
+    order: Vec<TaskId>,
+    unplaced_preds: Vec<usize>,
+    et: Vec<f64>,
     edge_est: Vec<f64>,
+    bottom: Vec<f64>,
     priority: Vec<f64>,
+    chain_below: Vec<f64>,
+    ready: Vec<TaskId>,
+    placed: Vec<Option<ScheduledTask>>,
     scores: Vec<f64>,
     sel_procs: Vec<ProcId>,
     free: ProcSet,
     sel: ProcSet,
-    nb_times: Vec<f64>,
+    nb_times: Vec<(f64, f64)>,
     timeline: Timeline,
 }
 
@@ -285,7 +300,9 @@ impl<'a> Locbs<'a> {
                 .all(|(_, e)| e.kind == locmps_taskgraph::EdgeKind::Data),
             "schedule-DAG buffer must enter the placement loop pseudo-free"
         );
-        dag.validate().map_err(SchedError::Graph)?;
+        // The validating sort; its order also feeds both level sweeps.
+        dag.topo_order_into(&mut scratch.order, &mut scratch.unplaced_preds)
+            .map_err(SchedError::Graph)?;
         let p_total = self.model.cluster().n_procs;
         if alloc.len() != dag.n_tasks() {
             return Err(SchedError::AllocationMismatch {
@@ -293,6 +310,7 @@ impl<'a> Locbs<'a> {
                 got: alloc.len(),
             });
         }
+        scratch.et.clear();
         for t in dag.task_ids() {
             if alloc.np(t) > p_total {
                 return Err(SchedError::AllocationTooWide {
@@ -301,13 +319,16 @@ impl<'a> Locbs<'a> {
                     p: p_total,
                 });
             }
-            if !dag.task(t).profile.time(alloc.np(t)).is_finite() {
+            let et = dag.task(t).profile.time(alloc.np(t));
+            if !et.is_finite() {
                 return Err(SchedError::NonFiniteTime {
                     task: t,
                     np: alloc.np(t),
                 });
             }
+            scratch.et.push(et);
         }
+        let et = &scratch.et;
 
         // Static priorities: bottom level + heaviest in-edge estimate
         // (Algorithm 2, step 4).
@@ -316,9 +337,11 @@ impl<'a> Locbs<'a> {
             dag.edge_ids()
                 .map(|e| self.model.edge_estimate(dag, alloc, e)),
         );
-        let levels = dag.levels(
-            |t| dag.task(t).profile.time(alloc.np(t)),
+        dag.bottom_levels_along(
+            &scratch.order,
+            |t| et[t.index()],
             |e| scratch.edge_est[e.index()],
+            &mut scratch.bottom,
         );
         scratch.priority.clear();
         for t in dag.task_ids() {
@@ -328,7 +351,7 @@ impl<'a> Locbs<'a> {
                 .fold(0.0f64, f64::max);
             scratch
                 .priority
-                .push(levels.bottom[t.index()] + heaviest_in);
+                .push(scratch.bottom[t.index()] + heaviest_in);
         }
         crate::invariant!(
             scratch.priority.len() == dag.n_tasks() && scratch.edge_est.len() == dag.n_edges(),
@@ -340,23 +363,29 @@ impl<'a> Locbs<'a> {
         // `t` at the current widths, an admissible lower bound on the time
         // that must still elapse after `t` finishes. Unbounded (committed)
         // passes skip all of this.
-        let chain_below: Option<Vec<f64>> = horizon.is_finite().then(|| {
-            let zero = dag.levels(|t| dag.task(t).profile.time(alloc.np(t)), |_| 0.0);
-            dag.task_ids()
-                .map(|t| zero.bottom[t.index()] - dag.task(t).profile.time(alloc.np(t)))
-                .collect()
-        });
-        if let Some(chain_below) = &chain_below {
+        let bounded = horizon.is_finite();
+        if bounded {
+            dag.bottom_levels_along(
+                &scratch.order,
+                |t| et[t.index()],
+                |_| 0.0,
+                &mut scratch.bottom,
+            );
+            scratch.chain_below.clear();
+            scratch.chain_below.extend(
+                dag.task_ids()
+                    .map(|t| scratch.bottom[t.index()] - et[t.index()]),
+            );
             // Whole-allocation lower bounds: the zero-communication critical
             // path and the processor-area bound. Either above the horizon
             // decides the probe before a single task is placed.
             let cp0 = dag
                 .task_ids()
-                .map(|t| chain_below[t.index()] + dag.task(t).profile.time(alloc.np(t)))
+                .map(|t| scratch.chain_below[t.index()] + et[t.index()])
                 .fold(0.0f64, f64::max);
             let area = dag
                 .task_ids()
-                .map(|t| alloc.np(t) as f64 * dag.task(t).profile.time(alloc.np(t)))
+                .map(|t| alloc.np(t) as f64 * et[t.index()])
                 .sum::<f64>()
                 / p_total as f64;
             if cp0.max(area) > horizon {
@@ -364,24 +393,31 @@ impl<'a> Locbs<'a> {
             }
         }
 
-        // The chart is moved out of the scratch for the pass, so `place`
-        // can borrow both; every exit below puts it back.
+        // The chart and the placements are moved out of the scratch for
+        // the pass, so `place` can borrow them and the scratch together;
+        // every exit below puts them back.
         let mut timeline = std::mem::take(&mut scratch.timeline);
         timeline.reset(p_total);
-        let mut placed: Vec<Option<ScheduledTask>> = vec![None; dag.n_tasks()];
-        let mut remaining_preds: Vec<usize> = dag.task_ids().map(|t| dag.in_degree(t)).collect();
-        let mut ready: Vec<TaskId> = dag
-            .task_ids()
-            .filter(|&t| remaining_preds[t.index()] == 0)
-            .collect();
+        let mut placed = std::mem::take(&mut scratch.placed);
+        placed.clear();
+        placed.resize(dag.n_tasks(), None);
+        scratch.unplaced_preds.clear();
+        scratch
+            .unplaced_preds
+            .extend(dag.task_ids().map(|t| dag.in_degree(t)));
+        scratch.ready.clear();
+        scratch.ready.extend(
+            dag.task_ids()
+                .filter(|t| scratch.unplaced_preds[t.index()] == 0),
+        );
 
         // `pos` counts the steps taken; while `resuming`, every one of
         // them matched the log's step at the same position.
         let mut pos = 0usize;
         let mut replayed = 0u64;
         let mut resuming = log.is_some();
-        while let Some(i) = pick_highest_priority(&ready, &scratch.priority) {
-            let t = ready.swap_remove(i);
+        while let Some(i) = pick_highest_priority(&scratch.ready, &scratch.priority) {
+            let t = scratch.ready.swap_remove(i);
             let np = alloc.np(t);
             if let Some(log) = log.as_deref_mut().filter(|_| resuming) {
                 let step = log.steps.get(pos);
@@ -414,13 +450,18 @@ impl<'a> Locbs<'a> {
                     (entry, Some(p.ready))
                 }
             };
-            let below = chain_below.as_ref().map_or(0.0, |c| c[t.index()]);
+            let below = if bounded {
+                scratch.chain_below[t.index()]
+            } else {
+                0.0
+            };
             if entry.finish + below > horizon {
                 // Placements are final and every successor chain of `t`
                 // still has to run after this finish: the completed
                 // schedule would end past the horizon, so the pass cannot
                 // beat the caller's incumbent. Stop paying for the rest.
                 scratch.timeline = timeline;
+                scratch.placed = placed;
                 return Ok((None, replayed));
             }
             timeline.occupy(&entry.procs, entry.start, entry.finish);
@@ -466,21 +507,22 @@ impl<'a> Locbs<'a> {
 
             placed[t.index()] = Some(entry);
             for s in dag.successors(t) {
-                remaining_preds[s.index()] -= 1;
-                if remaining_preds[s.index()] == 0 {
-                    ready.push(s);
+                scratch.unplaced_preds[s.index()] -= 1;
+                if scratch.unplaced_preds[s.index()] == 0 {
+                    scratch.ready.push(s);
                 }
             }
         }
 
         let entries: Vec<ScheduledTask> = placed
-            .into_iter()
-            .map(|e| e.expect("DAG guarantees all tasks schedule"))
+            .iter_mut()
+            .map(|e| e.take().expect("DAG guarantees all tasks schedule"))
             .collect();
         let schedule = Schedule::from_entries(entries);
         let makespan = schedule.makespan();
         debug_assert!(dag.validate().is_ok(), "pseudo edges must keep G' acyclic");
         scratch.timeline = timeline;
+        scratch.placed = placed;
         Ok((Some((schedule, makespan)), replayed))
     }
 
@@ -502,7 +544,7 @@ impl<'a> Locbs<'a> {
         scratch: &mut LocbsScratch,
     ) -> Placement {
         let np = alloc.np(t);
-        let et = g.task(t).profile.time(np);
+        let et = scratch.et[t.index()];
         let p_total = self.model.cluster().n_procs;
         let data_ready = g
             .in_edges(t)
@@ -521,20 +563,13 @@ impl<'a> Locbs<'a> {
             &mut scratch.scores,
         );
 
-        let mut cursor = timeline.candidates_after(data_ready);
+        let mut cursor = timeline.candidates_after(data_ready, et);
         let mut nb_idx = 0usize;
         if !self.opts.backfill {
             // No-backfill: the only start considered is after the last free
             // time of the selected processors; seed with the global horizon
             // candidates computed from last-free-times.
-            scratch.nb_times.clear();
-            scratch
-                .nb_times
-                .extend((0..p_total as u32).map(|p| timeline.last_free_time(p).max(data_ready)));
-            scratch.nb_times.sort_by(f64::total_cmp);
-            scratch
-                .nb_times
-                .dedup_by(|a, b| (*a - *b).abs() <= time_eps(*a));
+            timeline.last_end_candidates_into(data_ready, et, &mut scratch.nb_times);
         }
 
         let full_overlap = self.model.cluster().overlap == CommOverlap::Full;
@@ -554,7 +589,7 @@ impl<'a> Locbs<'a> {
                     None => break,
                 }
             } else {
-                match scratch.nb_times.get(nb_idx).copied() {
+                match scratch.nb_times.get(nb_idx).map(|&(s, _)| s) {
                     Some(s) if s < horizon => {
                         nb_idx += 1;
                         s
@@ -569,7 +604,7 @@ impl<'a> Locbs<'a> {
                 // — holes are invisible to this variant.
                 scratch.free.clear();
                 for p in 0..p_total as u32 {
-                    if timeline.last_free_time(p) <= s + time_eps(s) {
+                    if timeline.idle_from(p, s, et) {
                         scratch.free.insert(p);
                     }
                 }
@@ -626,7 +661,7 @@ impl<'a> Locbs<'a> {
             } else {
                 procs
                     .iter()
-                    .all(|p| timeline.last_free_time(p) <= start + time_eps(start))
+                    .all(|p| timeline.idle_from(p, start, finish - start))
             };
             if !feasible {
                 continue;

@@ -41,17 +41,25 @@
 //! copying the placements up to the first position where the picked task
 //! or its width differs instead of placing them again.
 //!
+//! The graph work around the passes is recomputed only where it can have
+//! changed: each `refine` step sorts `G'` into buffers it keeps and reuses
+//! an edge's exact transfer price while the edge's groups and volume are
+//! those it was priced with, and the cone bounds sweep along the order
+//! [`WideningBounds`] computed once per search.
+//!
 //! Deterministic [`SearchCounters`] in the output report the work done and
 //! the work skipped; the search is sequential, so they are pure functions
 //! of the input and CI pins their exact values.
 
 use std::collections::{HashMap, HashSet};
 
-use locmps_platform::Cluster;
-use locmps_taskgraph::{ConcurrencyInfo, CriticalPath, EdgeId, EdgeKind, TaskGraph, TaskId};
+use locmps_platform::{Cluster, ProcSet};
+use locmps_taskgraph::{
+    ConcurrencyInfo, CriticalPath, EdgeId, EdgeKind, Levels, TaskGraph, TaskId,
+};
 
 use crate::allocation::Allocation;
-use crate::bounds::{allocation_lower_bound, WideningBounds};
+use crate::bounds::{allocation_lower_bound, ConeBuffers, WideningBounds};
 use crate::commcost::CommModel;
 use crate::locbs::{Locbs, LocbsOptions, LocbsResult, LocbsScratch, PlacementLog};
 use crate::schedule::time_eps;
@@ -220,8 +228,9 @@ struct SearchCtx<'a> {
 
 /// The mutable state of one search, owned by one [`Scheduler::schedule`]
 /// call: the work tally, the pass memo, the placement log, the refine
-/// weight tables, and the schedule-DAG buffer and LoCBS scratch that every
-/// probe and look-ahead pass re-schedules into.
+/// weight tables and transfer prices, the cone-bound buffers, and the
+/// schedule-DAG buffer and LoCBS scratch that every probe and look-ahead
+/// pass re-schedules into.
 #[derive(Default)]
 struct SearchState {
     counters: SearchCounters,
@@ -231,16 +240,68 @@ struct SearchState {
     /// `Some` exactly when [`LocMpsConfig::prune`] is on.
     log: Option<PlacementLog>,
     weights: Weights,
+    cone: ConeBuffers,
     dag: TaskGraph,
     scratch: LocbsScratch,
 }
 
-/// One [`LocMps::refine`] step's weights: `et(np)` per task and the
-/// transfer time per edge of `G'`.
+/// One [`LocMps::refine`] step's weights and the buffers of its critical
+/// path: `et(np)` per task, the transfer time per edge of `G'`, the
+/// topological order of `G'` with the sort's working memory, and the
+/// levels swept along it. The step refills all of them. `prices` and
+/// `reused` are the exception: they carry across the steps of one search.
 #[derive(Default)]
 struct Weights {
     node: Vec<f64>,
     edge: Vec<f64>,
+    order: Vec<TaskId>,
+    in_deg: Vec<usize>,
+    levels: Levels,
+    /// Per edge id of `G'`, the last exact transfer price and what it was
+    /// computed from.
+    prices: Vec<Price>,
+    /// Prices taken from `prices` instead of the transfer kernel.
+    reused: u64,
+}
+
+/// An edge's last exact transfer price, with the kernel's inputs: the
+/// source and destination groups and the volume.
+#[derive(Default)]
+struct Price {
+    src: ProcSet,
+    dst: ProcSet,
+    volume: f64,
+    time: f64,
+}
+
+impl Price {
+    /// `model.transfer_time(src, dst, volume)`, from the kernel only when
+    /// an input differs from this entry's (then recorded here); a reused
+    /// price counts in `reused`. Transfers the kernel answers before any
+    /// group work (no volume, or a communication-blind model) are neither
+    /// recorded nor counted. A fresh entry has volume 0, so it never
+    /// matches.
+    fn get(
+        &mut self,
+        model: &CommModel<'_>,
+        src: &ProcSet,
+        dst: &ProcSet,
+        volume: f64,
+        reused: &mut u64,
+    ) -> f64 {
+        if volume <= 0.0 || !model.is_comm_aware() {
+            return model.transfer_time(src, dst, volume);
+        }
+        if self.volume.to_bits() == volume.to_bits() && self.src == *src && self.dst == *dst {
+            *reused += 1;
+            return self.time;
+        }
+        self.time = model.transfer_time(src, dst, volume);
+        self.src.clone_from(src);
+        self.dst.clone_from(dst);
+        self.volume = volume;
+        self.time
+    }
 }
 
 /// The LoC-MPS scheduler.
@@ -351,7 +412,11 @@ impl LocMps {
     /// it executes. (The paper's `d/(min(np)·bw)` closed form is the
     /// group-agnostic stand-in; it remains the planning estimate inside
     /// LoCBS's priorities where groups are not yet placed.) Each weight is
-    /// computed once per step into `w`, and every later read uses that table.
+    /// computed once per step into `w`, and every later read uses that table;
+    /// an edge whose groups and volume are those of its previous pricing
+    /// takes that price instead of the kernel's (see [`Price`]). `G'` is
+    /// sorted into `w`'s buffers and its critical path swept along that
+    /// order.
     fn refine(
         &self,
         ctx: &SearchCtx<'_>,
@@ -366,16 +431,24 @@ impl LocMps {
         w.node
             .extend(g.task_ids().map(|t| g.task(t).profile.time(alloc.np(t))));
         w.edge.clear();
-        w.edge.extend(dag.edge_ids().map(|e| {
+        if w.prices.len() < dag.n_edges() {
+            w.prices.resize_with(dag.n_edges(), Price::default);
+        }
+        for (e, price) in dag.edge_ids().zip(&mut w.prices) {
             let edge = dag.edge(e);
-            match (schedule.get(edge.src), schedule.get(edge.dst)) {
-                (Some(s), Some(d)) => model.transfer_time(&s.procs, &d.procs, edge.volume),
-                _ => model.edge_estimate(dag, alloc, e),
-            }
-        }));
+            w.edge
+                .push(match (schedule.get(edge.src), schedule.get(edge.dst)) {
+                    (Some(s), Some(d)) => {
+                        price.get(model, &s.procs, &d.procs, edge.volume, &mut w.reused)
+                    }
+                    _ => model.edge_estimate(dag, alloc, e),
+                });
+        }
+        dag.topo_order_into(&mut w.order, &mut w.in_deg)
+            .expect("schedule-DAGs are acyclic");
         let node_w = |t: TaskId| w.node[t.index()];
         let edge_w = |e: EdgeId| w.edge[e.index()];
-        let cp = dag.critical_path(node_w, edge_w);
+        let cp = dag.critical_path_along(&w.order, node_w, edge_w, &mut w.levels);
         let tcomp = cp.computation_cost(node_w);
         let tcomm = cp.communication_cost(edge_w);
 
@@ -503,7 +576,10 @@ impl Scheduler for LocMps {
             schedule: best.schedule,
             allocation: best_alloc,
             schedule_dag: Some(best.schedule_dag),
-            counters: st.counters,
+            counters: SearchCounters {
+                transfers_reused: st.weights.reused,
+                ..st.counters
+            },
         })
     }
 }
@@ -609,7 +685,10 @@ impl LocMps {
                 // state the rest of the walk can reach. At or above the
                 // branch best, none of them passes the epsilon-strict
                 // improvement test; the returned pair is already final.
-                if wb.cone_bound_within(ctx.g, &alloc, depth - 1 - step) >= branch_best.makespan {
+                let steps = depth - 1 - step;
+                if wb.cone_bound_within_in(ctx.g, &alloc, steps, &mut st.cone)
+                    >= branch_best.makespan
+                {
                     st.counters.lookahead_cutoffs += 1;
                     break;
                 }
@@ -708,7 +787,8 @@ impl LocMps {
 
         for _round in 0..self.config.max_rounds {
             if let Some(wb) = ctx.wb {
-                if wb.cone_bound_within(ctx.g, best_alloc, depth) >= best.makespan {
+                if wb.cone_bound_within_in(ctx.g, best_alloc, depth, &mut st.cone) >= best.makespan
+                {
                     return Ok(()); // incumbent provably optimal in its cone
                 }
             }
@@ -723,9 +803,9 @@ impl LocMps {
             ) else {
                 return Ok(()); // nothing on the CP can be refined at all
             };
-            let hopeless = ctx
-                .wb
-                .is_some_and(|wb| wb.cone_bound_within(ctx.g, &alloc, depth - 1) >= best.makespan);
+            let hopeless = ctx.wb.is_some_and(|wb| {
+                wb.cone_bound_within_in(ctx.g, &alloc, depth - 1, &mut st.cone) >= best.makespan
+            });
             if hopeless {
                 st.counters.branches_pruned += 1;
             } else {

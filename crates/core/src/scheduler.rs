@@ -87,6 +87,11 @@ pub struct SearchCounters {
     /// instead of placing them (the shared prefix of the two passes; see
     /// [`Locbs::run_into_resumed`](crate::Locbs::run_into_resumed)).
     pub placements_replayed: u64,
+    /// Schedule-DAG edge weights of refinement steps taken from the
+    /// previous exact pricing of the same edge instead of the transfer
+    /// kernel, because the edge's source group, destination group and
+    /// volume were all unchanged since.
+    pub transfers_reused: u64,
     /// Improving rounds committed by the outer search loop.
     pub commits: u64,
 }

@@ -28,7 +28,8 @@
 //! * [`Timeline::occupy`] checks the new booking against the overlapping
 //!   bookings that share a processor, then makes one ordered insert.
 //!
-//! A per-processor last end answers [`Timeline::last_free_time`], all the
+//! A per-processor last booking (its end and length) answers
+//! [`Timeline::idle_from`] and the no-backfill candidates, all the
 //! no-backfill variant reads. A reset chart keeps every booking's storage,
 //! bitmap included, so a warm pass books without allocating.
 //!
@@ -42,18 +43,19 @@
 //! therefore additionally bounded by half the shortest interval involved:
 //! rounding error is many orders of magnitude below either bound, and an
 //! overlap that exceeds half a task is never forgiven.
+//!
+//! The queries apply the rule exactly as [`Timeline::occupy`] does, so a
+//! window the chart reports free can always be booked. The candidate
+//! cursors apply it too: they take the length of the placement they serve,
+//! and drop a booking end as a duplicate of the previous candidate only
+//! within half that length and half the booking's own, so the processors
+//! that booking holds are free at the candidate kept. The last booking end
+//! is therefore always a candidate or covered by one, and a placement of
+//! any length fits there.
 
 use locmps_platform::{ProcId, ProcSet};
 
 use crate::schedule::time_eps;
-
-/// The comparison slack for intervals `a` and `b` meeting near time
-/// `scale`: relative to the time scale but never more than half the
-/// shorter interval.
-#[inline]
-fn bounded_eps(scale: f64, a_len: f64, b_len: f64) -> f64 {
-    time_eps(scale).min(0.5 * a_len.min(b_len))
-}
 
 /// One booking: `[start, end)` on every processor of `procs`.
 #[derive(Debug, Clone, Default)]
@@ -72,6 +74,10 @@ pub struct Timeline {
     live: usize,
     /// Each processor's last booking end; `NEG_INFINITY` when never booked.
     last_end: Vec<f64>,
+    /// The length of each processor's last booking; 0 when never booked.
+    last_len: Vec<f64>,
+    /// The shortest live booking's length; infinite when there is none.
+    shortest: f64,
     /// `{0, …, n_procs - 1}`: where every free-set query starts.
     all: ProcSet,
 }
@@ -88,8 +94,11 @@ impl Timeline {
     /// allocations for the next pass.
     pub(crate) fn reset(&mut self, n_procs: usize) {
         self.live = 0;
+        self.shortest = f64::INFINITY;
         self.last_end.clear();
         self.last_end.resize(n_procs, f64::NEG_INFINITY);
+        self.last_len.clear();
+        self.last_len.resize(n_procs, 0.0);
         if self.all.len() != n_procs {
             self.all = ProcSet::all(n_procs);
         }
@@ -105,14 +114,34 @@ impl Timeline {
         &self.bookings[..self.live]
     }
 
-    /// The bookings that overlap `[start, finish)` beyond the window's
-    /// tolerance. A processor is idle throughout the window exactly when
-    /// none of them holds it.
+    /// The bookings that overlap `[start, finish)` beyond the tolerance of
+    /// the pair: relative to `finish`, bounded by half the window and half
+    /// the booking. A processor is idle throughout the window exactly when
+    /// none of them holds it, and [`Timeline::occupy`] rejects a booking
+    /// exactly when one of them shares a processor with it.
     fn overlapping(&self, start: f64, finish: f64) -> impl Iterator<Item = &Booking> {
-        let eps = time_eps(finish).min(0.5 * (finish - start));
+        let window_eps = time_eps(finish).min(0.5 * (finish - start));
         let live = self.live();
-        let from = live.partition_point(|b| b.end <= start + eps);
-        live[from..].iter().filter(move |b| b.start + eps < finish)
+        // When no booking is shorter than twice the window's tolerance,
+        // every pair's tolerance is the window's, and the bookings that end
+        // by `start` plus that tolerance are the ones that cannot overlap.
+        // Otherwise only those that end by `start` are skipped, and each
+        // other booking's bound is applied. (Two slices, one of them empty,
+        // keep the common case a one-comparison scan.)
+        let (uniform, general): (&[Booking], &[Booking]) = if 0.5 * self.shortest >= window_eps {
+            let from = live.partition_point(|b| b.end <= start + window_eps);
+            (&live[from..], &[])
+        } else {
+            let from = live.partition_point(|b| b.end <= start);
+            (&[], &live[from..])
+        };
+        uniform
+            .iter()
+            .filter(move |b| b.start + window_eps < finish)
+            .chain(general.iter().filter(move |b| {
+                let eps = window_eps.min(0.5 * (b.end - b.start));
+                b.end > start + eps && b.start + eps < finish
+            }))
     }
 
     /// Marks `[start, finish)` busy on every processor in `procs`.
@@ -126,21 +155,20 @@ impl Timeline {
         if finish <= start {
             return; // zero-length bookings occupy nothing
         }
-        let len = finish - start;
-        // A booking that ends by `start` cannot overlap.
-        let from = self.live().partition_point(|b| b.end <= start);
-        for b in &self.live()[from..] {
-            let eps = bounded_eps(finish, len, b.end - b.start);
-            let overlaps = b.end > start + eps && b.start + eps < finish;
+        for b in self.overlapping(start, finish) {
             assert!(
-                !overlaps || b.procs.is_disjoint(procs),
+                b.procs.is_disjoint(procs),
                 "double booking on {}",
                 b.procs.intersection(procs)
             );
         }
+        self.shortest = self.shortest.min(finish - start);
         for p in procs.iter() {
-            let last = &mut self.last_end[p as usize];
-            *last = last.max(finish);
+            let p = p as usize;
+            if finish > self.last_end[p] {
+                self.last_end[p] = finish;
+                self.last_len[p] = finish - start;
+            }
         }
         let at = self.live().partition_point(|b| b.end < finish);
         if self.live == self.bookings.len() {
@@ -189,32 +217,50 @@ impl Timeline {
         }
     }
 
-    /// The time at which processor `p` becomes permanently idle (its last
-    /// booking's end; 0 when never booked). This is the only availability
-    /// information the *no-backfill* scheduler variant keeps (Fig. 6).
-    pub fn last_free_time(&self, p: ProcId) -> f64 {
-        let last = self.last_end[p as usize];
-        if last == f64::NEG_INFINITY {
-            0.0
-        } else {
-            last
-        }
+    /// Whether processor `p`'s last booking has ended by `start` for a
+    /// booking of length `len` there, within a tolerance relative to
+    /// `start` and bounded by half of either booking. A window `[start,
+    /// start + len)` on processors idle from `start` can be booked. The
+    /// last booking is the only availability information the
+    /// *no-backfill* scheduler variant reads (Fig. 6).
+    pub fn idle_from(&self, p: ProcId, start: f64, len: f64) -> bool {
+        let (end, last_len) = (self.last_end[p as usize], self.last_len[p as usize]);
+        end <= start || end <= start + time_eps(start).min(0.5 * len.min(last_len))
     }
 
-    /// Candidate start times for a placement not before `after`: `after`
-    /// itself plus every booking end strictly later than `after`, sorted
-    /// and deduplicated.
-    pub fn candidate_times(&self, after: f64) -> Vec<f64> {
-        self.candidate_times_below(after, f64::INFINITY)
+    /// The no-backfill variant's candidate starts for a placement of
+    /// length at least `len` not before `after`: each processor's last end
+    /// raised to `after`, ascending and deduplicated, into `out` (each
+    /// candidate paired with its processor's last booking length). An end
+    /// within the [`Timeline::idle_from`] tolerance of the previous
+    /// candidate is dropped, so its processor is idle from the candidate
+    /// kept.
+    pub(crate) fn last_end_candidates_into(&self, after: f64, len: f64, out: &mut Vec<(f64, f64)>) {
+        out.clear();
+        out.extend(
+            self.last_end
+                .iter()
+                .zip(&self.last_len)
+                .map(|(&end, &last_len)| (end.max(after), last_len)),
+        );
+        out.sort_by(|a, b| a.0.total_cmp(&b.0));
+        out.dedup_by(|a, b| a.0 - b.0 <= time_eps(b.0).min(0.5 * len.min(a.1)));
+    }
+
+    /// Candidate start times for a placement of length at least `len` not
+    /// before `after`: `after` itself plus every booking end strictly
+    /// later than `after`, sorted and deduplicated.
+    pub fn candidate_times(&self, after: f64, len: f64) -> Vec<f64> {
+        self.candidate_times_below(after, len, f64::INFINITY)
     }
 
     /// [`Timeline::candidate_times`] cut off at `horizon`: only candidates
     /// strictly below it are returned. Callers that track a best finish
     /// time pass it here so candidates that cannot improve are never even
     /// collected.
-    pub fn candidate_times_below(&self, after: f64, horizon: f64) -> Vec<f64> {
+    pub fn candidate_times_below(&self, after: f64, len: f64, horizon: f64) -> Vec<f64> {
         let mut out = Vec::new();
-        let mut cursor = self.candidates_after(after);
+        let mut cursor = self.candidates_after(after, len);
         while let Some(t) = cursor.next_below(horizon) {
             out.push(t);
         }
@@ -222,14 +268,16 @@ impl Timeline {
     }
 
     /// A streaming cursor over the candidate start times not before
-    /// `after` — the zero-allocation form of
-    /// [`Timeline::candidate_times_below`] used by the placement loop.
-    pub fn candidates_after(&self, after: f64) -> CandidateTimes<'_> {
+    /// `after` for a placement of length at least `len` — the
+    /// zero-allocation form of [`Timeline::candidate_times_below`] used by
+    /// the placement loop.
+    pub fn candidates_after(&self, after: f64, len: f64) -> CandidateTimes<'_> {
         let bookings = self.live();
         CandidateTimes {
             i: bookings.partition_point(|b| b.end <= after),
             bookings,
             after,
+            len,
             last: None,
         }
     }
@@ -248,13 +296,17 @@ impl Timeline {
 }
 
 /// Streaming candidate-start iterator: yields `after`, then each booking
-/// end above it, skipping ends within `time_eps` of the previously yielded
-/// candidate. Created by [`Timeline::candidates_after`].
+/// end above it, skipping an end within tolerance of the previously
+/// yielded candidate: `time_eps` of the end, bounded by half the
+/// placement length and half the booking. Created by
+/// [`Timeline::candidates_after`].
 #[derive(Debug)]
 pub struct CandidateTimes<'a> {
     bookings: &'a [Booking],
     i: usize,
     after: f64,
+    /// The length of the placement the candidates are for.
+    len: f64,
     last: Option<f64>,
 }
 
@@ -272,8 +324,9 @@ impl CandidateTimes<'_> {
             self.last = Some(self.after);
             return Some(self.after);
         };
-        while let Some(e) = self.bookings.get(self.i).map(|b| b.end) {
-            if (e - last).abs() <= time_eps(e) {
+        while let Some(b) = self.bookings.get(self.i) {
+            let (e, gap) = (b.end, b.end - last);
+            if gap <= time_eps(e) && gap <= 0.5 * self.len.min(e - b.start) {
                 self.i += 1; // within tolerance of the previous candidate
                 continue;
             }
@@ -316,7 +369,8 @@ mod tests {
         assert!(tl.is_free(0, 6.0, 19.0));
         assert!(!tl.is_free(0, 4.0, 6.0));
         assert!(!tl.is_free(0, 19.0, 21.0));
-        assert_eq!(tl.last_free_time(0), 30.0);
+        assert!(tl.idle_from(0, 30.0, 1.0));
+        assert!(!tl.idle_from(0, 29.0, 1.0), "the last booking ends at 30");
     }
 
     #[test]
@@ -372,9 +426,9 @@ mod tests {
         tl.occupy(&set(&[0]), 0.0, 5.0);
         tl.occupy(&set(&[1]), 0.0, 8.0);
         tl.occupy(&set(&[0]), 5.0, 12.0);
-        assert_eq!(tl.candidate_times(2.0), vec![2.0, 5.0, 8.0, 12.0]);
-        assert_eq!(tl.candidate_times(8.0), vec![8.0, 12.0]);
-        assert_eq!(tl.candidate_times(50.0), vec![50.0]);
+        assert_eq!(tl.candidate_times(2.0, 1.0), vec![2.0, 5.0, 8.0, 12.0]);
+        assert_eq!(tl.candidate_times(8.0, 1.0), vec![8.0, 12.0]);
+        assert_eq!(tl.candidate_times(50.0, 1.0), vec![50.0]);
     }
 
     #[test]
@@ -383,11 +437,11 @@ mod tests {
         tl.occupy(&set(&[0]), 0.0, 5.0);
         tl.occupy(&set(&[1]), 0.0, 8.0);
         tl.occupy(&set(&[0]), 5.0, 12.0);
-        assert_eq!(tl.candidate_times_below(2.0, 8.0), vec![2.0, 5.0]);
-        assert_eq!(tl.candidate_times_below(2.0, 8.5), vec![2.0, 5.0, 8.0]);
-        assert_eq!(tl.candidate_times_below(9.0, 9.0), Vec::<f64>::new());
+        assert_eq!(tl.candidate_times_below(2.0, 1.0, 8.0), vec![2.0, 5.0]);
+        assert_eq!(tl.candidate_times_below(2.0, 1.0, 8.5), vec![2.0, 5.0, 8.0]);
+        assert_eq!(tl.candidate_times_below(9.0, 1.0, 9.0), Vec::<f64>::new());
         // The cursor honors a horizon that tightens mid-scan.
-        let mut c = tl.candidates_after(0.0);
+        let mut c = tl.candidates_after(0.0, 1.0);
         assert_eq!(c.next_below(f64::INFINITY), Some(0.0));
         assert_eq!(c.next_below(f64::INFINITY), Some(5.0));
         assert_eq!(c.next_below(9.0), Some(8.0));
@@ -401,8 +455,8 @@ mod tests {
         tl.occupy(&set(&[0, 1]), 0.0, 4.0);
         tl.occupy(&set(&[0]), 4.0, 6.0);
         tl.occupy(&set(&[1]), 30.0, 31.0);
-        assert_eq!(tl.candidate_times(0.0), vec![0.0, 4.0, 6.0, 9.0, 31.0]);
-        assert_eq!(tl.candidate_times(5.0), vec![5.0, 6.0, 9.0, 31.0]);
+        assert_eq!(tl.candidate_times(0.0, 1.0), vec![0.0, 4.0, 6.0, 9.0, 31.0]);
+        assert_eq!(tl.candidate_times(5.0, 1.0), vec![5.0, 6.0, 9.0, 31.0]);
     }
 
     #[test]
@@ -415,18 +469,24 @@ mod tests {
         assert_eq!(tl.n_procs(), fresh.n_procs());
         for p in 0..16 {
             assert_eq!(tl.bookings(p), fresh.bookings(p));
-            assert_eq!(tl.last_free_time(p), fresh.last_free_time(p));
+            assert!(tl.idle_from(p, 0.0, 1.0) && fresh.idle_from(p, 0.0, 1.0));
             assert!(tl.is_free(p, 0.0, 40.0));
         }
         assert_eq!(tl.free_set(0.0, 40.0), fresh.free_set(0.0, 40.0));
-        assert_eq!(tl.candidate_times(1.0), fresh.candidate_times(1.0));
+        assert_eq!(
+            tl.candidate_times(1.0, 1.0),
+            fresh.candidate_times(1.0, 1.0)
+        );
         // A booking after the reset lands as on the fresh chart.
         let mut fresh = fresh;
         for chart in [&mut tl, &mut fresh] {
             chart.occupy(&set(&[3, 15]), 2.0, 6.0);
         }
         assert_eq!(tl.free_set(4.0, 5.0), fresh.free_set(4.0, 5.0));
-        assert_eq!(tl.candidate_times(0.0), fresh.candidate_times(0.0));
+        assert_eq!(
+            tl.candidate_times(0.0, 1.0),
+            fresh.candidate_times(0.0, 1.0)
+        );
     }
 
     #[test]

@@ -330,29 +330,50 @@ impl TaskGraph {
     /// [`GraphError::Cycle`] if the graph is not a DAG,
     /// [`GraphError::Empty`] if it has no tasks.
     pub fn topo_order(&self) -> Result<Vec<TaskId>, GraphError> {
+        let mut order = Vec::with_capacity(self.n_tasks());
+        self.topo_order_into(&mut order, &mut Vec::new())?;
+        Ok(order)
+    }
+
+    /// [`TaskGraph::topo_order`] into caller buffers: `order` receives the
+    /// order and `in_deg` is the sort's working memory (all zeros after a
+    /// successful sort). Both are cleared first, so buffers kept across
+    /// calls sort any graph without allocating once they have grown to its
+    /// size. The order is the one [`TaskGraph::topo_order`] returns: Kahn's
+    /// FIFO queue, seeded with the sources in id order.
+    ///
+    /// # Errors
+    /// Those of [`TaskGraph::topo_order`]; `order` then holds a partial
+    /// order.
+    pub fn topo_order_into(
+        &self,
+        order: &mut Vec<TaskId>,
+        in_deg: &mut Vec<usize>,
+    ) -> Result<(), GraphError> {
         if self.tasks.is_empty() {
             return Err(GraphError::Empty);
         }
-        let mut in_deg: Vec<usize> = (0..self.n_tasks()).map(|i| self.pred[i].len()).collect();
-        let mut queue: Vec<TaskId> = self.task_ids().filter(|t| in_deg[t.index()] == 0).collect();
-        let mut order = Vec::with_capacity(self.n_tasks());
+        in_deg.clear();
+        in_deg.extend(self.pred.iter().map(Vec::len));
+        // The order doubles as the FIFO queue: `head` is the next task
+        // whose out-edges are released.
+        order.clear();
+        order.extend(self.task_ids().filter(|t| in_deg[t.index()] == 0));
         let mut head = 0;
-        while head < queue.len() {
-            let t = queue[head];
+        while let Some(&t) = order.get(head) {
             head += 1;
-            order.push(t);
-            for e in self.out_edges(t) {
+            for &e in &self.succ[t.index()] {
                 let d = self.edges[e.index()].dst;
                 in_deg[d.index()] -= 1;
                 if in_deg[d.index()] == 0 {
-                    queue.push(d);
+                    order.push(d);
                 }
             }
         }
         if order.len() != self.n_tasks() {
             return Err(GraphError::Cycle);
         }
-        Ok(order)
+        Ok(())
     }
 
     /// Whether the graph is a non-empty DAG.

@@ -12,12 +12,20 @@
 //!
 //! Weights depend on the current processor allocation, which changes every
 //! LoC-MPS iteration, so they are passed as closures rather than stored.
+//! Callers that sweep one graph many times keep its topological order and
+//! the level vectors themselves: [`TaskGraph::top_levels_along`],
+//! [`TaskGraph::bottom_levels_along`], [`TaskGraph::levels_along`] and
+//! [`TaskGraph::critical_path_along`] take the order and fill caller
+//! buffers, and [`TaskGraph::levels`] and [`TaskGraph::critical_path`] are
+//! those sweeps along a fresh [`TaskGraph::topo_order`]. Any topological
+//! order gives the same levels bit for bit: each level is a maximum over
+//! the same sums, and a maximum does not round.
 
 use crate::graph::{EdgeId, TaskGraph, TaskId};
 
 /// Top and bottom levels for every task, plus the implied critical-path
 /// length.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Levels {
     /// `topL(v)` per task (indexed by `TaskId::index`).
     pub top: Vec<f64>,
@@ -82,10 +90,37 @@ impl TaskGraph {
     /// Panics if the graph is cyclic or empty — callers validate first.
     pub fn levels(&self, node_w: impl Fn(TaskId) -> f64, edge_w: impl Fn(EdgeId) -> f64) -> Levels {
         let order = self.topo_order().expect("levels on invalid graph");
-        let n = self.n_tasks();
-        let mut top = vec![0.0; n];
-        let mut bottom = vec![0.0; n];
-        for &v in &order {
+        let mut levels = Levels::default();
+        self.levels_along(&order, node_w, edge_w, &mut levels);
+        levels
+    }
+
+    /// [`TaskGraph::levels`] along `order`, a topological order of this
+    /// graph (from [`TaskGraph::topo_order_into`]), into `out`'s vectors.
+    pub fn levels_along(
+        &self,
+        order: &[TaskId],
+        node_w: impl Fn(TaskId) -> f64,
+        edge_w: impl Fn(EdgeId) -> f64,
+        out: &mut Levels,
+    ) {
+        self.top_levels_along(order, &node_w, &edge_w, &mut out.top);
+        self.bottom_levels_along(order, &node_w, &edge_w, &mut out.bottom);
+    }
+
+    /// The top levels alone, swept along `order` (a topological order of
+    /// this graph) into `top`.
+    pub fn top_levels_along(
+        &self,
+        order: &[TaskId],
+        node_w: impl Fn(TaskId) -> f64,
+        edge_w: impl Fn(EdgeId) -> f64,
+        top: &mut Vec<f64>,
+    ) {
+        debug_assert_eq!(order.len(), self.n_tasks(), "a topological order");
+        top.clear();
+        top.resize(self.n_tasks(), 0.0);
+        for &v in order {
             let tv = top[v.index()];
             let wv = node_w(v);
             for e in self.out_edges(v) {
@@ -96,6 +131,21 @@ impl TaskGraph {
                 }
             }
         }
+    }
+
+    /// The bottom levels alone, swept backwards along `order` (a
+    /// topological order of this graph) into `bottom`: the same values as
+    /// [`Levels::bottom`], without the top sweep.
+    pub fn bottom_levels_along(
+        &self,
+        order: &[TaskId],
+        node_w: impl Fn(TaskId) -> f64,
+        edge_w: impl Fn(EdgeId) -> f64,
+        bottom: &mut Vec<f64>,
+    ) {
+        debug_assert_eq!(order.len(), self.n_tasks(), "a topological order");
+        bottom.clear();
+        bottom.resize(self.n_tasks(), 0.0);
         for &v in order.iter().rev() {
             let mut best = 0.0f64;
             for e in self.out_edges(v) {
@@ -107,19 +157,34 @@ impl TaskGraph {
             }
             bottom[v.index()] = node_w(v) + best;
         }
-        Levels { top, bottom }
     }
 
     /// Extracts one concrete critical path under the given weights.
     ///
     /// When several critical paths exist, ties are broken toward the
     /// lowest-id successor, making the result deterministic.
+    ///
+    /// # Panics
+    /// Panics if the graph is cyclic or empty — callers validate first.
     pub fn critical_path(
         &self,
         node_w: impl Fn(TaskId) -> f64,
         edge_w: impl Fn(EdgeId) -> f64,
     ) -> CriticalPath {
-        let levels = self.levels(&node_w, &edge_w);
+        let order = self.topo_order().expect("levels on invalid graph");
+        self.critical_path_along(&order, node_w, edge_w, &mut Levels::default())
+    }
+
+    /// [`TaskGraph::critical_path`] along `order`, a topological order of
+    /// this graph, with `levels` as the buffer its level sweeps fill.
+    pub fn critical_path_along(
+        &self,
+        order: &[TaskId],
+        node_w: impl Fn(TaskId) -> f64,
+        edge_w: impl Fn(EdgeId) -> f64,
+        levels: &mut Levels,
+    ) -> CriticalPath {
+        self.levels_along(order, &node_w, &edge_w, levels);
         let cp = levels.cp_length();
         let eps = 1e-9 * cp.abs().max(1.0);
 

@@ -3,7 +3,7 @@
 use locmps_speedup::ExecutionProfile;
 use proptest::prelude::*;
 
-use crate::{ConcurrencyInfo, GraphStats, TaskGraph, TaskId};
+use crate::{ConcurrencyInfo, EdgeId, GraphStats, Levels, TaskGraph, TaskId};
 
 /// Strategy producing a random DAG: `n` tasks, edges only from lower to
 /// higher ids (guaranteeing acyclicity), each potential edge present with
@@ -36,8 +36,147 @@ pub fn arb_dag(max_tasks: usize) -> impl Strategy<Value = TaskGraph> {
     })
 }
 
+/// Node and edge weights for `g` drawn from `seed`, spread over six
+/// orders of magnitude so that sums taken in different association orders
+/// round differently; every fifth edge weighs nothing, like a pseudo-edge.
+fn arb_weights(g: &TaskGraph, seed: u64) -> (Vec<f64>, Vec<f64>) {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut weight = move || 10f64.powf(6.0 * next() - 3.0) * (1.0 + next());
+    let node = g.task_ids().map(|_| weight()).collect();
+    let edge = g
+        .edge_ids()
+        .map(|e| if e.index() % 5 == 4 { 0.0 } else { weight() })
+        .collect();
+    (node, edge)
+}
+
+/// A topological order unlike Kahn's FIFO one: always release the ready
+/// task with the largest id.
+fn largest_ready_first(g: &TaskGraph) -> Vec<TaskId> {
+    let mut in_deg: Vec<usize> = g.task_ids().map(|t| g.in_degree(t)).collect();
+    let mut ready: Vec<TaskId> = g.task_ids().filter(|t| in_deg[t.index()] == 0).collect();
+    let mut order = Vec::new();
+    while let Some(t) = ready.iter().copied().max() {
+        ready.retain(|&r| r != t);
+        order.push(t);
+        for s in g.successors(t) {
+            in_deg[s.index()] -= 1;
+            if in_deg[s.index()] == 0 {
+                ready.push(s);
+            }
+        }
+    }
+    order
+}
+
+/// Top and bottom levels straight from their definitions (memoized
+/// recursion over the edges, no order), with the sweeps' association:
+/// `top(v) = max_e (top(u) + w(u)) + c(e)` over in-edges,
+/// `bottom(v) = w(v) + max(0, max_e c(e) + bottom(d))` over out-edges.
+fn reference_levels(g: &TaskGraph, w: &[f64], c: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    fn top(g: &TaskGraph, w: &[f64], c: &[f64], v: TaskId, memo: &mut [Option<f64>]) -> f64 {
+        if let Some(x) = memo[v.index()] {
+            return x;
+        }
+        let mut best = 0.0f64;
+        for e in g.in_edges(v) {
+            let u = g.edge(e).src;
+            let cand = top(g, w, c, u, memo) + w[u.index()] + c[e.index()];
+            if cand > best {
+                best = cand;
+            }
+        }
+        memo[v.index()] = Some(best);
+        best
+    }
+    fn bottom(g: &TaskGraph, w: &[f64], c: &[f64], v: TaskId, memo: &mut [Option<f64>]) -> f64 {
+        if let Some(x) = memo[v.index()] {
+            return x;
+        }
+        let mut best = 0.0f64;
+        for e in g.out_edges(v) {
+            let cand = c[e.index()] + bottom(g, w, c, g.edge(e).dst, memo);
+            if cand > best {
+                best = cand;
+            }
+        }
+        let x = w[v.index()] + best;
+        memo[v.index()] = Some(x);
+        x
+    }
+    let (mut tm, mut bm) = (vec![None; g.n_tasks()], vec![None; g.n_tasks()]);
+    let t = g.task_ids().map(|v| top(g, w, c, v, &mut tm)).collect();
+    let b = g.task_ids().map(|v| bottom(g, w, c, v, &mut bm)).collect();
+    (t, b)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn sweeps_along_any_order_match_levels_bit_for_bit(
+        g in arb_dag(24),
+        seed in any::<u64>(),
+    ) {
+        let (node, edge) = arb_weights(&g, seed);
+        let w = |t: TaskId| node[t.index()];
+        let c = |e: EdgeId| edge[e.index()];
+        let (ref_top, ref_bottom) = reference_levels(&g, &node, &edge);
+        let ref_cp = ref_top
+            .iter()
+            .zip(&ref_bottom)
+            .map(|(t, b)| t + b)
+            .fold(f64::NEG_INFINITY, f64::max);
+
+        let lv = g.levels(w, c);
+        prop_assert_eq!(bits(&lv.top), bits(&ref_top));
+        prop_assert_eq!(bits(&lv.bottom), bits(&ref_bottom));
+        prop_assert_eq!(lv.cp_length().to_bits(), ref_cp.to_bits());
+        let cp = g.critical_path(w, c);
+        prop_assert_eq!(cp.length.to_bits(), ref_cp.to_bits());
+
+        let kahn = g.topo_order().unwrap();
+        let mut order = Vec::new();
+        let mut in_deg = vec![7; 3];
+        g.topo_order_into(&mut order, &mut in_deg).unwrap();
+        prop_assert_eq!(&order, &kahn);
+        prop_assert!(in_deg.iter().all(|&d| d == 0));
+        let other = largest_ready_first(&g);
+        prop_assert_eq!(other.len(), g.n_tasks());
+
+        // Buffers reused across orders start out holding another graph's
+        // levels.
+        let mut levels = Levels {
+            top: vec![1.0; 30],
+            bottom: vec![-1.0; 2],
+        };
+        let mut bottom = vec![5.0; 40];
+        for order in [&kahn, &other] {
+            g.levels_along(order, w, c, &mut levels);
+            prop_assert_eq!(bits(&levels.top), bits(&lv.top));
+            prop_assert_eq!(bits(&levels.bottom), bits(&lv.bottom));
+            prop_assert_eq!(levels.cp_length().to_bits(), ref_cp.to_bits());
+            g.bottom_levels_along(order, w, c, &mut bottom);
+            prop_assert_eq!(bits(&bottom), bits(&lv.bottom));
+            let mut top = Vec::new();
+            g.top_levels_along(order, w, c, &mut top);
+            prop_assert_eq!(bits(&top), bits(&lv.top));
+            let along = g.critical_path_along(order, w, c, &mut levels);
+            prop_assert_eq!(&along.tasks, &cp.tasks);
+            prop_assert_eq!(&along.edges, &cp.edges);
+            prop_assert_eq!(along.length.to_bits(), cp.length.to_bits());
+        }
+    }
 
     #[test]
     fn topo_order_is_a_valid_linearization(g in arb_dag(24)) {

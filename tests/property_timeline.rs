@@ -1,14 +1,18 @@
 //! Property tests pinning the resource chart (bookings sorted by end,
 //! word-parallel hole queries) to a straight per-processor
-//! re-implementation: one start-sorted interval vector per processor, a
-//! neighbour check on every insert, candidates re-gathered and sorted per
-//! query, freshly allocated free sets.
+//! re-implementation: one start-sorted interval vector per processor,
+//! every interval checked on every query, candidates re-gathered and
+//! sorted per query, freshly allocated free sets.
 //!
-//! The reference uses the chart's own tolerance expressions (relative
-//! `time_eps`, bounded by half the intervals involved), so the two must
-//! agree *exactly* on every query after every random booking sequence —
-//! including charts wider than one bitmap word, durations short enough
-//! that the length bound binds, and bookings that touch earlier ones.
+//! The reference states the chart's tolerance rule directly: a booking
+//! and a window conflict when they overlap by more than `time_eps` of the
+//! window's finish, bounded by half the window and half the booking; a
+//! booking end is a duplicate candidate within `time_eps` of the end,
+//! bounded by half the placement length and half the booking. The two
+//! must agree *exactly* on every query after every random booking
+//! sequence — including charts wider than one bitmap word, durations short
+//! enough that the length bounds bind, and bookings that touch earlier
+//! ones. A window the chart reports free must always book.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -16,6 +20,11 @@ use locmps::core::schedule::time_eps;
 use locmps::core::timeline::Timeline;
 use locmps::platform::{ProcId, ProcSet};
 use proptest::prelude::*;
+
+/// The slack between a window `[start, finish)` and an interval.
+fn pair_eps(start: f64, finish: f64, interval: (f64, f64)) -> f64 {
+    time_eps(finish).min(0.5 * (finish - start).min(interval.1 - interval.0))
+}
 
 /// The per-processor chart the booking list replaced.
 struct RefTimeline {
@@ -30,36 +39,16 @@ impl RefTimeline {
     }
 
     fn is_free(&self, p: ProcId, start: f64, finish: f64) -> bool {
-        let eps = time_eps(finish).min(0.5 * (finish - start));
-        let intervals = &self.busy[p as usize];
-        let idx = intervals.partition_point(|iv| iv.1 <= start + eps);
-        match intervals.get(idx) {
-            Some(&(s, _)) => s + eps >= finish,
-            None => true,
-        }
+        self.busy[p as usize].iter().all(|&iv| {
+            let eps = pair_eps(start, finish, iv);
+            iv.1 <= start + eps || iv.0 + eps >= finish
+        })
     }
 
-    /// Whether booking `[start, finish)` on `procs` passes the neighbour
-    /// check: on every processor, the interval before it must end and the
-    /// interval after it must start within the length-bounded tolerance.
+    /// Whether booking `[start, finish)` on `procs` is accepted: every
+    /// processor of the set is free for the window.
     fn accepts(&self, procs: &ProcSet, start: f64, finish: f64) -> bool {
-        if finish <= start {
-            return true;
-        }
-        let len = finish - start;
-        let eps = |other: (f64, f64)| time_eps(finish).min(0.5 * len.min(other.1 - other.0));
-        procs.iter().all(|p| {
-            let intervals = &self.busy[p as usize];
-            let idx = intervals.partition_point(|iv| iv.0 < start);
-            let prev_ok = idx == 0 || {
-                let prev = intervals[idx - 1];
-                prev.1 <= start + eps(prev)
-            };
-            let next_ok = intervals
-                .get(idx)
-                .is_none_or(|&next| next.0 + eps(next) >= finish);
-            prev_ok && next_ok
-        })
+        finish <= start || procs.iter().all(|p| self.is_free(p, start, finish))
     }
 
     fn occupy(&mut self, procs: &ProcSet, start: f64, finish: f64) {
@@ -79,21 +68,35 @@ impl RefTimeline {
             .collect()
     }
 
-    fn last_free_time(&self, p: ProcId) -> f64 {
-        self.busy[p as usize].last().map_or(0.0, |iv| iv.1)
+    /// The interval on `p` that ends last.
+    fn last(&self, p: ProcId) -> Option<(f64, f64)> {
+        self.busy[p as usize]
+            .iter()
+            .copied()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
-    fn candidate_times(&self, after: f64) -> Vec<f64> {
+    fn idle_from(&self, p: ProcId, start: f64, len: f64) -> bool {
+        self.last(p)
+            .is_none_or(|(s, e)| e <= start + time_eps(start).min(0.5 * len.min(e - s)))
+    }
+
+    fn candidate_times(&self, after: f64, len: f64) -> Vec<f64> {
+        let mut ends: Vec<(f64, f64)> = self
+            .busy
+            .iter()
+            .flatten()
+            .filter(|iv| iv.1 > after)
+            .copied()
+            .collect();
+        ends.sort_by(|a, b| a.1.total_cmp(&b.1));
         let mut times = vec![after];
-        for intervals in &self.busy {
-            for &(_, end) in intervals {
-                if end > after {
-                    times.push(end);
-                }
+        for (s, e) in ends {
+            let last = times[times.len() - 1];
+            if e - last > time_eps(e).min(0.5 * len.min(e - s)) {
+                times.push(e);
             }
         }
-        times.sort_by(f64::total_cmp);
-        times.dedup_by(|a, b| (*a - *b).abs() <= time_eps(*a));
         times
     }
 }
@@ -190,32 +193,48 @@ proptest! {
                     reference.is_free(p, start, finish),
                     "is_free(p{}, {}, {})", p, start, finish
                 );
+                prop_assert_eq!(
+                    tl.idle_from(p, start, dur),
+                    reference.idle_from(p, start, dur),
+                    "idle_from(p{}, {}, {})", p, start, dur
+                );
             }
+            let set_free = tl.is_set_free(&procs, start, finish);
             prop_assert_eq!(
-                tl.is_set_free(&procs, start, finish),
+                set_free,
                 procs.iter().all(|p| reference.is_free(p, start, finish)),
                 "is_set_free({}, {}, {})", &procs, start, finish
             );
-            // ...and the chart refuses a booking exactly when the
-            // per-processor neighbour check does, leaving itself unchanged.
+            let set_idle = procs.iter().all(|p| tl.idle_from(p, start, dur));
+            // ...the chart refuses a booking exactly when the reference
+            // does, leaving itself unchanged...
             let accepts = reference.accepts(&procs, start, finish);
             let booked_ok =
                 catch_unwind(AssertUnwindSafe(|| tl.occupy(&procs, start, finish))).is_ok();
             prop_assert_eq!(booked_ok, accepts, "occupy({}, {}, {})", &procs, start, finish);
+            // ...and a window reported free, or on processors idle from its
+            // start, always books.
+            prop_assert!(
+                booked_ok || !(set_free || set_idle),
+                "free window refused: occupy({}, {}, {})", &procs, start, finish
+            );
             if accepts {
                 reference.occupy(&procs, start, finish);
                 booked.push((start, finish));
             }
 
             // Candidate enumeration: full, from a booking end, and cut off
-            // at a horizon, against the gather-and-sort reference.
+            // at a horizon, for placements of several lengths, against the
+            // gather-and-sort reference.
             for after in [0.0, start, finish, 250.0] {
-                let expect = reference.candidate_times(after);
-                prop_assert_eq!(&tl.candidate_times(after), &expect);
-                for horizon in [after, 100.0, f64::INFINITY] {
-                    let cut: Vec<f64> =
-                        expect.iter().copied().filter(|&c| c < horizon).collect();
-                    prop_assert_eq!(&tl.candidate_times_below(after, horizon), &cut);
+                for len in [dur, 1e-5, 10.0] {
+                    let expect = reference.candidate_times(after, len);
+                    prop_assert_eq!(&tl.candidate_times(after, len), &expect);
+                    for horizon in [after, 100.0, f64::INFINITY] {
+                        let cut: Vec<f64> =
+                            expect.iter().copied().filter(|&c| c < horizon).collect();
+                        prop_assert_eq!(&tl.candidate_times_below(after, len, horizon), &cut);
+                    }
                 }
             }
 
@@ -236,7 +255,9 @@ proptest! {
                 );
             }
             for p in 0..n_procs as ProcId {
-                prop_assert_eq!(tl.last_free_time(p), reference.last_free_time(p));
+                for (at, len) in [(finish, dur), (start, 10.0), (600.0, 1e-7)] {
+                    prop_assert_eq!(tl.idle_from(p, at, len), reference.idle_from(p, at, len));
+                }
             }
         }
     }

@@ -1,8 +1,10 @@
 //! Search-efficiency pinning: the deterministic [`SearchCounters`] of a
 //! fixed LoC-MPS case are pure functions of the input, so CI can assert
 //! exact values — a regression in the admissible pruning, the pass memo,
-//! the prefix replay or the bounded-horizon probes shows up as a counter
-//! drift long before it is measurable as flaky wall-clock.
+//! the prefix replay, the bounded-horizon probes or the reuse of refine's
+//! transfer prices shows up as a counter drift long before it is
+//! measurable as flaky wall-clock. (The reuse changes no output bit, so
+//! `transfers_reused` is the only check that it still happens.)
 //!
 //! The pinned (200 tasks, 32 procs) case is `#[ignore]`d from the default
 //! suite (it runs a full refinement search) and executed by the CI
@@ -149,6 +151,7 @@ fn pinned_200x32_search_effort() {
         locbs_passes: c.locbs_passes, // budgeted above, not pinned
         pass_memo_hits: 3_976,
         placements_replayed: 2_581_513,
+        transfers_reused: 16_817_318,
         probes_aborted: 2_007,
         branches_pruned: 2,
         lookahead_cutoffs: 0,
