@@ -419,7 +419,6 @@ pub fn search_effort_diagnostic(counters: &locmps_core::SearchCounters) -> Optio
         .with("transfers_reused", counters.transfers_reused)
         .with("probes_aborted", counters.probes_aborted)
         .with("branches_pruned", counters.branches_pruned)
-        .with("lookahead_cutoffs", counters.lookahead_cutoffs)
         .with("commits", counters.commits),
     )
 }

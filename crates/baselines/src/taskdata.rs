@@ -7,7 +7,7 @@ use locmps_core::{
 use locmps_platform::{Cluster, ProcSet};
 use locmps_taskgraph::TaskGraph;
 
-/// **TASK**: "allocates one processor to each task and [uses] the locality
+/// **TASK**: "allocates one processor to each task and \[uses\] the locality
 /// conscious backfill scheduling algorithm to schedule them to processors."
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TaskParallel;

@@ -1,5 +1,5 @@
 //! **TSAS** — the Two-Step Allocation and Scheduling scheme of Ramaswamy,
-//! Sapatnekar & Banerjee (IEEE TPDS 1997), reference [3] of the paper.
+//! Sapatnekar & Banerjee (IEEE TPDS 1997), reference \[3\] of the paper.
 //!
 //! The paper does not re-evaluate TSAS directly (CPR and CPA "have been
 //! shown … to perform better than other allocation and scheduling

@@ -11,11 +11,12 @@
 //!   a speed change that silently alters scheduling decisions is caught by
 //!   diffing the report.
 //! * **`locmps`** — times the full `LocMps::schedule` search at the same
-//!   three scale points, once with the default configuration (admissible
-//!   pruning, bounded-horizon probes, pass memo, prefix replay) and once
-//!   with [`LocMpsConfig::exhaustive`] — the pre-optimization reference that
-//!   runs every LoCBS pass to completion — and writes both wall times,
-//!   the deterministic [`SearchCounters`] and the full-pass reduction to
+//!   three scale points, once with the default configuration (the
+//!   corner-probe bound, bounded-horizon probes, pass memo, prefix replay)
+//!   and once with [`LocMpsConfig::exhaustive`] — the pre-optimization
+//!   reference that runs every LoCBS pass to completion — and writes both
+//!   wall times, the deterministic [`SearchCounters`] (all but
+//!   `lookahead_cutoffs`, which is always 0) and the full-pass reduction to
 //!   `BENCH_locmps.json` (second CLI argument overrides the path). The two
 //!   runs must produce bit-identical makespans and allocations; the
 //!   harness asserts it on every case. The larger cases cap `max_rounds`
@@ -233,7 +234,7 @@ fn render_locmps_json(cases: &[LocmpsCase]) -> Result<String, serde_json::NonFin
              \"full_pass_reduction\": {}, \"counters\": {{\
              \"locbs_passes\": {}, \"pass_memo_hits\": {}, \"probes_aborted\": {}, \
              \"placements_replayed\": {}, \"transfers_reused\": {}, \
-             \"branches_pruned\": {}, \"lookahead_cutoffs\": {}, \"commits\": {}}}}}{}\n",
+             \"branches_pruned\": {}, \"commits\": {}}}}}{}\n",
             c.n_tasks,
             c.p,
             c.max_rounds,
@@ -249,7 +250,6 @@ fn render_locmps_json(cases: &[LocmpsCase]) -> Result<String, serde_json::NonFin
             k.placements_replayed,
             k.transfers_reused,
             k.branches_pruned,
-            k.lookahead_cutoffs,
             k.commits,
             if i + 1 < cases.len() { "," } else { "" }
         ));

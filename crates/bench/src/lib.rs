@@ -2,11 +2,11 @@
 //! (§IV). See DESIGN.md §3 for the figure-by-figure index.
 //!
 //! The harness separates *planning* from *execution*: each scheduler
-//! produces a [`SchedulerOutput`] under its own planning model, and the
-//! discrete-event simulator replays it under the **true** communication
-//! model — so communication-blind schemes (iCASLB) and locality-oblivious
-//! ones (CPR, CPA) pay their real costs, exactly as the paper's simulation
-//! methodology demands.
+//! produces a [`SchedulerOutput`](locmps_core::SchedulerOutput) under its
+//! own planning model, and the discrete-event simulator replays it under
+//! the **true** communication model — so communication-blind schemes
+//! (iCASLB) and locality-oblivious ones (CPR, CPA) pay their real costs,
+//! exactly as the paper's simulation methodology demands.
 //!
 //! Results are reported as the paper's *relative performance*:
 //! `makespan(LoC-MPS) / makespan(X)`, averaged over a graph suite; values

@@ -3,7 +3,7 @@
 use locmps_analysis::replay;
 use locmps_baselines::registry::{paper_set, scheduler_by_name, schemes, Registered};
 use locmps_core::GanttOptions;
-use locmps_platform::Cluster;
+use locmps_platform::{Cluster, ClusterError};
 use locmps_taskgraph::{GraphStats, TaskGraph};
 use locmps_workloads::strassen::{strassen_graph, StrassenConfig};
 use locmps_workloads::synthetic::{synthetic_graph, SyntheticConfig};
@@ -104,23 +104,24 @@ fn load_graph(args: &Args) -> Result<TaskGraph, String> {
     TaskGraph::from_json(&text)
 }
 
-/// `--bandwidth` in MB/s (default 125), checked as `POST /v1/jobs` checks
-/// it: NaN, infinite and non-positive values are errors, not a panic in
-/// [`Cluster::new`] or a NaN in the output.
-fn bandwidth_from(args: &Args) -> Result<f64, String> {
+/// `--procs` (default `default_procs`; 0 makes the flag required) and
+/// `--bandwidth` in MB/s (default 125) through [`Cluster::try_new`], the
+/// check `POST /v1/jobs` and `POST /v1/analyze` make too.
+fn checked_cluster(args: &Args, default_procs: usize) -> Result<Cluster, String> {
+    let procs: usize = args.get_or("procs", default_procs)?;
     let bandwidth: f64 = args.get_or("bandwidth", 125.0)?;
-    if !bandwidth.is_finite() || bandwidth <= 0.0 {
-        return Err("--bandwidth must be finite and > 0".into());
-    }
-    Ok(bandwidth)
+    Cluster::try_new(procs, bandwidth).map_err(|e| match e {
+        ClusterError::NoProcessors if default_procs == 0 => {
+            "--procs is required (and must be >= 1)".to_string()
+        }
+        e => format!("--{e}"),
+    })
 }
 
+/// The cluster of a command that schedules one graph: `--procs` is
+/// required and `--no-overlap` selects the no-overlap regime.
 fn cluster_from(args: &Args) -> Result<Cluster, String> {
-    let procs: usize = args.get_or("procs", 0)?;
-    if procs == 0 {
-        return Err("--procs is required (and must be >= 1)".into());
-    }
-    let c = Cluster::new(procs, bandwidth_from(args)?);
+    let c = checked_cluster(args, 0)?;
     Ok(if args.has("no-overlap") {
         c.without_overlap()
     } else {
@@ -198,7 +199,11 @@ fn stats(args: &Args) -> Result<(), String> {
     println!("total work    : {:.2} s (sequential)", s.total_work);
     println!("total volume  : {:.2} MB", s.total_volume);
     println!("avg out-degree: {:.2}", s.avg_out_degree);
-    let bw = bandwidth_from(args)?;
+    // The CCR reads only the bandwidth; one processor stands in for P.
+    let bandwidth: f64 = args.get_or("bandwidth", 125.0)?;
+    let bw = Cluster::try_new(1, bandwidth)
+        .map_err(|e| format!("--{e}"))?
+        .bandwidth;
     println!("CCR @{bw} MB/s : {:.3}", s.ccr(bw));
     Ok(())
 }
@@ -243,14 +248,13 @@ fn schedule(args: &Args) -> Result<(), String> {
         println!(
             "search effort      : {} LoCBS passes, {} memo hits, {} probes aborted, \
              {} placements replayed, {} transfers reused, {} branches pruned, \
-             {} look-ahead cutoffs, {} commits",
+             {} commits",
             c.locbs_passes,
             c.pass_memo_hits,
             c.probes_aborted,
             c.placements_replayed,
             c.transfers_reused,
             c.branches_pruned,
-            c.lookahead_cutoffs,
             c.commits
         );
     }
@@ -458,11 +462,7 @@ fn chaos(args: &Args) -> Result<(), String> {
     use locmps_analysis::{analyze_trace, Severity};
     use locmps_runtime::{run_chaos, ChaosConfig, OnlineConfig};
 
-    let procs: usize = args.get_or("procs", 8usize)?;
-    if procs == 0 {
-        return Err("--procs must be >= 1".into());
-    }
-    let cluster = Cluster::new(procs, bandwidth_from(args)?);
+    let cluster = checked_cluster(args, 8)?;
     let quick = args.has("quick");
     let seeds: u64 = args.get_or("seeds", if quick { 8 } else { 16 })?;
     if seeds == 0 {

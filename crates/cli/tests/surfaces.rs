@@ -8,6 +8,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use locmps_baselines::registry::scheduler_names;
+use locmps_platform::MAX_PROCS;
 use locmps_runtime::PerfModelStore;
 use locmps_serve::{ServeConfig, Server, ServerHandle};
 use locmps_taskgraph::TaskGraph;
@@ -261,5 +262,36 @@ fn hedged_remold_is_seeded_from_the_store_like_remold_with_hedge() {
         ],
     );
     assert_eq!(daemon_hedged, cli_twin);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A processor count past `MAX_PROCS` is refused where it enters, with the
+/// constructor's message on every surface, instead of a schedule whose
+/// per-width scans never finish (`10^11` processors on a 12-task graph).
+#[test]
+fn an_oversized_cluster_is_refused_on_every_surface() {
+    let dir = scratch("max-procs");
+    let g = synthetic(12, 7);
+    let path = write_graph(&dir, &g);
+    let want = format!("procs must be <= {MAX_PROCS}, got 100000000000");
+    let out = Command::new(env!("CARGO_BIN_EXE_locmps"))
+        .args(["schedule", &path, "--procs", "100000000000"])
+        .output()
+        .expect("run the locmps binary");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("error: --{want}")), "{stderr}");
+
+    let server = daemon();
+    let body = format!(
+        "{{\"procs\":100000000000,\"bandwidth\":125.0,\"wait\":true,\"graph\":{}}}",
+        g.to_json()
+    );
+    for endpoint in ["/v1/jobs", "/v1/analyze"] {
+        let (status, reply) = exchange(server.addr(), "POST", endpoint, &body);
+        assert_eq!(status, 400, "{endpoint}: {reply}");
+        assert!(reply.contains(&want), "{endpoint}: {reply}");
+    }
+    server.shutdown();
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -1,5 +1,5 @@
-//! The [`invariant!`] macro: debug/test-time assertions for hot-path
-//! boundary conditions.
+//! The [`invariant!`](crate::invariant!) macro: debug/test-time assertions
+//! for hot-path boundary conditions.
 //!
 //! The placement kernel maintains data-structure invariants (sorted event
 //! lists, cleared scratch buffers, acyclic schedule-DAGs) that are too

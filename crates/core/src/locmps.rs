@@ -19,33 +19,26 @@
 //! commits the allocation and unmarks everything.
 //!
 //! At scale the dominant cost is the LoCBS passes run inside look-ahead
-//! branches. Three *provably lossless* accelerations cut that work while
-//! keeping every schedule bit-identical ([`LocMpsConfig::prune`] and
-//! [`LocMpsConfig::bounded_probes`], both on by default):
+//! branches. Lossless accelerations, all switched by
+//! [`LocMpsConfig::prune`] (on by default), cut that work while keeping
+//! every schedule bit-identical:
 //!
-//! * look-ahead branches whose widening-cone lower bound
-//!   ([`crate::bounds::WideningBounds`]) already reaches the incumbent
-//!   makespan are skipped — valid because refinement moves only ever
-//!   *widen* allocations, so every state a branch can visit lies in the
-//!   cone the bound covers;
-//! * a branch walk stops early once the cone bound of its current
-//!   allocation reaches the branch's own best makespan;
-//! * corner-restart probes are bound-checked and then run under a bounded
-//!   horizon ([`Locbs::run_into_bounded`]): placements are final, so the
-//!   first one past the incumbent aborts the pass.
-//!
-//! Two exact replays, on with pruning, cut the cost of the passes that do
-//! run: a look-ahead pass whose allocation was already placed is answered
-//! from an allocation-keyed memo, and every pass resumes from the
-//! placement log of the pass before it ([`Locbs::run_into_resumed`]),
-//! copying the placements up to the first position where the picked task
-//! or its width differs instead of placing them again.
+//! * corner-restart probes are checked against the allocation's
+//!   admissible lower bound ([`allocation_lower_bound`]) and then run
+//!   under a bounded horizon ([`Locbs::run_into_bounded`]): placements
+//!   are final, so the first one past the incumbent aborts the pass; the
+//!   last pass of each look-ahead walk runs bounded by the branch best;
+//! * a look-ahead pass whose allocation was already placed is answered
+//!   from an allocation-keyed memo;
+//! * every pass resumes from the placement log of the pass before it
+//!   ([`Locbs::run_into_resumed`]), copying the placements up to the
+//!   first position where the picked task or its width differs instead
+//!   of placing them again.
 //!
 //! The graph work around the passes is recomputed only where it can have
 //! changed: each `refine` step sorts `G'` into buffers it keeps and reuses
 //! an edge's exact transfer price while the edge's groups and volume are
-//! those it was priced with, and the cone bounds sweep along the order
-//! [`WideningBounds`] computed once per search.
+//! those it was priced with.
 //!
 //! Deterministic [`SearchCounters`] in the output report the work done and
 //! the work skipped; the search is sequential, so they are pure functions
@@ -59,7 +52,7 @@ use locmps_taskgraph::{
 };
 
 use crate::allocation::Allocation;
-use crate::bounds::{allocation_lower_bound, ConeBuffers, WideningBounds};
+use crate::bounds::allocation_lower_bound;
 use crate::commcost::CommModel;
 use crate::locbs::{Locbs, LocbsOptions, LocbsResult, LocbsScratch, PlacementLog};
 use crate::schedule::time_eps;
@@ -87,7 +80,7 @@ pub struct LocMpsConfig {
     /// cheaper last-free-time variant (Figure 6's ablation).
     pub backfill: bool,
     /// `false` turns off the communication model entirely — that is the
-    /// **iCASLB** baseline [4], which this paper extends.
+    /// **iCASLB** baseline \[4\], which this paper extends.
     pub comm_aware: bool,
     /// Hard cap on outer commit/mark rounds (safety net; the algorithm
     /// terminates on its own, this guards against pathological inputs).
@@ -99,23 +92,18 @@ pub struct LocMpsConfig {
     /// data-parallel optimum, but on larger graphs at high CCR the valley
     /// can exceed any fixed depth.
     pub corner_starts: bool,
-    /// Skip search work an admissible lower bound proves fruitless: entry
-    /// branches whose widening-cone bound cannot beat the incumbent,
-    /// branch walks whose cone bound reaches the branch's own best, corner
-    /// probes bounded below the incumbent, and whole searches whose
-    /// incumbent already sits on its cone bound. It also switches on the
-    /// two exact replays: the allocation-keyed pass memo, and the prefix
-    /// replay that resumes every LoCBS pass from the previous pass's
-    /// placement log. Lossless — the schedule, allocation and schedule-DAG
-    /// are bit-identical either way — so this defaults to on; `false`
-    /// exists as the reference for the equivalence property tests and for
-    /// measuring the win itself.
-    pub prune: bool,
-    /// Run corner-restart probes under a bounded horizon
+    /// Skip or shorten search work whose outcome is already provable or
+    /// already computed: corner probes whose allocation lower bound cannot
+    /// beat the incumbent are skipped, the rest and the last pass of each
+    /// look-ahead walk run under a bounded horizon
     /// ([`Locbs::run_into_bounded`]) so they abort at the first placement
-    /// past the incumbent instead of finishing a schedule that already
-    /// lost. Equally lossless; `false` is the measurement reference.
-    pub bounded_probes: bool,
+    /// past the value they must beat, look-ahead passes are answered from
+    /// an allocation-keyed pass memo, and every LoCBS pass resumes from the
+    /// previous pass's placement log. Lossless — the schedule, allocation
+    /// and schedule-DAG are bit-identical either way — so this defaults to
+    /// on; `false` exists as the reference for the equivalence property
+    /// tests and for measuring the win itself.
+    pub prune: bool,
 }
 
 impl Default for LocMpsConfig {
@@ -128,7 +116,6 @@ impl Default for LocMpsConfig {
             max_rounds: 10_000,
             corner_starts: true,
             prune: true,
-            bounded_probes: true,
         }
     }
 }
@@ -162,15 +149,14 @@ impl LocMpsConfig {
         }
     }
 
-    /// The exhaustive reference: no bound-driven pruning, no bounded
-    /// probes, no pass memo, no prefix replay. Produces bit-identical
+    /// The exhaustive reference: no corner bound, no bounded probes, no
+    /// pass memo, no prefix replay. Produces bit-identical
     /// schedules to [`Default`] while doing every LoCBS pass in full and
     /// placing every task of it — the baseline the equivalence property
     /// tests and the `BENCH_locmps` report compare against.
     pub fn exhaustive() -> Self {
         Self {
             prune: false,
-            bounded_probes: false,
             ..Self::default()
         }
     }
@@ -214,7 +200,7 @@ struct PassMemo {
 }
 
 /// The immutable per-run context threaded through the search: the problem,
-/// the placer, the precomputed metadata and the optional pruning bounds.
+/// the placer and the precomputed metadata.
 struct SearchCtx<'a> {
     g: &'a TaskGraph,
     locbs: &'a Locbs<'a>,
@@ -222,15 +208,12 @@ struct SearchCtx<'a> {
     pbest: &'a [usize],
     model: &'a CommModel<'a>,
     p_total: usize,
-    /// `Some` exactly when [`LocMpsConfig::prune`] is on.
-    wb: Option<&'a WideningBounds>,
 }
 
 /// The mutable state of one search, owned by one [`Scheduler::schedule`]
 /// call: the work tally, the pass memo, the placement log, the refine
-/// weight tables and transfer prices, the cone-bound buffers, and the
-/// schedule-DAG buffer and LoCBS scratch that every probe and look-ahead
-/// pass re-schedules into.
+/// weight tables and transfer prices, and the schedule-DAG buffer and
+/// LoCBS scratch that every probe and look-ahead pass re-schedules into.
 #[derive(Default)]
 struct SearchState {
     counters: SearchCounters,
@@ -240,7 +223,6 @@ struct SearchState {
     /// `Some` exactly when [`LocMpsConfig::prune`] is on.
     log: Option<PlacementLog>,
     weights: Weights,
-    cone: ConeBuffers,
     dag: TaskGraph,
     scratch: LocbsScratch,
 }
@@ -495,7 +477,6 @@ impl Scheduler for LocMps {
             .task_ids()
             .map(|t| g.task(t).profile.pbest(p_total))
             .collect();
-        let wb = self.config.prune.then(|| WideningBounds::new(g, p_total));
         let ctx = SearchCtx {
             g,
             locbs: &locbs,
@@ -503,7 +484,6 @@ impl Scheduler for LocMps {
             pbest: &pbest,
             model: &model,
             p_total,
-            wb: wb.as_ref(),
         };
         let mut st = SearchState {
             memo: self.config.prune.then(PassMemo::default),
@@ -554,7 +534,7 @@ impl Scheduler for LocMps {
                     }
                     let horizon = self
                         .config
-                        .bounded_probes
+                        .prune
                         .then(|| best.makespan - time_eps(best.makespan));
                     let Some(res) = Self::probe(&ctx, &mut st, &alloc, horizon)? else {
                         continue;
@@ -645,15 +625,10 @@ impl LocMps {
     /// instead of cloning the graph; with pruning on, copying the
     /// placements it shares with the previous pass from its log).
     ///
-    /// With pruning on, the walk stops as soon as the widening window of
-    /// the current allocation provably cannot beat `branch_best`: each
-    /// remaining refinement move widens some task by at most one processor,
-    /// so [`WideningBounds::cone_bound_within`] at the remaining depth
-    /// covers every state the rest of the walk could reach. Repeated
-    /// allocations (branch walks merge quickly once they leave their entry
-    /// point) are answered from the pass memo, and the final pass of a walk
-    /// runs under a bounded horizon because nothing downstream consumes an
-    /// over-horizon result.
+    /// With pruning on, repeated allocations (branch walks merge quickly
+    /// once they leave their entry point) are answered from the pass memo,
+    /// and the final pass of a walk runs under a bounded horizon because
+    /// nothing downstream consumes an over-horizon result.
     fn lookahead_branch(
         &self,
         ctx: &SearchCtx<'_>,
@@ -679,24 +654,10 @@ impl LocMps {
             {
                 break;
             }
-            if let Some(wb) = ctx.wb {
-                // `depth - 1 - step` refinement moves remain after this
-                // one, so the window cone covers this state and every
-                // state the rest of the walk can reach. At or above the
-                // branch best, none of them passes the epsilon-strict
-                // improvement test; the returned pair is already final.
-                let steps = depth - 1 - step;
-                if wb.cone_bound_within_in(ctx.g, &alloc, steps, &mut st.cone)
-                    >= branch_best.makespan
-                {
-                    st.counters.lookahead_cutoffs += 1;
-                    break;
-                }
-            }
             // The final pass feeds no further refinement: its only
             // consumer is the branch-best update, so it may run under
             // a bounded horizon and abort once that update is settled.
-            let horizon = (self.config.bounded_probes && step + 1 == depth)
+            let horizon = (self.config.prune && step + 1 == depth)
                 .then(|| branch_best.makespan - time_eps(branch_best.makespan));
             match Self::branch_pass(ctx, st, &alloc, horizon)? {
                 Some(pass) => (schedule, makespan) = pass,
@@ -756,23 +717,6 @@ impl LocMps {
     /// `best` in place from wherever they currently point. Each round
     /// enters one look-ahead at the best unmarked candidate; a success
     /// commits and unmarks everything, a failure marks that entry.
-    ///
-    /// # Pruning, exactly
-    ///
-    /// Every prune below is backed by an admissible bound and leaves the
-    /// commit/mark trajectory — and therefore the final schedule —
-    /// bit-identical to the unpruned search:
-    ///
-    /// * **convergence exit**: every branch of every future round starts
-    ///   from `best_alloc` and performs at most `lookahead_depth` widening
-    ///   moves, so once `cone_bound_within(best_alloc, depth)` reaches
-    ///   `best.makespan` no round can ever commit again; failed rounds only
-    ///   touch `marked`, which is local, so returning now is observably
-    ///   identical.
-    /// * **hopeless entry**: a branch whose entry state's cone bound at the
-    ///   remaining depth reaches the incumbent can never pass the commit
-    ///   test, so it is marked without being walked — exactly what running
-    ///   it would have done.
     fn search(
         &self,
         ctx: &SearchCtx<'_>,
@@ -781,17 +725,7 @@ impl LocMps {
         best: &mut LocbsResult,
     ) -> Result<(), SchedError> {
         let mut marked: HashSet<Entry> = HashSet::new();
-        // A branch performs at most `depth` widening moves in total: the
-        // entry move plus `depth - 1` refinement steps.
-        let depth = self.config.lookahead_depth.max(1);
-
         for _round in 0..self.config.max_rounds {
-            if let Some(wb) = ctx.wb {
-                if wb.cone_bound_within_in(ctx.g, best_alloc, depth, &mut st.cone) >= best.makespan
-                {
-                    return Ok(()); // incumbent provably optimal in its cone
-                }
-            }
             let mut alloc = best_alloc.clone();
             let Some(entry) = self.refine(
                 ctx,
@@ -803,25 +737,17 @@ impl LocMps {
             ) else {
                 return Ok(()); // nothing on the CP can be refined at all
             };
-            let hopeless = ctx.wb.is_some_and(|wb| {
-                wb.cone_bound_within_in(ctx.g, &alloc, depth - 1, &mut st.cone) >= best.makespan
-            });
-            if hopeless {
-                st.counters.branches_pruned += 1;
+            let (b_alloc, b_res) = self.lookahead_branch(ctx, st, alloc)?;
+            if b_res.makespan < best.makespan - time_eps(best.makespan) {
+                // Step 39: improvement found; commit and reset the marks.
+                *best_alloc = b_alloc;
+                *best = b_res;
+                marked.clear();
+                st.counters.commits += 1;
             } else {
-                let (b_alloc, b_res) = self.lookahead_branch(ctx, st, alloc)?;
-                if b_res.makespan < best.makespan - time_eps(best.makespan) {
-                    // Step 39: improvement found; commit and reset the marks.
-                    *best_alloc = b_alloc;
-                    *best = b_res;
-                    marked.clear();
-                    st.counters.commits += 1;
-                    continue;
-                }
+                // Step 37: a failed look-ahead; remember its entry.
+                marked.insert(entry);
             }
-            // Step 37: a failed look-ahead — or a hopeless one the bound
-            // settled without running it. Remember its entry either way.
-            marked.insert(entry);
         }
         Ok(())
     }

@@ -74,10 +74,11 @@ pub struct SearchCounters {
     /// Bounded-horizon probe passes aborted once the partial schedule
     /// length provably exceeded the incumbent makespan.
     pub probes_aborted: u64,
-    /// Look-ahead branches (and corner probes) skipped entirely because
-    /// the admissible lower bound could not beat the incumbent.
+    /// Corner-restart probes skipped entirely because the allocation's
+    /// admissible lower bound could not beat the incumbent.
     pub branches_pruned: u64,
-    /// Look-ahead walks cut short mid-branch by the widening-cone bound.
+    /// Always 0: no bound cuts a look-ahead walk short any more. The field
+    /// stays because the `perfbench` benchmark package sums it by name.
     pub lookahead_cutoffs: u64,
     /// Look-ahead passes answered by the allocation-keyed pass memo
     /// instead of a fresh placement (LoCBS output is a pure function of

@@ -102,7 +102,7 @@ impl RedistributionMatrix {
     /// is spread uniformly over the period (the continuous approximation is
     /// exact whenever the block count is a multiple of the period, and
     /// within one block's volume otherwise — the regime the fast runtime
-    /// algorithm [13] targets).
+    /// algorithm \[13\] targets).
     pub fn compute(src: &Distribution, dst: &Distribution, total_volume: f64) -> Self {
         let p = src.n_procs();
         let q = dst.n_procs();

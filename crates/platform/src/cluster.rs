@@ -17,6 +17,43 @@ pub enum CommOverlap {
     None,
 }
 
+/// The largest processor count [`Cluster::try_new`] accepts: 4,096.
+///
+/// Scheduling cost grows with `P` even when the graph is small: each task's
+/// best width is a scan over every width, a processor group is a bitmap of
+/// `⌈P/64⌉` words, and the resource chart keeps state per processor. A
+/// 12-task LoC-MPS schedule took 0.6 s at `P = 4,096`, 9.8 s at
+/// `P = 65,536` and did not finish in two minutes at `P = 2^20` (one
+/// 2-vCPU guest). 4,096 is 32 times the largest cluster the paper or any
+/// test or benchmark here schedules (`P ≤ 130`) and keeps such a request
+/// under a second.
+pub const MAX_PROCS: usize = 4096;
+
+/// Why [`Cluster::try_new`] refused a cluster description.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClusterError {
+    /// Zero processors.
+    NoProcessors,
+    /// More than [`MAX_PROCS`] processors (the requested count).
+    TooManyProcessors(usize),
+    /// A bandwidth that is NaN, infinite, zero or negative.
+    BadBandwidth,
+}
+
+impl std::fmt::Display for ClusterError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ClusterError::NoProcessors => write!(f, "procs must be >= 1"),
+            ClusterError::TooManyProcessors(n) => {
+                write!(f, "procs must be <= {MAX_PROCS}, got {n}")
+            }
+            ClusterError::BadBandwidth => write!(f, "bandwidth must be finite and > 0"),
+        }
+    }
+}
+
+impl std::error::Error for ClusterError {}
+
 /// A homogeneous compute cluster: `P` identical nodes on a network of
 /// uniform per-link bandwidth, single-port model (each node participates in
 /// at most one transfer per time step).
@@ -36,15 +73,36 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// A fully-overlapped cluster with the given size and bandwidth.
-    pub fn new(n_procs: usize, bandwidth: f64) -> Self {
-        assert!(n_procs >= 1, "a cluster needs at least one processor");
-        assert!(bandwidth > 0.0, "bandwidth must be positive");
-        Self {
+    /// A fully-overlapped cluster with the given size and bandwidth, or why
+    /// it cannot exist: `1 ≤ n_procs ≤ MAX_PROCS` and a finite bandwidth
+    /// above zero. Every size or bandwidth from outside the program (CLI
+    /// flags, daemon requests, the daemon's journal) enters through here.
+    pub fn try_new(n_procs: usize, bandwidth: f64) -> Result<Self, ClusterError> {
+        if n_procs == 0 {
+            return Err(ClusterError::NoProcessors);
+        }
+        if n_procs > MAX_PROCS {
+            return Err(ClusterError::TooManyProcessors(n_procs));
+        }
+        if !bandwidth.is_finite() || bandwidth <= 0.0 {
+            return Err(ClusterError::BadBandwidth);
+        }
+        Ok(Self {
             n_procs,
             bandwidth,
             overlap: CommOverlap::Full,
             block_mb: 1.0,
+        })
+    }
+
+    /// [`Cluster::try_new`] for sizes and bandwidths fixed in the program.
+    ///
+    /// # Panics
+    /// Panics where [`Cluster::try_new`] returns an error.
+    pub fn new(n_procs: usize, bandwidth: f64) -> Self {
+        match Self::try_new(n_procs, bandwidth) {
+            Ok(cluster) => cluster,
+            Err(e) => panic!("invalid cluster: {e}"),
         }
     }
 
@@ -99,9 +157,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one processor")]
+    #[should_panic(expected = "procs must be >= 1")]
     fn zero_procs_panics() {
         Cluster::new(0, 1.0);
+    }
+
+    #[test]
+    fn try_new_refuses_what_cannot_be_scheduled() {
+        assert_eq!(Cluster::try_new(0, 1.0), Err(ClusterError::NoProcessors));
+        assert_eq!(
+            Cluster::try_new(100_000_000_000, 1.0),
+            Err(ClusterError::TooManyProcessors(100_000_000_000))
+        );
+        assert_eq!(
+            Cluster::try_new(MAX_PROCS, 1.0).map(|c| c.n_procs),
+            Ok(MAX_PROCS)
+        );
+        for bw in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            assert_eq!(Cluster::try_new(4, bw), Err(ClusterError::BadBandwidth));
+        }
+        assert_eq!(Cluster::try_new(4, 12.5), Ok(Cluster::new(4, 12.5)));
     }
 
     #[test]

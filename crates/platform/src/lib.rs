@@ -8,7 +8,7 @@
 //!   computation and communication overlap (the paper evaluates both);
 //! * [`Distribution`] / [`RedistributionMatrix`] — block-cyclic data layouts
 //!   and the exact redistribution volume matrix between two layouts, after
-//!   Prylli & Tourancheau's fast runtime block-cyclic redistribution [13]:
+//!   Prylli & Tourancheau's fast runtime block-cyclic redistribution \[13\]:
 //!   the communication pattern is periodic with period `lcm(p, q)` blocks,
 //!   so one period determines the exact per-processor-pair volumes;
 //! * single-port transfer-time bounds and the paper's aggregate-bandwidth
@@ -21,7 +21,7 @@ mod procset;
 mod transfers;
 
 pub use blockcyclic::{redistribution_time, Distribution, RedistributionMatrix};
-pub use cluster::{aggregate_edge_cost, Cluster, CommOverlap};
+pub use cluster::{aggregate_edge_cost, Cluster, ClusterError, CommOverlap, MAX_PROCS};
 pub use procset::{ProcId, ProcSet};
 pub use transfers::{TransferOp, TransferSchedule};
 

@@ -9,7 +9,7 @@
 //! across policies for fair comparison.
 //!
 //! Faults come from a [`FaultPlan`] and are survived (or not) according
-//! to a [`RecoveryPolicy`](crate::RecoveryPolicy); everything that
+//! to a [`RecoveryPolicy`]; everything that
 //! happens is recorded in the trace's structured event log, which the
 //! `locmps-analysis` LM3xx diagnostics audit after the fact.
 

@@ -428,14 +428,8 @@ fn analyze(req: &Request) -> Resp {
         let graph = graph_from(obj)?;
         let procs = get_usize(obj, "procs")?;
         let bandwidth = get_f64(obj, "bandwidth")?;
-        if procs == 0 {
-            return Err("procs must be >= 1".into());
-        }
-        if !bandwidth.is_finite() || bandwidth <= 0.0 {
-            return Err("bandwidth must be finite and > 0".into());
-        }
+        let cluster = Cluster::try_new(procs, bandwidth).map_err(|e| e.to_string())?;
         let algo = get_str_or(obj, "algo", "locmps")?;
-        let cluster = Cluster::new(procs, bandwidth);
         Ok(analyze_schedulers(&graph, &cluster, &[&algo])?.to_json())
     })();
     match parsed {

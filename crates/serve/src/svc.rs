@@ -34,7 +34,7 @@
 //!
 //! All waiting is done with a `Mutex` + `Condvar` pair; worker threads
 //! compute schedules outside the lock. The state lock is accessed only
-//! through [`Inner::lock_state`], which recovers from poisoning: a
+//! through `Inner::lock_state`, which recovers from poisoning: a
 //! panicking worker must not wedge the daemon (every critical section
 //! leaves the state structurally consistent — see the accessor docs),
 //! and the worker's own panic is caught and recorded as a `Failed` job
@@ -588,14 +588,8 @@ impl Service {
         // Validate everything a worker would need *before* taking the
         // admission decision, so accepted jobs can only fail inside the
         // scheduler itself.
-        if spec.procs == 0 {
-            return Err(SubmitError::Invalid("procs must be >= 1".into()));
-        }
-        if !spec.bandwidth.is_finite() || spec.bandwidth <= 0.0 {
-            return Err(SubmitError::Invalid(
-                "bandwidth must be finite and > 0".into(),
-            ));
-        }
+        Cluster::try_new(spec.procs, spec.bandwidth)
+            .map_err(|e| SubmitError::Invalid(e.to_string()))?;
         scheduler_by_name(&spec.algo).map_err(SubmitError::Invalid)?;
         if let Mode::Run(run) = &spec.mode {
             let (cfg, store) = (run_config(run), PerfModelStore::new());
@@ -1471,7 +1465,7 @@ struct ScheduleResultDto {
 /// both payloads through the checked JSON writer. A `plan` run follows
 /// the schedule served at `/schedule`.
 fn compute(spec: &JobSpec, inner: &Inner) -> Result<JobOutput, String> {
-    let cluster = Cluster::new(spec.procs, spec.bandwidth);
+    let cluster = Cluster::try_new(spec.procs, spec.bandwidth).map_err(|e| e.to_string())?;
     let scheduler = scheduler_by_name(&spec.algo)?;
     let out = scheduler
         .schedule(&spec.graph, &cluster)

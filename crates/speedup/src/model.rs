@@ -187,7 +187,7 @@ impl SpeedupModel {
     /// Downey's, Amdahl's and the power-law formulas are already defined
     /// over the reals; profiled tables interpolate linearly between
     /// adjacent integer samples. Continuous evaluation is what TSAS-style
-    /// convex allocation (Ramaswamy et al. [3]) optimizes over before
+    /// convex allocation (Ramaswamy et al. \[3\]) optimizes over before
     /// rounding to integers.
     pub fn speedup_cont(&self, x: f64) -> f64 {
         let x = x.max(1.0);

@@ -1,6 +1,6 @@
 //! TGFF-like synthetic task graphs (§IV.A).
 //!
-//! The paper generates 30 graphs with a DAG generation tool [14] (TGFF):
+//! The paper generates 30 graphs with a DAG generation tool \[14\] (TGFF):
 //! 10–50 tasks, average in/out degree 4, uniprocessor times uniform with
 //! mean 30, Downey speedups with `A ~ U[1, A_max]` and fixed `σ`, and edge
 //! communication costs uniform with mean `30 · CCR` (data volume = cost ×

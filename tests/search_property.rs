@@ -1,10 +1,10 @@
-//! Pruning-exactness properties: the bound-driven accelerations of the
-//! LoC-MPS refinement search (admissible branch pruning, bounded-horizon
-//! probes, the allocation-keyed pass memo) must be **lossless** — the
-//! search with them on selects the same commits and produces the
+//! Pruning-exactness properties: the accelerations of the LoC-MPS
+//! refinement search (the corner-probe bound, bounded-horizon probes, the
+//! allocation-keyed pass memo, the prefix replay) must be **lossless** —
+//! the search with them on selects the same commits and produces the
 //! byte-identical schedule, allocation and schedule-DAG as the exhaustive
 //! reference that runs every LoCBS pass to completion — and the bounds
-//! they rely on must be admissible (never above a true LoCBS makespan).
+//! must be admissible (never above a true LoCBS makespan).
 
 use locmps::core::bounds::{allocation_lower_bound, WideningBounds};
 use locmps::core::{Allocation, CommModel, Locbs, LocbsOptions};
@@ -86,26 +86,6 @@ proptest! {
         prop_assert!(reference.counters.locbs_passes >= pruned.counters.locbs_passes);
     }
 
-    /// Each acceleration is lossless on its own, not just in concert.
-    #[test]
-    fn each_acceleration_is_individually_lossless(
-        g in arb_graph(),
-        p in 1usize..7,
-    ) {
-        let cluster = Cluster::new(p, 25.0);
-        let reference = LocMps::new(LocMpsConfig::exhaustive())
-            .schedule(&g, &cluster)
-            .unwrap();
-        for config in [
-            LocMpsConfig { prune: true, bounded_probes: false, ..LocMpsConfig::default() },
-            LocMpsConfig { prune: false, bounded_probes: true, ..LocMpsConfig::default() },
-        ] {
-            let out = LocMps::new(config).schedule(&g, &cluster).unwrap();
-            prop_assert_eq!(serialized(&out.schedule), serialized(&reference.schedule));
-            prop_assert_eq!(out.allocation.as_slice(), reference.allocation.as_slice());
-        }
-    }
-
     /// The counters are pure functions of the input: two runs of the same
     /// configuration agree exactly.
     #[test]
@@ -138,39 +118,37 @@ proptest! {
         );
     }
 
-    /// Admissibility of the depth-capped widening-window bound: never above
-    /// the true LoCBS makespan of ANY allocation reachable by at most
-    /// `steps` single-task widening moves.
+    /// Admissibility of the widening-cone bound: never above the true
+    /// LoCBS makespan of ANY allocation reachable by widening, whatever the
+    /// number and size of the moves, and never above the allocation bound
+    /// of its own apex.
     #[test]
-    fn window_bound_is_admissible_over_reachable_allocations(
+    fn cone_bound_is_admissible_over_reachable_allocations(
         g in arb_graph(),
         p in 2usize..9,
         widths in proptest::collection::vec(1usize..9, 14..15),
-        steps in 0usize..6,
-        moves in proptest::collection::vec((0usize..14, 1usize..9), 6..7),
+        moves in proptest::collection::vec((0usize..14, 1usize..9), 0..7),
     ) {
         let cluster = Cluster::new(p, 25.0);
         let alloc = Allocation::from_vec(
             g.task_ids().map(|t| widths[t.index()].min(p)).collect(),
         );
-        let wb = WideningBounds::new(&g, p);
-        let bound = wb.cone_bound_within(&g, &alloc, steps);
-        // The full cone is the infinite-window limit; windows only tighten.
-        prop_assert!(wb.cone_bound(&g, &alloc) <= bound * (1.0 + 1e-12));
+        let bound = WideningBounds::new(&g, p).cone_bound(&g, &alloc);
+        prop_assert!(bound <= allocation_lower_bound(&g, &alloc, p) * (1.0 + 1e-12));
 
-        // Apply at most `steps` widening moves and compare against the
-        // true makespan of the reached allocation.
+        // Widen tasks by any amount and compare against the true makespan
+        // of the reached allocation.
         let mut widened = alloc.clone();
-        for &(idx, _) in moves.iter().take(steps) {
+        for &(idx, by) in &moves {
             let t = TaskId((idx % g.n_tasks()) as u32);
-            widened.set(t, (widened.np(t) + 1).min(p));
+            widened.set(t, (widened.np(t) + by).min(p));
         }
         let model = CommModel::new(&cluster);
         let locbs = Locbs::new(model, LocbsOptions::default());
         let res = locbs.run(&g, &widened).unwrap();
         prop_assert!(
             bound <= res.makespan * (1.0 + 1e-9),
-            "window bound {bound} above reachable makespan {}", res.makespan
+            "cone bound {bound} above reachable makespan {}", res.makespan
         );
     }
 }
