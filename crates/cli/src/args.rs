@@ -3,8 +3,27 @@
 
 use std::collections::HashMap;
 
+/// An option a command accepts: `--name VALUE`, or a `--name` flag that
+/// takes none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Opt {
+    /// `--name VALUE`.
+    Value(&'static str),
+    /// `--name` alone.
+    Flag(&'static str),
+}
+
+impl Opt {
+    /// The option's name, without the leading `--`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Opt::Value(name) | Opt::Flag(name) => name,
+        }
+    }
+}
+
 /// Parsed command line: positional arguments plus `--key value` options
-/// (`--flag` with no value stores an empty string).
+/// (a flag stores an empty string).
 #[derive(Debug, Default)]
 pub struct Args {
     positional: Vec<String>,
@@ -12,23 +31,32 @@ pub struct Args {
 }
 
 impl Args {
-    /// Splits `argv` into positionals and options.
+    /// Splits `argv`, the arguments of `locmps <command>`, into positionals
+    /// and the options in `accepted`. A value option takes the next
+    /// argument as its value; a flag takes none.
     ///
     /// # Errors
-    /// Rejects unknown syntax only (an option name without `--`).
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Rejects an option `accepted` does not list, and a value option
+    /// followed by nothing or by another option.
+    pub fn parse(argv: &[String], command: &str, accepted: &[Opt]) -> Result<Self, String> {
         let mut out = Args::default();
         let mut i = 0;
         while i < argv.len() {
             let a = &argv[i];
             if let Some(key) = a.strip_prefix("--") {
-                // A following token that is not itself an option is the value.
-                let value = match argv.get(i + 1) {
-                    Some(v) if !v.starts_with("--") => {
-                        i += 1;
-                        v.clone()
-                    }
-                    _ => String::new(),
+                let opt = accepted
+                    .iter()
+                    .find(|o| o.name() == key)
+                    .ok_or_else(|| format!("unknown option --{key} for 'locmps {command}'"))?;
+                let value = match opt {
+                    Opt::Flag(_) => String::new(),
+                    Opt::Value(_) => match argv.get(i + 1) {
+                        Some(v) if !v.starts_with("--") => {
+                            i += 1;
+                            v.clone()
+                        }
+                        _ => return Err(format!("option --{key} needs a value")),
+                    },
                 };
                 out.options.insert(key.to_string(), value);
             } else {
@@ -69,8 +97,20 @@ impl Args {
 mod tests {
     use super::*;
 
+    const ACCEPTED: &[Opt] = &[
+        Opt::Value("procs"),
+        Opt::Value("algo"),
+        Opt::Value("seed"),
+        Opt::Flag("gantt"),
+    ];
+
+    fn try_parse(words: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = words.iter().map(|s| s.to_string()).collect();
+        Args::parse(&argv, "schedule", ACCEPTED)
+    }
+
     fn parse(words: &[&str]) -> Args {
-        Args::parse(&words.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        try_parse(words).unwrap()
     }
 
     #[test]
@@ -97,9 +137,31 @@ mod tests {
     }
 
     #[test]
-    fn flag_followed_by_flag_has_empty_value() {
+    fn a_flag_takes_no_value() {
         let a = parse(&["--gantt", "--procs", "4"]);
         assert_eq!(a.option("gantt"), Some(""));
         assert_eq!(a.option("procs"), Some("4"));
+        let b = parse(&["schedule", "--gantt", "g.json"]);
+        assert_eq!(b.positional(1), Some("g.json"));
+    }
+
+    #[test]
+    fn unknown_options_are_refused() {
+        assert_eq!(
+            try_parse(&["schedule", "g.json", "--no-overlp"]).unwrap_err(),
+            "unknown option --no-overlp for 'locmps schedule'"
+        );
+        assert!(try_parse(&["--algo", "cpr", "--bandwith", "1"]).is_err());
+    }
+
+    #[test]
+    fn a_value_option_needs_its_value() {
+        for words in [&["--procs"][..], &["--procs", "--gantt"]] {
+            assert_eq!(
+                try_parse(words).unwrap_err(),
+                "option --procs needs a value",
+                "{words:?}"
+            );
+        }
     }
 }

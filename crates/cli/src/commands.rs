@@ -9,7 +9,7 @@ use locmps_workloads::strassen::{strassen_graph, StrassenConfig};
 use locmps_workloads::synthetic::{synthetic_graph, SyntheticConfig};
 use locmps_workloads::tce::{ccsd_t1_graph, TceConfig};
 
-use crate::args::Args;
+use crate::args::{Args, Opt};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -17,9 +17,11 @@ usage: locmps <command> [options]
 
 commands:
   generate <synthetic|ccsd|strassen> [--tasks N] [--ccr X] [--seed S]
-           [--amax A] [--sigma S] [--n N(matrix)] [--levels L]
+           [--amax A] [--sigma S] [--occ N] [--virt N] [--n N(matrix)]
+           [--levels L]
                                   emit a task graph as JSON on stdout
-  stats    <graph.json>           print structural statistics
+  stats    <graph.json> [--bandwidth MB/s]
+                                  print structural statistics
   dot      <graph.json>           render Graphviz DOT on stdout
   svg      <graph.json> --out F    render a layered SVG drawing to F
   schedule <graph.json> --procs P [--algo locmps|icaslb|nobackfill|cpr|cpa|tsas|psonline|task|data]
@@ -53,8 +55,8 @@ commands:
                                   audited by the LM33x lints, and persists
                                   it across runs via --model-store F
   chaos    [--procs P] [--seeds N] [--recovery NAME,NAME,...]
-           [--max-faults N] [--quick] [--inject] [--bandwidth MB/s]
-           [--json]
+           [--max-faults N] [--quick] [--inject] [--seed S] [--cv X]
+           [--straggler-threshold X] [--bandwidth MB/s] [--json]
                                   run seeded randomized fault campaigns
                                   under every recovery policy, audit each
                                   trace with LM3xx diagnostics, and shrink
@@ -79,23 +81,146 @@ commands:
                                   (see docs/SERVE.md)
 ";
 
-/// Dispatches one invocation.
+/// One subcommand: its name, the options it accepts (those [`USAGE`]
+/// lists for it) and what runs it.
+struct Command {
+    name: &'static str,
+    options: &'static [Opt],
+    run: fn(&Args) -> Result<(), String>,
+}
+
+/// Every subcommand, in [`USAGE`] order.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        options: &[
+            Opt::Value("tasks"),
+            Opt::Value("ccr"),
+            Opt::Value("seed"),
+            Opt::Value("amax"),
+            Opt::Value("sigma"),
+            Opt::Value("occ"),
+            Opt::Value("virt"),
+            Opt::Value("n"),
+            Opt::Value("levels"),
+        ],
+        run: generate,
+    },
+    Command {
+        name: "stats",
+        options: &[Opt::Value("bandwidth")],
+        run: stats,
+    },
+    Command {
+        name: "dot",
+        options: &[],
+        run: dot,
+    },
+    Command {
+        name: "svg",
+        options: &[Opt::Value("out")],
+        run: svg,
+    },
+    Command {
+        name: "schedule",
+        options: &[
+            Opt::Value("procs"),
+            Opt::Value("bandwidth"),
+            Opt::Flag("no-overlap"),
+            Opt::Value("algo"),
+            Opt::Flag("gantt"),
+            Opt::Value("svg"),
+        ],
+        run: schedule,
+    },
+    Command {
+        name: "compare",
+        options: &[
+            Opt::Value("procs"),
+            Opt::Value("bandwidth"),
+            Opt::Flag("no-overlap"),
+        ],
+        run: compare,
+    },
+    Command {
+        name: "analyze",
+        options: &[
+            Opt::Value("procs"),
+            Opt::Value("bandwidth"),
+            Opt::Flag("no-overlap"),
+            Opt::Value("algo"),
+            Opt::Flag("json"),
+            Opt::Flag("deny-warnings"),
+        ],
+        run: analyze,
+    },
+    Command {
+        name: "run",
+        options: &[
+            Opt::Value("procs"),
+            Opt::Value("bandwidth"),
+            Opt::Flag("no-overlap"),
+            Opt::Value("policy"),
+            Opt::Value("recovery"),
+            Opt::Value("faults"),
+            Opt::Value("seed"),
+            Opt::Value("cv"),
+            Opt::Flag("hedge"),
+            Opt::Flag("adapt"),
+            Opt::Value("model-store"),
+            Opt::Value("straggler-threshold"),
+            Opt::Value("max-speculative"),
+            Opt::Value("max-attempts"),
+            Opt::Value("backoff"),
+            Opt::Flag("json"),
+            Opt::Flag("deny-warnings"),
+        ],
+        run: run_online,
+    },
+    Command {
+        name: "chaos",
+        options: &[
+            Opt::Value("procs"),
+            Opt::Value("seeds"),
+            Opt::Value("recovery"),
+            Opt::Value("max-faults"),
+            Opt::Flag("quick"),
+            Opt::Flag("inject"),
+            Opt::Value("seed"),
+            Opt::Value("cv"),
+            Opt::Value("straggler-threshold"),
+            Opt::Value("bandwidth"),
+            Opt::Flag("json"),
+        ],
+        run: chaos,
+    },
+    Command {
+        name: "serve",
+        options: &[
+            Opt::Value("addr"),
+            Opt::Value("workers"),
+            Opt::Value("queue-cap"),
+            Opt::Value("tenant-quota"),
+            Opt::Value("journal"),
+            Opt::Value("max-retries"),
+            Opt::Flag("no-degradation"),
+        ],
+        run: serve,
+    },
+];
+
+/// Dispatches one invocation: `argv[0]` names the command, and the rest
+/// may use only the options that command declares.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
-    match args.positional(0) {
-        Some("generate") => generate(&args),
-        Some("stats") => stats(&args),
-        Some("dot") => dot(&args),
-        Some("svg") => svg(&args),
-        Some("schedule") => schedule(&args),
-        Some("compare") => compare(&args),
-        Some("analyze") => analyze(&args),
-        Some("run") => run_online(&args),
-        Some("chaos") => chaos(&args),
-        Some("serve") => serve(&args),
-        Some(other) => Err(format!("unknown command {other:?}")),
-        None => Err("missing command".into()),
-    }
+    let name = match argv.first() {
+        Some(name) if !name.starts_with("--") => name,
+        _ => return Err("missing command".into()),
+    };
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command {name:?}"))?;
+    (command.run)(&Args::parse(argv, name, command.options)?)
 }
 
 fn load_graph(args: &Args) -> Result<TaskGraph, String> {
@@ -670,6 +795,86 @@ mod tests {
     fn unknown_command_errors() {
         assert!(run(&["frobnicate"]).is_err());
         assert!(run(&[]).is_err());
+        assert!(run(&["--procs", "4", "schedule"]).is_err());
+    }
+
+    /// The options [`USAGE`] lists for each command, each with whether it
+    /// takes a value: the tokens `--name` in the command's synopsis (the
+    /// part of its lines left of the description column), where a name
+    /// followed by a placeholder (`--procs P`, `[--bandwidth MB/s]`) takes
+    /// a value and a bracketed one alone (`[--gantt]`) is a flag.
+    fn usage_options() -> Vec<(&'static str, Vec<(String, bool)>)> {
+        let mut out: Vec<(&'static str, Vec<(String, bool)>)> = Vec::new();
+        for line in USAGE.lines() {
+            let Some(synopsis) = line.get(11..).filter(|_| line.starts_with("  ")) else {
+                continue;
+            };
+            if line.starts_with(&" ".repeat(12)) && !synopsis.starts_with(['[', '-']) {
+                continue; // description text
+            }
+            if let Some(c) = COMMANDS.iter().find(|c| line[2..].starts_with(c.name)) {
+                out.push((c.name, Vec::new()));
+            }
+            let Some((_, opts)) = out.last_mut() else {
+                continue;
+            };
+            let words: Vec<&str> = synopsis
+                .split("   ")
+                .next()
+                .unwrap_or("")
+                .split_whitespace()
+                .collect();
+            for (i, word) in words.iter().enumerate() {
+                if let Some(name) = word.trim_start_matches('[').strip_prefix("--") {
+                    let takes_value = !word.ends_with(']')
+                        && words
+                            .get(i + 1)
+                            .is_some_and(|next| !next.trim_start_matches('[').starts_with("--"));
+                    opts.push((name.trim_end_matches(']').to_string(), takes_value));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn each_command_accepts_exactly_the_options_usage_lists() {
+        let usage = usage_options();
+        assert_eq!(
+            usage.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
+            COMMANDS.iter().map(|c| c.name).collect::<Vec<_>>(),
+            "USAGE documents every command, in order"
+        );
+        for ((name, listed), command) in usage.iter().zip(COMMANDS) {
+            let declared: Vec<(String, bool)> = command
+                .options
+                .iter()
+                .map(|o| (o.name().to_string(), matches!(o, Opt::Value(_))))
+                .collect();
+            for opt in listed {
+                assert!(
+                    declared.contains(opt),
+                    "USAGE lists {opt:?} for {name}, which does not accept it"
+                );
+            }
+            for opt in &declared {
+                assert!(
+                    listed.contains(opt),
+                    "{name} accepts {opt:?}, which USAGE does not list"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn options_of_another_command_are_refused() {
+        let path = graph_file();
+        let p = path.to_str().unwrap();
+        let err = run(&["stats", p, "--procs", "4"]).unwrap_err();
+        assert_eq!(err, "unknown option --procs for 'locmps stats'");
+        let err = run(&["schedule", p, "--procs", "4", "--bandwidth"]).unwrap_err();
+        assert_eq!(err, "option --bandwidth needs a value");
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

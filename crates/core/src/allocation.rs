@@ -6,9 +6,22 @@ use locmps_taskgraph::{TaskGraph, TaskId};
 ///
 /// Mapping (which processors) and timing are decided later by the
 /// scheduler; the allocation is the object LoC-MPS iterates on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Allocation {
     np: Vec<usize>,
+}
+
+impl Clone for Allocation {
+    fn clone(&self) -> Self {
+        Self {
+            np: self.np.clone(),
+        }
+    }
+
+    /// Copies `source` into this allocation's buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.np.clone_from(&source.np);
+    }
 }
 
 impl Allocation {

@@ -138,6 +138,11 @@ impl PlacementLog {
 /// chain below each task (`chain_below`, from a second bottom sweep), and
 /// then the placement loop (`unplaced_preds`, `ready`, `placed`, the chart
 /// and the per-candidate buffers of `place`).
+///
+/// The sets `place` keeps per call, the best placement's processors and
+/// the selection its transfer memo was priced for, are [`ProcSet`]s,
+/// which hold up to 128 processors inline; on such clusters a warm
+/// scratch lets a pass place every task without allocating.
 #[derive(Debug, Default)]
 pub struct LocbsScratch {
     order: Vec<TaskId>,

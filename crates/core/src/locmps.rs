@@ -40,6 +40,12 @@
 //! an edge's exact transfer price while the edge's groups and volume are
 //! those it was priced with.
 //!
+//! The bookkeeping around the passes copies into buffers the search keeps
+//! instead of allocating: a look-ahead walk refills one schedule and one
+//! branch best in place, and holds the branch best's schedule-DAG as its
+//! pseudo-edge list; `G'` is rebuilt from that list only when the branch
+//! commits.
+//!
 //! Deterministic [`SearchCounters`] in the output report the work done and
 //! the work skipped; the search is sequential, so they are pure functions
 //! of the input and CI pins their exact values.
@@ -55,7 +61,7 @@ use crate::allocation::Allocation;
 use crate::bounds::allocation_lower_bound;
 use crate::commcost::CommModel;
 use crate::locbs::{Locbs, LocbsOptions, LocbsResult, LocbsScratch, PlacementLog};
-use crate::schedule::time_eps;
+use crate::schedule::{time_eps, Schedule};
 use crate::scheduler::{SchedError, Scheduler, SchedulerOutput, SearchCounters};
 
 /// Fraction of top-gain CP tasks inspected for the concurrency-ratio
@@ -171,7 +177,7 @@ enum Entry {
 
 /// One memoized LoCBS pass: everything a look-ahead step consumes.
 struct MemoEntry {
-    schedule: crate::schedule::Schedule,
+    schedule: Schedule,
     /// The pseudo-edges the pass added, in insertion order, so a hit can
     /// replay the exact schedule-DAG the pass would have left behind.
     pseudo: Vec<(TaskId, TaskId)>,
@@ -212,8 +218,14 @@ struct SearchCtx<'a> {
 
 /// The mutable state of one search, owned by one [`Scheduler::schedule`]
 /// call: the work tally, the pass memo, the placement log, the refine
-/// weight tables and transfer prices, and the schedule-DAG buffer and
-/// LoCBS scratch that every probe and look-ahead pass re-schedules into.
+/// weight tables and transfer prices, the schedule-DAG buffer and LoCBS
+/// scratch that every probe and look-ahead pass re-schedules into, and
+/// the look-ahead walk's schedule and branch best.
+///
+/// After warm-up a look-ahead step allocates only what a memo insert
+/// keeps: the pass's schedule (moved in), the allocation key and the
+/// pseudo-edge list. A memo hit copies into `schedule`, a new branch best
+/// into `branch`, both through allocation-reusing `clone_from`.
 #[derive(Default)]
 struct SearchState {
     counters: SearchCounters,
@@ -223,15 +235,62 @@ struct SearchState {
     /// `Some` exactly when [`LocMpsConfig::prune`] is on.
     log: Option<PlacementLog>,
     weights: Weights,
+    /// `G'` of the latest pass (or memo hit).
     dag: TaskGraph,
     scratch: LocbsScratch,
+    /// The schedule of the walk's latest pass (or memo hit).
+    schedule: Schedule,
+    branch: BranchBest,
+}
+
+impl SearchState {
+    /// Makes the walk's latest pass, at `alloc` with `makespan`, its branch
+    /// best.
+    fn keep_branch_best(&mut self, alloc: &Allocation, makespan: f64) {
+        let b = &mut self.branch;
+        b.alloc.clone_from(alloc);
+        b.schedule.clone_from(&self.schedule);
+        b.pseudo.clear();
+        b.pseudo.extend(pseudo_edges(&self.dag));
+        b.makespan = makespan;
+    }
+}
+
+/// The best pass of one look-ahead walk: its allocation, schedule and
+/// makespan, and its schedule-DAG as the pseudo-edges the pass added, in
+/// insertion order. [`LocMps::search`] rebuilds `G'` from them only when
+/// the branch commits, through [`replay_pseudo_edges`].
+#[derive(Default)]
+struct BranchBest {
+    alloc: Allocation,
+    schedule: Schedule,
+    pseudo: Vec<(TaskId, TaskId)>,
+    makespan: f64,
+}
+
+/// `dag`'s pseudo-edges in insertion order.
+fn pseudo_edges(dag: &TaskGraph) -> impl Iterator<Item = (TaskId, TaskId)> + '_ {
+    dag.edges()
+        .filter(|(_, e)| e.kind == EdgeKind::Pseudo)
+        .map(|(_, e)| (e.src, e.dst))
+}
+
+/// Makes `dag` its data graph plus `pseudo`, added in order: the
+/// schedule-DAG, pseudo-edge order included, of the pass that added them.
+fn replay_pseudo_edges(dag: &mut TaskGraph, pseudo: &[(TaskId, TaskId)]) -> Result<(), SchedError> {
+    dag.clear_pseudo_edges();
+    for &(src, dst) in pseudo {
+        dag.add_pseudo_edge(src, dst).map_err(SchedError::Graph)?;
+    }
+    Ok(())
 }
 
 /// One [`LocMps::refine`] step's weights and the buffers of its critical
 /// path: `et(np)` per task, the transfer time per edge of `G'`, the
-/// topological order of `G'` with the sort's working memory, and the
-/// levels swept along it. The step refills all of them. `prices` and
-/// `reused` are the exception: they carry across the steps of one search.
+/// topological order of `G'` with the sort's working memory, the levels
+/// swept along it, the critical path and its widenable tasks. The step
+/// refills all of them. `prices` and `reused` are the exception: they
+/// carry across the steps of one search.
 #[derive(Default)]
 struct Weights {
     node: Vec<f64>,
@@ -239,6 +298,10 @@ struct Weights {
     order: Vec<TaskId>,
     in_deg: Vec<usize>,
     levels: Levels,
+    cp: CriticalPath,
+    /// The candidate tasks of [`LocMps::best_candidate_task`] with their
+    /// gains.
+    cands: Vec<(TaskId, f64)>,
     /// Per edge id of `G'`, the last exact transfer price and what it was
     /// computed from.
     prices: Vec<Price>,
@@ -305,23 +368,25 @@ impl LocMps {
 
     /// Best candidate task on the critical path (§III.C): filter widenable,
     /// rank by gain, inspect the top fraction, pick minimum concurrency
-    /// ratio.
+    /// ratio. `cands` is the buffer the ranking is refilled into.
     fn best_candidate_task(
         &self,
         ctx: &SearchCtx<'_>,
         cp: &CriticalPath,
         alloc: &Allocation,
         marked: Option<&HashSet<Entry>>,
+        cands: &mut Vec<(TaskId, f64)>,
     ) -> Option<TaskId> {
         let (conc, pbest) = (ctx.conc, ctx.pbest);
-        let mut cands: Vec<(TaskId, f64)> = cp
-            .tasks
-            .iter()
-            .copied()
-            .filter(|&t| alloc.np(t) < ctx.p_total.min(pbest[t.index()]))
-            .filter(|&t| marked.is_none_or(|m| !m.contains(&Entry::Task(t))))
-            .map(|t| (t, ctx.g.task(t).profile.gain(alloc.np(t))))
-            .collect();
+        cands.clear();
+        cands.extend(
+            cp.tasks
+                .iter()
+                .copied()
+                .filter(|&t| alloc.np(t) < ctx.p_total.min(pbest[t.index()]))
+                .filter(|&t| marked.is_none_or(|m| !m.contains(&Entry::Task(t))))
+                .map(|t| (t, ctx.g.task(t).profile.gain(alloc.np(t)))),
+        );
         if cands.is_empty() {
             return None;
         }
@@ -398,13 +463,13 @@ impl LocMps {
     /// an edge whose groups and volume are those of its previous pricing
     /// takes that price instead of the kernel's (see [`Price`]). `G'` is
     /// sorted into `w`'s buffers and its critical path swept along that
-    /// order.
+    /// order into them.
     fn refine(
         &self,
         ctx: &SearchCtx<'_>,
         w: &mut Weights,
         dag: &TaskGraph,
-        schedule: &crate::schedule::Schedule,
+        schedule: &Schedule,
         alloc: &mut Allocation,
         marked: Option<&HashSet<Entry>>,
     ) -> Option<Entry> {
@@ -430,15 +495,16 @@ impl LocMps {
             .expect("schedule-DAGs are acyclic");
         let node_w = |t: TaskId| w.node[t.index()];
         let edge_w = |e: EdgeId| w.edge[e.index()];
-        let cp = dag.critical_path_along(&w.order, node_w, edge_w, &mut w.levels);
+        dag.critical_path_along_into(&w.order, node_w, edge_w, &mut w.levels, &mut w.cp);
+        let cp = &w.cp;
         let tcomp = cp.computation_cost(node_w);
         let tcomm = cp.communication_cost(edge_w);
 
         // Computation dominated: the best task, else the heaviest edge.
         // Communication dominated: the edge, else the task.
-        let task = self.best_candidate_task(ctx, &cp, alloc, marked);
+        let task = self.best_candidate_task(ctx, cp, alloc, marked, &mut w.cands);
         if tcomp <= tcomm || task.is_none() {
-            if let Some(e) = self.best_candidate_edge(dag, &cp, alloc, edge_w, p_total, marked) {
+            if let Some(e) = self.best_candidate_edge(dag, cp, alloc, edge_w, p_total, marked) {
                 Self::widen_edge(dag, alloc, e, p_total);
                 return Some(Entry::Edge(e));
             }
@@ -485,9 +551,12 @@ impl Scheduler for LocMps {
             model: &model,
             p_total,
         };
+        // Every pass strips the pseudo-edges `dag` carries on entry, so
+        // one copy of the graph serves the whole search.
         let mut st = SearchState {
             memo: self.config.prune.then(PassMemo::default),
             log: self.config.prune.then(PlacementLog::new),
+            dag: g.clone(),
             ..SearchState::default()
         };
 
@@ -574,7 +643,7 @@ impl LocMps {
         st: &mut SearchState,
         alloc: &Allocation,
         horizon: Option<f64>,
-    ) -> Result<Option<(crate::schedule::Schedule, f64)>, SchedError> {
+    ) -> Result<Option<(Schedule, f64)>, SchedError> {
         let horizon = horizon.unwrap_or(f64::INFINITY);
         let result = match &mut st.log {
             Some(log) => {
@@ -599,15 +668,14 @@ impl LocMps {
         Ok(result)
     }
 
-    /// A top-level probe: one [`LocMps::pass`] from a fresh copy of the
-    /// graph, kept whole with its schedule-DAG.
+    /// A top-level probe: one [`LocMps::pass`], kept whole with a copy of
+    /// its schedule-DAG.
     fn probe(
         ctx: &SearchCtx<'_>,
         st: &mut SearchState,
         alloc: &Allocation,
         horizon: Option<f64>,
     ) -> Result<Option<LocbsResult>, SchedError> {
-        st.dag.clone_from(ctx.g);
         let result = Self::pass(ctx, st, alloc, horizon)?;
         Ok(result.map(|(schedule, makespan)| LocbsResult {
             schedule,
@@ -617,8 +685,9 @@ impl LocMps {
     }
 
     /// One bounded look-ahead trajectory (steps 10–35) from `alloc`, the
-    /// state the round's entry move just produced. Returns the best
-    /// (allocation, schedule) seen along the way.
+    /// state the round's entry move just produced; `alloc` is walked in
+    /// place. Leaves the best (allocation, schedule) seen along the way in
+    /// `st.branch` and returns its makespan.
     ///
     /// Every iteration re-schedules in place into the search's buffers via
     /// [`LocMps::pass`] (stripping the previous iteration's pseudo-edges
@@ -633,23 +702,18 @@ impl LocMps {
         &self,
         ctx: &SearchCtx<'_>,
         st: &mut SearchState,
-        mut alloc: Allocation,
-    ) -> Result<(Allocation, LocbsResult), SchedError> {
-        let (mut schedule, mut makespan) = match Self::branch_pass(ctx, st, &alloc, None)? {
-            Some(pass) => pass,
+        alloc: &mut Allocation,
+    ) -> Result<f64, SchedError> {
+        let makespan = match Self::branch_pass(ctx, st, alloc, None)? {
+            Some(makespan) => makespan,
             None => unreachable!("an unbounded pass never aborts"),
         };
-        let mut branch_alloc = alloc.clone();
-        let mut branch_best = LocbsResult {
-            schedule: schedule.clone(),
-            schedule_dag: st.dag.clone(),
-            makespan,
-        };
+        st.keep_branch_best(alloc, makespan);
 
         let depth = self.config.lookahead_depth.max(1);
         for step in 1..depth {
             if self
-                .refine(ctx, &mut st.weights, &st.dag, &schedule, &mut alloc, None)
+                .refine(ctx, &mut st.weights, &st.dag, &st.schedule, alloc, None)
                 .is_none()
             {
                 break;
@@ -657,66 +721,63 @@ impl LocMps {
             // The final pass feeds no further refinement: its only
             // consumer is the branch-best update, so it may run under
             // a bounded horizon and abort once that update is settled.
-            let horizon = (self.config.prune && step + 1 == depth)
-                .then(|| branch_best.makespan - time_eps(branch_best.makespan));
-            match Self::branch_pass(ctx, st, &alloc, horizon)? {
-                Some(pass) => (schedule, makespan) = pass,
-                None => break,
-            }
-            if makespan < branch_best.makespan - time_eps(branch_best.makespan) {
-                branch_alloc = alloc.clone();
-                branch_best = LocbsResult {
-                    schedule: schedule.clone(),
-                    schedule_dag: st.dag.clone(),
-                    makespan,
-                };
+            let best = st.branch.makespan;
+            let horizon = (self.config.prune && step + 1 == depth).then(|| best - time_eps(best));
+            let Some(makespan) = Self::branch_pass(ctx, st, alloc, horizon)? else {
+                break;
+            };
+            if makespan < best - time_eps(best) {
+                st.keep_branch_best(alloc, makespan);
             }
         }
-        Ok((branch_alloc, branch_best))
+        Ok(st.branch.makespan)
     }
 
-    /// One look-ahead [`LocMps::pass`], replayed from the pass memo when
-    /// this allocation was already placed.
+    /// One look-ahead [`LocMps::pass`] into `st.schedule` and `st.dag`,
+    /// replayed from the pass memo when this allocation was already
+    /// placed. Returns the makespan, or `None` on a horizon abort.
     fn branch_pass(
         ctx: &SearchCtx<'_>,
         st: &mut SearchState,
         alloc: &Allocation,
         horizon: Option<f64>,
-    ) -> Result<Option<(crate::schedule::Schedule, f64)>, SchedError> {
+    ) -> Result<Option<f64>, SchedError> {
         if let Some(hit) = st.memo.as_ref().and_then(|m| m.map.get(alloc.as_slice())) {
-            st.dag.clear_pseudo_edges();
-            for &(src, dst) in &hit.pseudo {
-                st.dag
-                    .add_pseudo_edge(src, dst)
-                    .map_err(SchedError::Graph)?;
-            }
+            replay_pseudo_edges(&mut st.dag, &hit.pseudo)?;
+            st.schedule.clone_from(&hit.schedule);
             st.counters.pass_memo_hits += 1;
-            return Ok(Some((hit.schedule.clone(), hit.makespan)));
+            return Ok(Some(hit.makespan));
         }
-        let result = Self::pass(ctx, st, alloc, horizon)?;
-        if let (Some((schedule, makespan)), Some(memo)) = (&result, &mut st.memo) {
-            let pseudo = st
-                .dag
-                .edges()
-                .filter(|(_, e)| e.kind == EdgeKind::Pseudo)
-                .map(|(_, e)| (e.src, e.dst))
-                .collect();
-            memo.map.insert(
-                alloc.as_slice().to_vec(),
-                MemoEntry {
-                    schedule: schedule.clone(),
-                    pseudo,
-                    makespan: *makespan,
-                },
-            );
+        let Some((schedule, makespan)) = Self::pass(ctx, st, alloc, horizon)? else {
+            return Ok(None);
+        };
+        match &mut st.memo {
+            Some(memo) => {
+                st.schedule.clone_from(&schedule);
+                let mut pseudo = Vec::with_capacity(pseudo_edges(&st.dag).count());
+                pseudo.extend(pseudo_edges(&st.dag));
+                memo.map.insert(
+                    alloc.as_slice().to_vec(),
+                    MemoEntry {
+                        schedule,
+                        pseudo,
+                        makespan,
+                    },
+                );
+            }
+            None => st.schedule = schedule,
         }
-        Ok(result)
+        Ok(Some(makespan))
     }
 
     /// The outer commit/mark loop of Algorithm 1, refining `best_alloc` /
     /// `best` in place from wherever they currently point. Each round
     /// enters one look-ahead at the best unmarked candidate; a success
     /// commits and unmarks everything, a failure marks that entry.
+    ///
+    /// A commit swaps the branch best's allocation and schedule in and
+    /// rebuilds `best.schedule_dag` from its pseudo-edge list: the same
+    /// graph, edge order included, as a copy of the branch's `G'`.
     fn search(
         &self,
         ctx: &SearchCtx<'_>,
@@ -725,8 +786,9 @@ impl LocMps {
         best: &mut LocbsResult,
     ) -> Result<(), SchedError> {
         let mut marked: HashSet<Entry> = HashSet::new();
+        let mut alloc = Allocation::default();
         for _round in 0..self.config.max_rounds {
-            let mut alloc = best_alloc.clone();
+            alloc.clone_from(best_alloc);
             let Some(entry) = self.refine(
                 ctx,
                 &mut st.weights,
@@ -737,11 +799,13 @@ impl LocMps {
             ) else {
                 return Ok(()); // nothing on the CP can be refined at all
             };
-            let (b_alloc, b_res) = self.lookahead_branch(ctx, st, alloc)?;
-            if b_res.makespan < best.makespan - time_eps(best.makespan) {
+            let makespan = self.lookahead_branch(ctx, st, &mut alloc)?;
+            if makespan < best.makespan - time_eps(best.makespan) {
                 // Step 39: improvement found; commit and reset the marks.
-                *best_alloc = b_alloc;
-                *best = b_res;
+                std::mem::swap(best_alloc, &mut st.branch.alloc);
+                std::mem::swap(&mut best.schedule, &mut st.branch.schedule);
+                replay_pseudo_edges(&mut best.schedule_dag, &st.branch.pseudo)?;
+                best.makespan = makespan;
                 marked.clear();
                 st.counters.commits += 1;
             } else {

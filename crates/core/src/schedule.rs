@@ -114,19 +114,35 @@ impl Default for GanttOptions {
 }
 
 /// A complete schedule: one [`ScheduledTask`] per task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Schedule {
     entries: Vec<ScheduledTask>,
 }
 
+impl Clone for Schedule {
+    fn clone(&self) -> Self {
+        Self {
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Copies `source` into this schedule's entry vector, reusing its
+    /// buffer (an entry copies without allocating while its processor
+    /// set is inline).
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
+}
+
 impl Schedule {
     /// Builds a schedule from per-task entries (any order; re-sorted by
-    /// task id).
+    /// task id in place, which for entries already in task order, as a
+    /// LoCBS pass collects them, is one scan).
     ///
     /// # Panics
     /// Panics if two entries describe the same task.
     pub fn from_entries(mut entries: Vec<ScheduledTask>) -> Self {
-        entries.sort_by_key(|e| e.task);
+        entries.sort_unstable_by_key(|e| e.task);
         for w in entries.windows(2) {
             assert!(w[0].task != w[1].task, "duplicate entry for {}", w[0].task);
         }

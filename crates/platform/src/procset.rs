@@ -1,21 +1,33 @@
 //! Compact processor-id bitsets.
 //!
 //! Scheduling decisions constantly union, intersect and rank small sets of
-//! processor ids (machine sizes in the paper top out at 128). A `Vec<u64>`
-//! bitset keeps those operations branch-free and allocation-light.
+//! processor ids (machine sizes in the paper top out at 128). A bitmap
+//! keeps those operations branch-free, and keeping its first two words
+//! inline keeps them allocation-free up to 128 processors: a LoC-MPS
+//! search copies sets into every booking, placement and memoized schedule.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A processor id: dense indices `0..P`.
 pub type ProcId = u32;
 
 const BITS: usize = 64;
 
+/// Bitmap words held inline; two cover every cluster of up to 128
+/// processors.
+const INLINE: usize = 2;
+
 /// A set of processor ids, stored as a growable bitmap.
 ///
 /// Sets from the same [`Cluster`](crate::Cluster) can be combined freely;
 /// word vectors grow on demand and trailing zero words are ignored by
-/// comparisons.
+/// comparisons and hashing. They are kept, though: a set serializes as
+/// `{"words":[…]}` with every word it holds, trailing zeros included.
+///
+/// Up to two words live inline, so sets over processors `0..128` never
+/// touch the heap. A wider set spills to a heap buffer, and keeps that
+/// buffer through [`ProcSet::clear`] and `clone_from`, so a reused scratch
+/// set does not reallocate.
 ///
 /// # Examples
 /// ```
@@ -27,21 +39,60 @@ const BITS: usize = 64;
 /// assert_eq!(a.union(&b).len(), 5);
 /// assert_eq!(a.to_vec(), vec![0, 1, 2, 3]);
 /// ```
-#[derive(Debug, Default, Serialize, Deserialize)]
 pub struct ProcSet {
-    words: Vec<u64>,
+    words: Words,
+}
+
+/// The bitmap of a [`ProcSet`]: `len` inline words, or a heap buffer.
+enum Words {
+    Inline { len: usize, buf: [u64; INLINE] },
+    Heap(Vec<u64>),
+}
+
+impl Default for ProcSet {
+    fn default() -> Self {
+        Self::from_words(&[])
+    }
 }
 
 impl Clone for ProcSet {
     fn clone(&self) -> Self {
-        Self {
-            words: self.words.clone(),
-        }
+        Self::from_words(self.words())
     }
 
-    /// Copies `source` into this set's allocation.
+    /// Copies `source` into this set, reusing a heap buffer if it has one.
     fn clone_from(&mut self, source: &Self) {
-        self.words.clone_from(&source.words);
+        match &mut self.words {
+            Words::Heap(v) => {
+                v.clear();
+                v.extend_from_slice(source.words());
+            }
+            Words::Inline { .. } => *self = source.clone(),
+        }
+    }
+}
+
+impl std::fmt::Debug for ProcSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ProcSet")
+            .field("words", &self.words())
+            .finish()
+    }
+}
+
+impl Serialize for ProcSet {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("words".to_string(), self.words().to_value())])
+    }
+}
+
+impl Deserialize for ProcSet {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| DeError::expected("object for ProcSet"))?;
+        let words: Vec<u64> = Deserialize::from_value(serde::field(obj, "words")?)?;
+        Ok(Self::from_words(&words))
     }
 }
 
@@ -49,6 +100,24 @@ impl ProcSet {
     /// The empty set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A set holding exactly `words`, inline when they fit.
+    fn from_words(words: &[u64]) -> Self {
+        if words.len() <= INLINE {
+            let mut buf = [0; INLINE];
+            buf[..words.len()].copy_from_slice(words);
+            Self {
+                words: Words::Inline {
+                    len: words.len(),
+                    buf,
+                },
+            }
+        } else {
+            Self {
+                words: Words::Heap(words.to_vec()),
+            }
+        }
     }
 
     /// The set `{0, 1, …, n-1}` — "all processors" of an `n`-node cluster.
@@ -67,52 +136,85 @@ impl ProcSet {
         s
     }
 
+    /// Resizes the bitmap to `n` words; new words are zero. Spills to the
+    /// heap past [`INLINE`] words; a heap buffer stays, whatever `n`.
+    fn set_word_len(&mut self, n: usize) {
+        match &mut self.words {
+            Words::Heap(v) => v.resize(n, 0),
+            Words::Inline { len, buf } if n <= INLINE => {
+                if n > *len {
+                    buf[*len..n].fill(0);
+                }
+                *len = n;
+            }
+            Words::Inline { len, buf } => {
+                let mut v = Vec::with_capacity(n);
+                v.extend_from_slice(&buf[..*len]);
+                v.resize(n, 0);
+                self.words = Words::Heap(v);
+            }
+        }
+    }
+
     /// Inserts `p`; returns whether it was newly added.
     pub fn insert(&mut self, p: ProcId) -> bool {
         let (w, b) = (p as usize / BITS, p as usize % BITS);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
+        if w >= self.words().len() {
+            self.set_word_len(w + 1);
         }
-        let newly = self.words[w] & (1 << b) == 0;
-        self.words[w] |= 1 << b;
+        let word = &mut self.words_mut()[w];
+        let newly = *word & (1 << b) == 0;
+        *word |= 1 << b;
         newly
     }
 
     /// Removes `p`; returns whether it was present.
     pub fn remove(&mut self, p: ProcId) -> bool {
         let (w, b) = (p as usize / BITS, p as usize % BITS);
-        if w >= self.words.len() {
+        let Some(word) = self.words_mut().get_mut(w) else {
             return false;
-        }
-        let present = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
+        };
+        let present = *word & (1 << b) != 0;
+        *word &= !(1 << b);
         present
     }
 
     /// Membership test.
     pub fn contains(&self, p: ProcId) -> bool {
         let (w, b) = (p as usize / BITS, p as usize % BITS);
-        w < self.words.len() && self.words[w] & (1 << b) != 0
+        self.words()
+            .get(w)
+            .is_some_and(|&word| word & (1 << b) != 0)
     }
 
     /// Number of processors in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// The bitmap words, lowest ids first; may end in zero words.
     pub(crate) fn words(&self) -> &[u64] {
-        &self.words
+        match &self.words {
+            Words::Inline { len, buf } => &buf[..*len],
+            Words::Heap(v) => v,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline { len, buf } => &mut buf[..*len],
+            Words::Heap(v) => v,
+        }
     }
 
     /// Iterates members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = ProcId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+        self.words().iter().enumerate().flat_map(|(wi, &w)| {
             let mut bits = w;
             std::iter::from_fn(move || {
                 if bits == 0 {
@@ -133,10 +235,10 @@ impl ProcSet {
 
     /// In-place union.
     pub fn union_with(&mut self, other: &ProcSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
+        if other.words().len() > self.words().len() {
+            self.set_word_len(other.words().len());
         }
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a |= b;
         }
     }
@@ -150,84 +252,76 @@ impl ProcSet {
 
     /// Owned intersection.
     pub fn intersection(&self, other: &ProcSet) -> ProcSet {
-        let n = self.words.len().min(other.words.len());
-        ProcSet {
-            words: (0..n).map(|i| self.words[i] & other.words[i]).collect(),
+        let mut s = ProcSet::new();
+        s.set_word_len(self.words().len().min(other.words().len()));
+        for (out, (a, b)) in s
+            .words_mut()
+            .iter_mut()
+            .zip(self.words().iter().zip(other.words()))
+        {
+            *out = a & b;
         }
+        s
     }
 
     /// Owned difference `self \ other`.
     pub fn difference(&self, other: &ProcSet) -> ProcSet {
-        ProcSet {
-            words: self
-                .words
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0))
-                .collect(),
-        }
+        let mut s = self.clone();
+        s.difference_with(other);
+        s
     }
 
     /// In-place difference: removes every member of `other`.
     pub fn difference_with(&mut self, other: &ProcSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= !b;
         }
     }
 
     /// Number of shared processors — the heart of the locality metric.
     pub fn intersection_len(&self, other: &ProcSet) -> usize {
-        self.words
+        self.words()
             .iter()
-            .zip(&other.words)
+            .zip(other.words())
             .map(|(a, b)| (a & b).count_ones() as usize)
             .sum()
     }
 
     /// Whether the sets share no processor.
     pub fn is_disjoint(&self, other: &ProcSet) -> bool {
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
+        self.words()
+            .iter()
+            .zip(other.words())
+            .all(|(a, b)| a & b == 0)
     }
 
     /// Whether every member of `self` is in `other`.
     pub fn is_subset(&self, other: &ProcSet) -> bool {
-        self.words
+        let theirs = other.words();
+        self.words()
             .iter()
             .enumerate()
-            .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
+            .all(|(i, &w)| w & !theirs.get(i).copied().unwrap_or(0) == 0)
     }
 
-    /// Removes every member, keeping the allocated capacity so the set can
-    /// be refilled without reallocating (scratch-buffer reuse in hot
-    /// scheduling loops).
+    /// Removes every member and every word, keeping a heap buffer so the
+    /// set can be refilled without reallocating (scratch-buffer reuse in
+    /// hot scheduling loops).
     pub fn clear(&mut self) {
-        self.words.clear();
+        self.set_word_len(0);
     }
 
     /// The lowest id in the set.
     pub fn first(&self) -> Option<ProcId> {
         self.iter().next()
     }
-
-    /// Keeps only the `k` lowest-id members (no-op if `len() <= k`).
-    pub fn truncate(&mut self, k: usize) {
-        if self.len() <= k {
-            return;
-        }
-        let keep: Vec<ProcId> = self.iter().take(k).collect();
-        self.words.clear();
-        for p in keep {
-            self.insert(p);
-        }
-    }
 }
 
 impl PartialEq for ProcSet {
     fn eq(&self, other: &Self) -> bool {
-        let n = self.words.len().max(other.words.len());
-        (0..n).all(|i| {
-            self.words.get(i).copied().unwrap_or(0) == other.words.get(i).copied().unwrap_or(0)
-        })
+        let (a, b) = (self.words(), other.words());
+        (0..a.len().max(b.len()))
+            .all(|i| a.get(i).copied().unwrap_or(0) == b.get(i).copied().unwrap_or(0))
     }
 }
 
@@ -236,11 +330,12 @@ impl Eq for ProcSet {}
 impl std::hash::Hash for ProcSet {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         // Skip trailing zero words so equal sets hash equally.
-        let mut end = self.words.len();
-        while end > 0 && self.words[end - 1] == 0 {
+        let words = self.words();
+        let mut end = words.len();
+        while end > 0 && words[end - 1] == 0 {
             end -= 1;
         }
-        self.words[..end].hash(state);
+        words[..end].hash(state);
     }
 }
 
@@ -327,12 +422,28 @@ mod tests {
     fn clone_from_reuses_the_allocation() {
         let wide: ProcSet = [0u32, 70, 140].into_iter().collect();
         let mut s = wide.clone();
-        let words = s.words.as_ptr();
+        let words = s.words().as_ptr();
         s.clone_from(&ProcSet::single(3));
         assert_eq!(s, ProcSet::single(3));
-        assert_eq!(s.words.as_ptr(), words, "clone_from must not reallocate");
+        assert_eq!(s.words().as_ptr(), words, "clone_from must not reallocate");
         s.clone_from(&wide);
         assert_eq!(s, wide);
+    }
+
+    #[test]
+    fn two_words_stay_inline() {
+        let mut s: ProcSet = [0u32, 127].into_iter().collect();
+        assert!(matches!(s.words, Words::Inline { len: 2, .. }));
+        s.insert(128);
+        assert!(matches!(&s.words, Words::Heap(v) if v.len() == 3));
+        // A clone is as small as its words allow; a cleared heap set
+        // keeps its buffer.
+        assert!(matches!(
+            ProcSet::single(3).clone().words,
+            Words::Inline { len: 1, .. }
+        ));
+        s.clear();
+        assert!(matches!(&s.words, Words::Heap(v) if v.is_empty() && v.capacity() >= 3));
     }
 
     #[test]
@@ -360,13 +471,10 @@ mod tests {
     }
 
     #[test]
-    fn all_and_truncate() {
-        let mut s = ProcSet::all(10);
-        assert_eq!(s.len(), 10);
-        s.truncate(4);
-        assert_eq!(s.to_vec(), vec![0, 1, 2, 3]);
-        s.truncate(9); // no-op
-        assert_eq!(s.len(), 4);
+    fn all() {
+        let s = ProcSet::all(130);
+        assert_eq!(s.len(), 130);
+        assert_eq!(s.words(), [u64::MAX, u64::MAX, 0b11]);
     }
 
     #[test]

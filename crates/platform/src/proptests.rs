@@ -1,6 +1,9 @@
 //! Property-based tests for processor sets and redistribution.
 
+use std::hash::{Hash, Hasher};
+
 use proptest::prelude::*;
+use serde::Serialize;
 
 use crate::blockcyclic::{redistribution_time, Distribution, RedistributionMatrix};
 use crate::cluster::aggregate_edge_cost;
@@ -27,6 +30,124 @@ fn arb_wide_procset() -> impl Strategy<Value = ProcSet> {
             }
             s
         })
+}
+
+/// `ProcSet` as it was before it kept two words inline: a plain
+/// `Vec<u64>` bitmap. The inline-or-heap set must match it in every
+/// observable: its JSON, its words, its members, equality and hashing.
+#[derive(Debug, Clone, Default, Serialize)]
+struct VecSet {
+    words: Vec<u64>,
+}
+
+impl VecSet {
+    fn insert(&mut self, p: u32) {
+        let w = p as usize / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= 1 << (p % 64);
+    }
+
+    fn remove(&mut self, p: u32) {
+        if let Some(word) = self.words.get_mut(p as usize / 64) {
+            *word &= !(1 << (p % 64));
+        }
+    }
+
+    fn union_with(&mut self, other: &VecSet) {
+        if other.words.len() > self.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+    }
+
+    fn difference_with(&mut self, other: &VecSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= !b;
+        }
+    }
+
+    fn intersection(&self, other: &VecSet) -> VecSet {
+        let n = self.words.len().min(other.words.len());
+        VecSet {
+            words: (0..n).map(|i| self.words[i] & other.words[i]).collect(),
+        }
+    }
+
+    fn difference(&self, other: &VecSet) -> VecSet {
+        let mut d = self.clone();
+        d.difference_with(other);
+        d
+    }
+
+    fn members(&self) -> Vec<u32> {
+        (0..self.words.len() * 64)
+            .filter(|&i| self.words[i / 64] & (1 << (i % 64)) != 0)
+            .map(|i| i as u32)
+            .collect()
+    }
+
+    /// The words without their trailing zeros: what `==` and `Hash` see.
+    fn significant(&self) -> &[u64] {
+        let end = self
+            .words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |i| i + 1);
+        &self.words[..end]
+    }
+
+    fn hash_value(&self) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.significant().hash(&mut h);
+        h.finish()
+    }
+}
+
+fn hash_of(s: &ProcSet) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    s.hash(&mut h);
+    h.finish()
+}
+
+/// Checks one set against its reference.
+fn agrees(s: &ProcSet, r: &VecSet) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        serde_json::to_string(s).unwrap(),
+        serde_json::to_string(r).unwrap()
+    );
+    prop_assert_eq!(s.words(), r.words.as_slice());
+    prop_assert_eq!(s.to_vec(), r.members());
+    prop_assert_eq!(s.len(), r.members().len());
+    prop_assert_eq!(s.is_empty(), r.members().is_empty());
+    prop_assert_eq!(s.first(), r.members().first().copied());
+    prop_assert_eq!(hash_of(s), r.hash_value());
+    let back: ProcSet = serde_json::from_str(&serde_json::to_string(s).unwrap()).unwrap();
+    prop_assert_eq!(
+        back.words().len(),
+        s.words().len(),
+        "a round trip keeps every word"
+    );
+    prop_assert!(back == *s);
+    Ok(())
+}
+
+/// Checks every pairwise query of two sets against their references.
+fn pair_agrees(a: &ProcSet, b: &ProcSet, ra: &VecSet, rb: &VecSet) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a == b, ra.significant() == rb.significant());
+    prop_assert_eq!(hash_of(a) == hash_of(b), ra.hash_value() == rb.hash_value());
+    let inter = ra.intersection(rb).members();
+    prop_assert_eq!(a.intersection_len(b), inter.len());
+    prop_assert_eq!(a.is_disjoint(b), inter.is_empty());
+    prop_assert_eq!(a.is_subset(b), ra.difference(rb).members().is_empty());
+    agrees(&a.intersection(b), &ra.intersection(rb))?;
+    agrees(&a.difference(b), &ra.difference(rb))?;
+    let mut union = ra.clone();
+    union.union_with(rb);
+    agrees(&a.union(b), &union)
 }
 
 /// A lockstep walk over both sorted member lists, counting each side's
@@ -83,6 +204,66 @@ fn lockstep_redistribution_time(src: &ProcSet, dst: &ProcSet, volume: f64, bandw
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Three registers of sets over ids `0..256` (0–4 words) go through a
+    /// random program of set operations, each mirrored on the `Vec<u64>`
+    /// reference. Ids below and above 128 move the sets between the inline
+    /// and the heap form in both directions: `insert` spills, `intersection`
+    /// and `clone_from` of a narrow set come back inline (or keep a heap
+    /// buffer), `clear` empties either form, and `remove` leaves trailing
+    /// zero words behind.
+    #[test]
+    fn inline_words_match_the_vec_reference(
+        program in proptest::collection::vec((0u8..10, 0usize..3, 0usize..3, 0u32..256), 1..48)
+    ) {
+        let mut sets = [ProcSet::new(), ProcSet::new(), ProcSet::new()];
+        let mut refs = [VecSet::default(), VecSet::default(), VecSet::default()];
+        for (op, i, j, id) in program {
+            // Low ids most of the time, so inline sets are common.
+            let id = if id % 4 == 0 { id } else { id % 128 };
+            let (src, rsrc) = (sets[j].clone(), refs[j].clone());
+            match op {
+                0 | 1 => {
+                    sets[i].insert(id);
+                    refs[i].insert(id);
+                }
+                2 => {
+                    sets[i].remove(id);
+                    refs[i].remove(id);
+                }
+                3 => {
+                    sets[i].clear();
+                    refs[i].words.clear();
+                }
+                4 => {
+                    sets[i].clone_from(&src);
+                    refs[i].clone_from(&rsrc);
+                }
+                5 => {
+                    sets[i].union_with(&src);
+                    refs[i].union_with(&rsrc);
+                }
+                6 => {
+                    sets[i].difference_with(&src);
+                    refs[i].difference_with(&rsrc);
+                }
+                7 => {
+                    sets[i] = sets[i].intersection(&src);
+                    refs[i] = refs[i].intersection(&rsrc);
+                }
+                8 => {
+                    sets[i] = sets[i].difference(&src);
+                    refs[i] = refs[i].difference(&rsrc);
+                }
+                _ => {
+                    sets[i] = serde_json::from_str(&serde_json::to_string(&sets[i]).unwrap()).unwrap();
+                }
+            }
+            agrees(&sets[i], &refs[i])?;
+            prop_assert_eq!(sets[i].contains(id), refs[i].members().contains(&id));
+            pair_agrees(&sets[i], &sets[j], &refs[i], &refs[j])?;
+        }
+    }
 
     #[test]
     fn set_algebra_laws(a in arb_procset(), b in arb_procset()) {
@@ -189,8 +370,11 @@ proptest! {
     ) {
         // A prefix of `a` shares its first slots with `a` (every shared
         // node aligned); a shifted copy shares nothing with it.
-        let mut prefix = a.clone();
-        prefix.truncate(keep);
+        let prefix: ProcSet = if a.len() <= keep {
+            a.clone()
+        } else {
+            a.iter().take(keep).collect()
+        };
         let shifted: ProcSet = a.iter().map(|p| p + 200).collect();
         let union = a.union(&b);
         let pairs = [

@@ -57,7 +57,7 @@ impl Levels {
 
 /// One concrete critical path: its tasks in order, the edges between them,
 /// and its length.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CriticalPath {
     /// Tasks along the path, source side first.
     pub tasks: Vec<TaskId>,
@@ -184,6 +184,21 @@ impl TaskGraph {
         edge_w: impl Fn(EdgeId) -> f64,
         levels: &mut Levels,
     ) -> CriticalPath {
+        let mut path = CriticalPath::default();
+        self.critical_path_along_into(order, node_w, edge_w, levels, &mut path);
+        path
+    }
+
+    /// [`TaskGraph::critical_path_along`] into `path`, whose vectors are
+    /// cleared and refilled.
+    pub fn critical_path_along_into(
+        &self,
+        order: &[TaskId],
+        node_w: impl Fn(TaskId) -> f64,
+        edge_w: impl Fn(EdgeId) -> f64,
+        levels: &mut Levels,
+        path: &mut CriticalPath,
+    ) {
         self.levels_along(order, &node_w, &edge_w, levels);
         let cp = levels.cp_length();
         let eps = 1e-9 * cp.abs().max(1.0);
@@ -195,8 +210,15 @@ impl TaskGraph {
             .min()
             .expect("a critical path always starts at a source");
 
-        let mut tasks = vec![cur];
-        let mut edges = Vec::new();
+        let CriticalPath {
+            tasks,
+            edges,
+            length,
+        } = path;
+        tasks.clear();
+        tasks.push(cur);
+        edges.clear();
+        *length = cp;
         loop {
             let reach = levels.top[cur.index()] + node_w(cur);
             let mut next: Option<(EdgeId, TaskId)> = None;
@@ -220,11 +242,6 @@ impl TaskGraph {
                 }
                 None => break,
             }
-        }
-        CriticalPath {
-            tasks,
-            edges,
-            length: cp,
         }
     }
 }
