@@ -404,17 +404,19 @@ pub fn search_effort_diagnostic(counters: &locmps_core::SearchCounters) -> Optio
             "scheduler",
             format!(
                 "{} LoCBS passes ({} memoized, {} probes aborted, {} placements replayed), \
-                 {} transfers reused, over {} commit(s)",
+                 {} successors reused, {} transfers reused, over {} commit(s)",
                 counters.locbs_passes,
                 counters.pass_memo_hits,
                 counters.probes_aborted,
                 counters.placements_replayed,
+                counters.successors_reused,
                 counters.transfers_reused,
                 counters.commits
             ),
         )
         .with("locbs_passes", counters.locbs_passes)
         .with("pass_memo_hits", counters.pass_memo_hits)
+        .with("successors_reused", counters.successors_reused)
         .with("placements_replayed", counters.placements_replayed)
         .with("transfers_reused", counters.transfers_reused)
         .with("probes_aborted", counters.probes_aborted)
@@ -626,6 +628,14 @@ mod tests {
         assert!(d.message.contains(&format!(
             "{} placements replayed",
             out.counters.placements_replayed
+        )));
+        assert_eq!(
+            get("successors_reused"),
+            out.counters.successors_reused.to_string()
+        );
+        assert!(d.message.contains(&format!(
+            "{} successors reused",
+            out.counters.successors_reused
         )));
         assert_eq!(
             get("transfers_reused"),

@@ -12,7 +12,8 @@
 //!   diffing the report.
 //! * **`locmps`** — times the full `LocMps::schedule` search at the same
 //!   three scale points, once with the default configuration (the
-//!   corner-probe bound, bounded-horizon probes, pass memo, prefix replay)
+//!   corner-probe bound, bounded-horizon probes, the memo of passes and
+//!   walk steps, prefix replay)
 //!   and once with [`LocMpsConfig::exhaustive`] — the pre-optimization
 //!   reference that runs every LoCBS pass to completion — and writes both
 //!   wall times, the deterministic [`SearchCounters`] (all but
@@ -232,8 +233,8 @@ fn render_locmps_json(cases: &[LocmpsCase]) -> Result<String, serde_json::NonFin
              \"default_s\": {}, \"exhaustive_s\": {}, \"speedup\": {}, \
              \"makespan\": {}, \"exhaustive_passes\": {}, \
              \"full_pass_reduction\": {}, \"counters\": {{\
-             \"locbs_passes\": {}, \"pass_memo_hits\": {}, \"probes_aborted\": {}, \
-             \"placements_replayed\": {}, \"transfers_reused\": {}, \
+             \"locbs_passes\": {}, \"pass_memo_hits\": {}, \"successors_reused\": {}, \
+             \"probes_aborted\": {}, \"placements_replayed\": {}, \"transfers_reused\": {}, \
              \"branches_pruned\": {}, \"commits\": {}}}}}{}\n",
             c.n_tasks,
             c.p,
@@ -246,6 +247,7 @@ fn render_locmps_json(cases: &[LocmpsCase]) -> Result<String, serde_json::NonFin
             serde_json::fmt_float_fixed(c.full_pass_reduction(), 4)?,
             k.locbs_passes,
             k.pass_memo_hits,
+            k.successors_reused,
             k.probes_aborted,
             k.placements_replayed,
             k.transfers_reused,

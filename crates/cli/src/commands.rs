@@ -316,6 +316,13 @@ fn generate(args: &Args) -> Result<(), String> {
 
 fn stats(args: &Args) -> Result<(), String> {
     let g = load_graph(args)?;
+    // The CCR reads only the bandwidth; one processor stands in for P.
+    // Checked before anything is printed, so a refused option prints no
+    // statistics.
+    let bandwidth: f64 = args.get_or("bandwidth", 125.0)?;
+    let bw = Cluster::try_new(1, bandwidth)
+        .map_err(|e| format!("--{e}"))?
+        .bandwidth;
     let s = GraphStats::compute(&g);
     println!("tasks         : {}", s.n_tasks);
     println!("data edges    : {}", s.n_data_edges);
@@ -324,11 +331,6 @@ fn stats(args: &Args) -> Result<(), String> {
     println!("total work    : {:.2} s (sequential)", s.total_work);
     println!("total volume  : {:.2} MB", s.total_volume);
     println!("avg out-degree: {:.2}", s.avg_out_degree);
-    // The CCR reads only the bandwidth; one processor stands in for P.
-    let bandwidth: f64 = args.get_or("bandwidth", 125.0)?;
-    let bw = Cluster::try_new(1, bandwidth)
-        .map_err(|e| format!("--{e}"))?
-        .bandwidth;
     println!("CCR @{bw} MB/s : {:.3}", s.ccr(bw));
     Ok(())
 }
@@ -371,11 +373,12 @@ fn schedule(args: &Args) -> Result<(), String> {
     if out.counters.any() {
         let c = out.counters;
         println!(
-            "search effort      : {} LoCBS passes, {} memo hits, {} probes aborted, \
-             {} placements replayed, {} transfers reused, {} branches pruned, \
-             {} commits",
+            "search effort      : {} LoCBS passes, {} memo hits, {} successors reused, \
+             {} probes aborted, {} placements replayed, {} transfers reused, \
+             {} branches pruned, {} commits",
             c.locbs_passes,
             c.pass_memo_hits,
+            c.successors_reused,
             c.probes_aborted,
             c.placements_replayed,
             c.transfers_reused,

@@ -74,3 +74,31 @@ fn a_missing_value_is_named() {
     );
     let _ = std::fs::remove_file(path);
 }
+
+/// A refused option value prints nothing on stdout: the command checks
+/// its options before it reports anything.
+#[test]
+fn a_refused_option_value_prints_nothing() {
+    let path = graph_file("refused");
+    let g = path.to_str().unwrap();
+    for (args, want) in [
+        (
+            &["stats", g, "--bandwidth", "0"][..],
+            "error: --bandwidth must be finite and > 0",
+        ),
+        (
+            &["stats", g, "--bandwidth", "fast"],
+            "error: invalid value \"fast\" for --bandwidth",
+        ),
+        (
+            &["schedule", g, "--procs", "16", "--bandwidth", "0"],
+            "error: --bandwidth must be finite and > 0",
+        ),
+    ] {
+        let (ok, stdout, stderr) = cli(args);
+        assert!(!ok, "{args:?} must exit nonzero");
+        assert!(stdout.is_empty(), "{args:?} printed:\n{stdout}");
+        assert!(stderr.starts_with(want), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(path);
+}

@@ -295,3 +295,66 @@ fn an_oversized_cluster_is_refused_on_every_surface() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Fault specs naming a processor or task the run does not have, on a
+/// 12-task graph and 8 processors, with the refusal each must get.
+const OUT_OF_RANGE_FAULTS: [(&str, &str); 2] = [
+    (
+        "fail:99@1",
+        "fault fail:99@1 names processor 99, but the cluster has 8",
+    ),
+    (
+        "crash:999@0.5,slow:50@0-10x3",
+        "fault crash:999@0.5 names task 999, but the graph has 12",
+    ),
+];
+
+/// `locmps run` refuses a fault outside the run instead of running as if
+/// it were absent.
+#[test]
+fn the_cli_refuses_faults_outside_the_run() {
+    let dir = scratch("fault-range-cli");
+    let path = write_graph(&dir, &synthetic(12, 7));
+    for (spec, want) in OUT_OF_RANGE_FAULTS {
+        let out = Command::new(env!("CARGO_BIN_EXE_locmps"))
+            .args(["run", &path, "--procs", "8", "--faults", spec])
+            .output()
+            .expect("run the locmps binary");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert_eq!(out.status.code(), Some(1), "{spec}: {stderr}");
+        assert!(out.stdout.is_empty(), "{spec} ran anyway");
+        assert!(stderr.contains(want), "{spec}: {stderr}");
+    }
+    // In range, the same kinds of fault run.
+    let (ok, stdout) = cli(&[
+        "run",
+        &path,
+        "--procs",
+        "8",
+        "--faults",
+        "fail:7@1,crash:11@0.5",
+        "--recovery",
+        "retryshrink",
+    ]);
+    assert!(ok, "{stdout}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The daemon refuses a run job with a fault outside the run at
+/// admission, with the CLI's message.
+#[test]
+fn the_daemon_refuses_faults_outside_the_run() {
+    let g = synthetic(12, 7);
+    let server = daemon();
+    for (spec, want) in OUT_OF_RANGE_FAULTS {
+        let body = format!(
+            "{{\"procs\":8,\"bandwidth\":125.0,\"wait\":true,\
+             \"run\":{{\"faults\":\"{spec}\"}},\"graph\":{}}}",
+            g.to_json()
+        );
+        let (status, reply) = exchange(server.addr(), "POST", "/v1/jobs", &body);
+        assert_eq!(status, 400, "{spec}: {reply}");
+        assert!(reply.contains(want), "{spec}: {reply}");
+    }
+    server.shutdown();
+}

@@ -30,6 +30,9 @@
 //!   last pass of each look-ahead walk runs bounded by the branch best;
 //! * a look-ahead pass whose allocation was already placed is answered
 //!   from an allocation-keyed memo;
+//! * a look-ahead step at an allocation that an earlier walk already
+//!   refined takes the successor that walk recorded in the memo instead
+//!   of calling `refine` again;
 //! * every pass resumes from the placement log of the pass before it
 //!   ([`Locbs::run_into_resumed`]), copying the placements up to the
 //!   first position where the picked task or its width differs instead
@@ -41,10 +44,12 @@
 //! those it was priced with.
 //!
 //! The bookkeeping around the passes copies into buffers the search keeps
-//! instead of allocating: a look-ahead walk refills one schedule and one
-//! branch best in place, and holds the branch best's schedule-DAG as its
-//! pseudo-edge list; `G'` is rebuilt from that list only when the branch
-//! commits.
+//! instead of allocating: a look-ahead walk reads each pass's schedule
+//! where the memo keeps it, refills one branch best in place, and holds
+//! the branch best's schedule-DAG as its pseudo-edge list; `G'` is rebuilt
+//! from that list only when the branch commits, and from a memo entry's
+//! list only when a walk must refine an allocation it reached through a
+//! memo hit.
 //!
 //! Deterministic [`SearchCounters`] in the output report the work done and
 //! the work skipped; the search is sequential, so they are pure functions
@@ -103,12 +108,13 @@ pub struct LocMpsConfig {
     /// beat the incumbent are skipped, the rest and the last pass of each
     /// look-ahead walk run under a bounded horizon
     /// ([`Locbs::run_into_bounded`]) so they abort at the first placement
-    /// past the value they must beat, look-ahead passes are answered from
-    /// an allocation-keyed pass memo, and every LoCBS pass resumes from the
-    /// previous pass's placement log. Lossless — the schedule, allocation
-    /// and schedule-DAG are bit-identical either way — so this defaults to
-    /// on; `false` exists as the reference for the equivalence property
-    /// tests and for measuring the win itself.
+    /// past the value they must beat, look-ahead passes and look-ahead
+    /// refinement steps are answered from an allocation-keyed memo, and
+    /// every LoCBS pass resumes from the previous pass's placement log.
+    /// Lossless — the schedule, allocation and schedule-DAG are
+    /// bit-identical either way — so this defaults to on; `false` exists
+    /// as the reference for the equivalence property tests and for
+    /// measuring the win itself.
     pub prune: bool,
 }
 
@@ -156,10 +162,11 @@ impl LocMpsConfig {
     }
 
     /// The exhaustive reference: no corner bound, no bounded probes, no
-    /// pass memo, no prefix replay. Produces bit-identical
-    /// schedules to [`Default`] while doing every LoCBS pass in full and
-    /// placing every task of it — the baseline the equivalence property
-    /// tests and the `BENCH_locmps` report compare against.
+    /// memo of passes or walk steps, no prefix replay. Produces
+    /// bit-identical schedules to [`Default`] while doing every LoCBS pass
+    /// in full, placing every task of it and refining at every walk step —
+    /// the baseline the equivalence property tests and the `BENCH_locmps`
+    /// report compare against.
     pub fn exhaustive() -> Self {
         Self {
             prune: false,
@@ -168,23 +175,31 @@ impl LocMpsConfig {
     }
 }
 
-/// What a look-ahead search started from.
+/// A refinement move: the task it widens, or the edge whose endpoints it
+/// widens. A round marks the move its failed look-ahead started from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Entry {
     Task(TaskId),
     Edge(EdgeId),
 }
 
-/// One memoized LoCBS pass: everything a look-ahead step consumes.
+/// One memoized LoCBS pass: everything a look-ahead step consumes. Walks
+/// read the schedule and the pseudo-edges here in place; a hit copies
+/// neither.
 struct MemoEntry {
     schedule: Schedule,
-    /// The pseudo-edges the pass added, in insertion order, so a hit can
-    /// replay the exact schedule-DAG the pass would have left behind.
+    /// The pseudo-edges the pass added, in insertion order, so a walk can
+    /// rebuild the exact schedule-DAG the pass left behind.
     pseudo: Vec<(TaskId, TaskId)>,
     makespan: f64,
+    /// `None` until a walk refines this allocation, then what
+    /// `refine(.., None)` returned: the move it made, or `None` when
+    /// nothing was left to refine.
+    next: Option<Option<Entry>>,
 }
 
-/// Allocation-keyed memo of completed look-ahead passes.
+/// Allocation-keyed memo of completed look-ahead passes and of the walk
+/// steps taken from them.
 ///
 /// [`Locbs::run_into`] strips all pseudo-edges on entry, so a pass is a
 /// pure function of the data graph and the allocation — two branches that
@@ -194,6 +209,12 @@ struct MemoEntry {
 /// merge onto shared allocation trajectories after a step or two, so most
 /// of their passes are replays.
 ///
+/// A walk's `refine(.., None)` reads only the allocation, that pass's
+/// schedule and `G'`, and exact transfer prices, so its move is a pure
+/// function of the allocation as well: an entry records it the first time
+/// a walk refines the allocation, and every later walk through the entry
+/// follows it instead of refining again.
+///
 /// Because hits are exact, entries never expire: commits move the
 /// incumbent but the winning branch's tail states — and the restarts from
 /// other corners — revisit earlier allocations constantly, so the memo is
@@ -202,7 +223,20 @@ struct MemoEntry {
 /// itself keeps small.
 #[derive(Default)]
 struct PassMemo {
-    map: HashMap<Vec<usize>, MemoEntry>,
+    /// The index in `entries` of each placed allocation.
+    index: HashMap<Vec<usize>, usize>,
+    entries: Vec<MemoEntry>,
+}
+
+/// Where a look-ahead walk's latest pass is kept.
+#[derive(Clone, Copy)]
+enum Kept {
+    /// In `SearchState::schedule`, with its `G'` in `SearchState::dag`:
+    /// the walk without a memo.
+    Own,
+    /// In the memo entry at index `at`. `SearchState::dag` holds its `G'`
+    /// only when `placed`: the pass ran instead of being a memo hit.
+    Memo { at: usize, placed: bool },
 }
 
 /// The immutable per-run context threaded through the search: the problem,
@@ -224,8 +258,8 @@ struct SearchCtx<'a> {
 ///
 /// After warm-up a look-ahead step allocates only what a memo insert
 /// keeps: the pass's schedule (moved in), the allocation key and the
-/// pseudo-edge list. A memo hit copies into `schedule`, a new branch best
-/// into `branch`, both through allocation-reusing `clone_from`.
+/// pseudo-edge list. A memo hit copies nothing; a new branch best is
+/// copied into `branch` through allocation-reusing `clone_from`.
 #[derive(Default)]
 struct SearchState {
     counters: SearchCounters,
@@ -235,23 +269,33 @@ struct SearchState {
     /// `Some` exactly when [`LocMpsConfig::prune`] is on.
     log: Option<PlacementLog>,
     weights: Weights,
-    /// `G'` of the latest pass (or memo hit).
+    /// `G'` of the latest pass, or of the memo entry last replayed into it.
     dag: TaskGraph,
     scratch: LocbsScratch,
-    /// The schedule of the walk's latest pass (or memo hit).
+    /// The schedule of the walk's latest pass when there is no memo to
+    /// keep it.
     schedule: Schedule,
     branch: BranchBest,
 }
 
 impl SearchState {
-    /// Makes the walk's latest pass, at `alloc` with `makespan`, its branch
-    /// best.
-    fn keep_branch_best(&mut self, alloc: &Allocation, makespan: f64) {
+    /// Makes the walk's latest pass, at `alloc` with `makespan` and kept
+    /// where `kept` says, its branch best.
+    fn keep_branch_best(&mut self, alloc: &Allocation, makespan: f64, kept: Kept) {
         let b = &mut self.branch;
         b.alloc.clone_from(alloc);
-        b.schedule.clone_from(&self.schedule);
-        b.pseudo.clear();
-        b.pseudo.extend(pseudo_edges(&self.dag));
+        match (kept, &self.memo) {
+            (Kept::Memo { at, .. }, Some(memo)) => {
+                let entry = &memo.entries[at];
+                b.schedule.clone_from(&entry.schedule);
+                b.pseudo.clone_from(&entry.pseudo);
+            }
+            _ => {
+                b.schedule.clone_from(&self.schedule);
+                b.pseudo.clear();
+                b.pseudo.extend(pseudo_edges(&self.dag));
+            }
+        }
         b.makespan = makespan;
     }
 }
@@ -432,24 +476,28 @@ impl LocMps {
             })
     }
 
-    /// Widens the endpoints of edge `e` per Algorithm 1 steps 21–27: the
-    /// narrower endpoint grows; both grow when tied.
-    fn widen_edge(dag: &TaskGraph, alloc: &mut Allocation, e: EdgeId, p_total: usize) {
-        let edge = dag.edge(e);
+    /// Applies the refinement move `step` to `alloc`: a task grows by one
+    /// processor; an edge of `dag` widens per Algorithm 1 steps 21–27, the
+    /// narrower endpoint growing, both when tied.
+    fn widen(dag: &TaskGraph, alloc: &mut Allocation, step: Entry, p_total: usize) {
+        let e = match step {
+            Entry::Task(t) => return alloc.widen(t, p_total),
+            Entry::Edge(e) => dag.edge(e),
+        };
         use std::cmp::Ordering;
-        match alloc.np(edge.src).cmp(&alloc.np(edge.dst)) {
-            Ordering::Greater => alloc.widen(edge.dst, p_total),
-            Ordering::Less => alloc.widen(edge.src, p_total),
+        match alloc.np(e.src).cmp(&alloc.np(e.dst)) {
+            Ordering::Greater => alloc.widen(e.dst, p_total),
+            Ordering::Less => alloc.widen(e.src, p_total),
             Ordering::Equal => {
-                alloc.widen(edge.dst, p_total);
-                alloc.widen(edge.src, p_total);
+                alloc.widen(e.dst, p_total);
+                alloc.widen(e.src, p_total);
             }
         }
     }
 
-    /// One refinement step on `alloc` guided by the CP of `dag`. Returns
-    /// the entry describing what was widened, or `None` when nothing on the
-    /// critical path can be refined.
+    /// One refinement step on `alloc` guided by the CP of `dag`: the move
+    /// to make, for [`LocMps::widen`] to apply, or `None` when nothing on
+    /// the critical path can be refined.
     ///
     /// Edge weights are "the communication cost to redistribute data
     /// between the processor groups associated with each task/endpoint"
@@ -470,7 +518,7 @@ impl LocMps {
         w: &mut Weights,
         dag: &TaskGraph,
         schedule: &Schedule,
-        alloc: &mut Allocation,
+        alloc: &Allocation,
         marked: Option<&HashSet<Entry>>,
     ) -> Option<Entry> {
         let (g, model, p_total) = (ctx.g, ctx.model, ctx.p_total);
@@ -505,13 +553,10 @@ impl LocMps {
         let task = self.best_candidate_task(ctx, cp, alloc, marked, &mut w.cands);
         if tcomp <= tcomm || task.is_none() {
             if let Some(e) = self.best_candidate_edge(dag, cp, alloc, edge_w, p_total, marked) {
-                Self::widen_edge(dag, alloc, e, p_total);
                 return Some(Entry::Edge(e));
             }
         }
-        let t = task?;
-        alloc.widen(t, p_total);
-        Some(Entry::Task(t))
+        task.map(Entry::Task)
     }
 }
 
@@ -695,7 +740,8 @@ impl LocMps {
     /// placements it shares with the previous pass from its log).
     ///
     /// With pruning on, repeated allocations (branch walks merge quickly
-    /// once they leave their entry point) are answered from the pass memo,
+    /// once they leave their entry point) are answered from the memo, both
+    /// their pass and, through [`LocMps::walk_step`], their refinement;
     /// and the final pass of a walk runs under a bounded horizon because
     /// nothing downstream consumes an over-horizon result.
     fn lookahead_branch(
@@ -704,18 +750,15 @@ impl LocMps {
         st: &mut SearchState,
         alloc: &mut Allocation,
     ) -> Result<f64, SchedError> {
-        let makespan = match Self::branch_pass(ctx, st, alloc, None)? {
-            Some(makespan) => makespan,
+        let (makespan, mut kept) = match Self::branch_pass(ctx, st, alloc, None)? {
+            Some(pass) => pass,
             None => unreachable!("an unbounded pass never aborts"),
         };
-        st.keep_branch_best(alloc, makespan);
+        st.keep_branch_best(alloc, makespan, kept);
 
         let depth = self.config.lookahead_depth.max(1);
         for step in 1..depth {
-            if self
-                .refine(ctx, &mut st.weights, &st.dag, &st.schedule, alloc, None)
-                .is_none()
-            {
+            if !self.walk_step(ctx, st, alloc, kept)? {
                 break;
             }
             // The final pass feeds no further refinement: its only
@@ -723,51 +766,111 @@ impl LocMps {
             // a bounded horizon and abort once that update is settled.
             let best = st.branch.makespan;
             let horizon = (self.config.prune && step + 1 == depth).then(|| best - time_eps(best));
-            let Some(makespan) = Self::branch_pass(ctx, st, alloc, horizon)? else {
+            let Some((makespan, next)) = Self::branch_pass(ctx, st, alloc, horizon)? else {
                 break;
             };
+            kept = next;
             if makespan < best - time_eps(best) {
-                st.keep_branch_best(alloc, makespan);
+                st.keep_branch_best(alloc, makespan, kept);
             }
         }
         Ok(st.branch.makespan)
     }
 
-    /// One look-ahead [`LocMps::pass`] into `st.schedule` and `st.dag`,
-    /// replayed from the pass memo when this allocation was already
-    /// placed. Returns the makespan, or `None` on a horizon abort.
+    /// Moves the walk from `alloc`, whose pass is kept where `kept` says,
+    /// to its successor: `refine(.., None)`'s move, applied in place.
+    /// Returns `false` when nothing is left to refine.
+    ///
+    /// With the memo on, the move is the one the memo entry recorded when
+    /// a walk first refined this allocation, and `refine` runs only for an
+    /// entry that has none yet (its answer is then recorded). A pass that
+    /// was a memo hit left `st.dag` as it was, so `refine` first rebuilds
+    /// the entry's `G'` there. The move's edge id is read from `st.dag`
+    /// whether or not it was rebuilt: every `G'` of one search numbers the
+    /// data edges alike (pseudo-edges come after them, see
+    /// [`TaskGraph::clear_pseudo_edges`]), and refinement moves only name
+    /// data edges.
+    fn walk_step(
+        &self,
+        ctx: &SearchCtx<'_>,
+        st: &mut SearchState,
+        alloc: &mut Allocation,
+        kept: Kept,
+    ) -> Result<bool, SchedError> {
+        let step = match (kept, &mut st.memo) {
+            (Kept::Memo { at, placed }, Some(memo)) => {
+                let entry = &mut memo.entries[at];
+                match entry.next {
+                    Some(step) => {
+                        st.counters.successors_reused += 1;
+                        step
+                    }
+                    None => {
+                        if !placed {
+                            replay_pseudo_edges(&mut st.dag, &entry.pseudo)?;
+                        }
+                        let step = self.refine(
+                            ctx,
+                            &mut st.weights,
+                            &st.dag,
+                            &entry.schedule,
+                            alloc,
+                            None,
+                        );
+                        entry.next = Some(step);
+                        step
+                    }
+                }
+            }
+            _ => self.refine(ctx, &mut st.weights, &st.dag, &st.schedule, alloc, None),
+        };
+        let Some(step) = step else {
+            return Ok(false);
+        };
+        Self::widen(&st.dag, alloc, step, ctx.p_total);
+        Ok(true)
+    }
+
+    /// One look-ahead [`LocMps::pass`], answered from the memo when this
+    /// allocation was already placed; a hit touches neither `st.dag` nor
+    /// `st.schedule`. Returns the makespan and where the pass is kept, or
+    /// `None` on a horizon abort.
     fn branch_pass(
         ctx: &SearchCtx<'_>,
         st: &mut SearchState,
         alloc: &Allocation,
         horizon: Option<f64>,
-    ) -> Result<Option<f64>, SchedError> {
-        if let Some(hit) = st.memo.as_ref().and_then(|m| m.map.get(alloc.as_slice())) {
-            replay_pseudo_edges(&mut st.dag, &hit.pseudo)?;
-            st.schedule.clone_from(&hit.schedule);
-            st.counters.pass_memo_hits += 1;
-            return Ok(Some(hit.makespan));
+    ) -> Result<Option<(f64, Kept)>, SchedError> {
+        if let Some(memo) = &st.memo {
+            if let Some(&at) = memo.index.get(alloc.as_slice()) {
+                st.counters.pass_memo_hits += 1;
+                let kept = Kept::Memo { at, placed: false };
+                return Ok(Some((memo.entries[at].makespan, kept)));
+            }
         }
         let Some((schedule, makespan)) = Self::pass(ctx, st, alloc, horizon)? else {
             return Ok(None);
         };
-        match &mut st.memo {
+        let kept = match &mut st.memo {
             Some(memo) => {
-                st.schedule.clone_from(&schedule);
                 let mut pseudo = Vec::with_capacity(pseudo_edges(&st.dag).count());
                 pseudo.extend(pseudo_edges(&st.dag));
-                memo.map.insert(
-                    alloc.as_slice().to_vec(),
-                    MemoEntry {
-                        schedule,
-                        pseudo,
-                        makespan,
-                    },
-                );
+                let at = memo.entries.len();
+                memo.entries.push(MemoEntry {
+                    schedule,
+                    pseudo,
+                    makespan,
+                    next: None,
+                });
+                memo.index.insert(alloc.as_slice().to_vec(), at);
+                Kept::Memo { at, placed: true }
             }
-            None => st.schedule = schedule,
-        }
-        Ok(Some(makespan))
+            None => {
+                st.schedule = schedule;
+                Kept::Own
+            }
+        };
+        Ok(Some((makespan, kept)))
     }
 
     /// The outer commit/mark loop of Algorithm 1, refining `best_alloc` /
@@ -794,11 +897,12 @@ impl LocMps {
                 &mut st.weights,
                 &best.schedule_dag,
                 &best.schedule,
-                &mut alloc,
+                &alloc,
                 Some(&marked),
             ) else {
                 return Ok(()); // nothing on the CP can be refined at all
             };
+            Self::widen(&best.schedule_dag, &mut alloc, entry, ctx.p_total);
             let makespan = self.lookahead_branch(ctx, st, &mut alloc)?;
             if makespan < best.makespan - time_eps(best.makespan) {
                 // Step 39: improvement found; commit and reset the marks.

@@ -84,6 +84,11 @@ pub struct SearchCounters {
     /// instead of a fresh placement (LoCBS output is a pure function of
     /// the graph and the allocation, so replays are exact).
     pub pass_memo_hits: u64,
+    /// Look-ahead walk steps that took their successor allocation from the
+    /// memo, where an earlier walk's refinement of the same allocation
+    /// recorded it, instead of refining again (the refinement is a pure
+    /// function of the allocation, so the successor is the same).
+    pub successors_reused: u64,
     /// Placements a pass copied from the previous pass's placement log
     /// instead of placing them (the shared prefix of the two passes; see
     /// [`Locbs::run_into_resumed`](crate::Locbs::run_into_resumed)).

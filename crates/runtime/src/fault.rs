@@ -83,6 +83,20 @@ pub enum FaultError {
         /// What was expected.
         reason: &'static str,
     },
+    /// A fault names a processor or a task the run does not have (see
+    /// [`FaultPlan::check_targets`]).
+    OutOfRange {
+        /// The offending fault, in the spec grammar.
+        item: String,
+        /// `"processor"` or `"task"`.
+        target: &'static str,
+        /// The id the fault names.
+        id: u32,
+        /// What the ids number: `"cluster"` or `"graph"`.
+        holder: &'static str,
+        /// How many ids the run has.
+        count: usize,
+    },
 }
 
 impl std::fmt::Display for FaultError {
@@ -92,6 +106,41 @@ impl std::fmt::Display for FaultError {
             FaultError::Parse { item, reason } => {
                 write!(f, "cannot parse fault `{item}`: {reason}")
             }
+            FaultError::OutOfRange {
+                item,
+                target,
+                id,
+                holder,
+                count,
+            } => write!(
+                f,
+                "fault {item} names {target} {id}, but the {holder} has {count}"
+            ),
+        }
+    }
+}
+
+/// A fault in the spec grammar of [`FaultPlan::parse`].
+impl std::fmt::Display for Fault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Fault::ProcFail { proc, at } => write!(f, "fail:{proc}@{at}"),
+            Fault::Slowdown {
+                proc,
+                from,
+                until,
+                factor,
+            } => write!(f, "slow:{proc}@{from}-{until}x{factor}"),
+            Fault::Crash {
+                task,
+                at_frac,
+                attempts: 1,
+            } => write!(f, "crash:{}@{at_frac}", task.0),
+            Fault::Crash {
+                task,
+                at_frac,
+                attempts,
+            } => write!(f, "crash:{}@{at_frac}x{attempts}", task.0),
         }
     }
 }
@@ -415,31 +464,36 @@ impl FaultPlan {
     /// normalizes the one admissible value with a troublesome rendering,
     /// `-0.0`, whose `-0` text would break the `T0-T1` window split.
     pub fn to_spec(&self) -> String {
-        let items: Vec<String> = self
-            .faults
-            .iter()
-            .map(|f| match f {
-                Fault::ProcFail { proc, at } => format!("fail:{proc}@{at}"),
-                Fault::Slowdown {
-                    proc,
-                    from,
-                    until,
-                    factor,
-                } => format!("slow:{proc}@{from}-{until}x{factor}"),
-                Fault::Crash {
-                    task,
-                    at_frac,
-                    attempts,
-                } => {
-                    if *attempts == 1 {
-                        format!("crash:{}@{}", task.0, at_frac)
-                    } else {
-                        format!("crash:{}@{}x{}", task.0, at_frac, attempts)
-                    }
-                }
-            })
-            .collect();
+        let items: Vec<String> = self.faults.iter().map(Fault::to_string).collect();
         items.join(",")
+    }
+
+    /// Checks that every fault names a processor of a cluster of `n_procs`
+    /// and a task of a graph of `n_tasks`. A plan is parsed without
+    /// knowing the run it will meet, and the engine ignores a fault it
+    /// cannot match, so a run calls this before it executes.
+    ///
+    /// # Errors
+    /// [`FaultError::OutOfRange`] naming the first fault that does not.
+    pub fn check_targets(&self, n_procs: usize, n_tasks: usize) -> Result<(), FaultError> {
+        for fault in &self.faults {
+            let (target, id, holder, count) = match *fault {
+                Fault::ProcFail { proc, .. } | Fault::Slowdown { proc, .. } => {
+                    ("processor", proc, "cluster", n_procs)
+                }
+                Fault::Crash { task, .. } => ("task", task.0, "graph", n_tasks),
+            };
+            if id as usize >= count {
+                return Err(FaultError::OutOfRange {
+                    item: fault.to_string(),
+                    target,
+                    id,
+                    holder,
+                    count,
+                });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1009,6 +1063,31 @@ mod tests {
         assert!(FaultPlan::parse("crash:1@1.5").is_err());
         assert!(FaultPlan::parse("crash:1@0.5x0").is_err());
         assert!(FaultPlan::parse("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn check_targets_names_the_first_fault_outside_the_run() {
+        let plan = FaultPlan::parse("fail:7@1,slow:0@0-10x3,crash:11@0.5x2").unwrap();
+        assert_eq!(plan.check_targets(8, 12), Ok(()));
+        let refused = |spec: &str| {
+            FaultPlan::parse(spec)
+                .unwrap()
+                .check_targets(8, 12)
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(
+            refused("fail:99@1"),
+            "fault fail:99@1 names processor 99, but the cluster has 8"
+        );
+        assert_eq!(
+            refused("fail:1@1,slow:8@0-10x3"),
+            "fault slow:8@0-10x3 names processor 8, but the cluster has 8"
+        );
+        assert_eq!(
+            refused("crash:999@0.5,slow:50@0-10x3"),
+            "fault crash:999@0.5 names task 999, but the graph has 12"
+        );
     }
 
     #[test]

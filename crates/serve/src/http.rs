@@ -120,7 +120,7 @@ pub fn read_request<R: Read>(stream: R) -> Result<Request, ParseError> {
     }
     let path = target.split('?').next().unwrap_or(target).to_string();
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     loop {
         line.clear();
         read_line(&mut reader, &mut line, &mut header_bytes)?;
@@ -135,15 +135,27 @@ pub fn read_request<R: Read>(stream: R) -> Result<Request, ParseError> {
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim();
         if name == "content-length" {
-            content_length = value
-                .parse::<usize>()
-                .map_err(|_| ParseError::Malformed(format!("bad content-length {value:?}")))?;
+            // RFC 9112 §6.3: a value that is not all digits, or a second
+            // value that differs from the first, leaves the body's length
+            // unknown, so the framing is invalid.
+            let bad = || ParseError::Malformed(format!("bad content-length {value:?}"));
+            if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(bad());
+            }
+            let n = value.parse::<usize>().map_err(|_| bad())?;
+            if content_length.is_some_and(|first| first != n) {
+                return Err(ParseError::Malformed(
+                    "conflicting content-length headers".into(),
+                ));
+            }
+            content_length = Some(n);
         } else if name == "transfer-encoding" {
             return Err(ParseError::Malformed(
                 "chunked transfer encoding is not supported".into(),
             ));
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(ParseError::BodyTooLarge);
     }
@@ -308,6 +320,31 @@ mod tests {
             read_request(headers.as_bytes()),
             Err(ParseError::HeadersTooLarge)
         ));
+    }
+
+    #[test]
+    fn rejects_a_content_length_that_is_not_all_digits() {
+        for value in ["+4", "-4", "4 4", "0x4", "4,4", "", "four"] {
+            let raw = format!("POST /v1/jobs HTTP/1.1\r\nContent-Length: {value}\r\n\r\nabcd");
+            assert!(
+                matches!(read_request(raw.as_bytes()), Err(ParseError::Malformed(_))),
+                "{value:?} framed a body"
+            );
+        }
+        let raw = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 0004\r\n\r\nabcd";
+        assert_eq!(read_request(&raw[..]).unwrap().body, b"abcd");
+    }
+
+    #[test]
+    fn rejects_repeated_content_lengths_that_differ() {
+        let raw = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd";
+        assert!(matches!(
+            read_request(&raw[..]),
+            Err(ParseError::Malformed(_))
+        ));
+        // Repeating the same value frames the body the same way.
+        let raw = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nabcd";
+        assert_eq!(read_request(&raw[..]).unwrap().body, b"abcd");
     }
 
     #[test]

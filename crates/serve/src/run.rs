@@ -98,7 +98,9 @@ pub fn resolve_run(
 /// sharing one store do not serialize.
 ///
 /// # Errors
-/// Those of [`resolve_run`], or a trace the store refuses to ingest.
+/// Those of [`resolve_run`], a fault naming a processor or task outside
+/// the run ([`FaultPlan::check_targets`]), or a trace the store refuses to
+/// ingest.
 pub fn run_and_audit(
     g: &TaskGraph,
     cluster: &Cluster,
@@ -108,6 +110,9 @@ pub fn run_and_audit(
     faults: &FaultPlan,
     store: Option<&Mutex<PerfModelStore>>,
 ) -> Result<RunOutcome, String> {
+    faults
+        .check_targets(cluster.n_procs, g.n_tasks())
+        .map_err(|e| format!("faults: {e}"))?;
     let snapshot = store.map_or_else(PerfModelStore::new, |s| {
         s.lock().unwrap_or_else(PoisonError::into_inner).clone()
     });

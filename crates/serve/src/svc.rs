@@ -599,6 +599,7 @@ impl Service {
             };
             resolve_run(&cfg, dispatch, &run.recovery, store).map_err(SubmitError::Invalid)?;
             FaultPlan::parse(&run.faults)
+                .and_then(|plan| plan.check_targets(spec.procs, spec.graph.n_tasks()))
                 .map_err(|e| SubmitError::Invalid(format!("faults: {e}")))?;
         }
 

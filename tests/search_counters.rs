@@ -1,10 +1,11 @@
 //! Search-efficiency pinning: the deterministic [`SearchCounters`] of a
 //! fixed LoC-MPS case are pure functions of the input, so CI can assert
 //! exact values — a regression in the corner-probe bound, the pass memo,
-//! the prefix replay, the bounded-horizon probes or the reuse of refine's
-//! transfer prices shows up as a counter drift long before it is
-//! measurable as flaky wall-clock. (The reuse changes no output bit, so
-//! `transfers_reused` is the only check that it still happens.)
+//! the walk memo's successors, the prefix replay, the bounded-horizon
+//! probes or the reuse of refine's transfer prices shows up as a counter
+//! drift long before it is measurable as flaky wall-clock. (Neither reuse
+//! changes an output bit, so `successors_reused` and `transfers_reused`
+//! are the only checks that they still happen.)
 //! `lookahead_cutoffs` is pinned at 0 because nothing cuts a look-ahead
 //! walk short any more.
 //!
@@ -127,8 +128,9 @@ fn pinned_200x32_search_effort() {
     let expected = SearchCounters {
         locbs_passes: c.locbs_passes, // budgeted above, not pinned
         pass_memo_hits: 3_976,
+        successors_reused: 3_976,
         placements_replayed: 2_581_513,
-        transfers_reused: 16_817_318,
+        transfers_reused: 15_083_562,
         probes_aborted: 2_007,
         branches_pruned: 2,
         lookahead_cutoffs: 0,

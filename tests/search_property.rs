@@ -1,16 +1,18 @@
 //! Pruning-exactness properties: the accelerations of the LoC-MPS
 //! refinement search (the corner-probe bound, bounded-horizon probes, the
-//! allocation-keyed pass memo, the prefix replay) must be **lossless** —
+//! allocation-keyed memo of passes and walk steps, the prefix replay) must
+//! be **lossless** —
 //! the search with them on selects the same commits and produces the
 //! byte-identical schedule, allocation and schedule-DAG as the exhaustive
 //! reference that runs every LoCBS pass to completion — and the bounds
 //! must be admissible (never above a true LoCBS makespan).
 
 use locmps::core::bounds::{allocation_lower_bound, WideningBounds};
-use locmps::core::{Allocation, CommModel, Locbs, LocbsOptions};
+use locmps::core::{Allocation, CommModel, Locbs, LocbsOptions, SchedulerOutput};
 use locmps::prelude::*;
 use locmps::speedup::DowneyParams;
 use locmps::taskgraph::TaskId;
+use locmps::workloads::synthetic::{synthetic_graph, SyntheticConfig};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = TaskGraph> {
@@ -47,6 +49,59 @@ fn serialized(s: &Schedule) -> String {
     serde_json::to_string(s).expect("schedules serialize")
 }
 
+/// A schedule-DAG as JSON: the data graph, then every edge in id order
+/// with its kind, so pseudo-edges and their order are part of the bytes.
+fn serialized_dag(out: &SchedulerOutput) -> String {
+    let dag = out.schedule_dag.as_ref().expect("LoC-MPS builds G'");
+    let edges: Vec<_> = dag.edges().map(|(_, e)| e).collect();
+    dag.to_json() + &serde_json::to_string(&edges).expect("edges serialize")
+}
+
+/// The pruned search and the exhaustive reference on one input: the same
+/// schedule, allocation, schedule-DAG and commits.
+fn assert_matches_reference(pruned: &SchedulerOutput, reference: &SchedulerOutput) {
+    assert_eq!(
+        serialized(&pruned.schedule),
+        serialized(&reference.schedule)
+    );
+    assert_eq!(
+        pruned.allocation.as_slice(),
+        reference.allocation.as_slice()
+    );
+    assert_eq!(serialized_dag(pruned), serialized_dag(reference));
+    assert_eq!(pruned.schedule_dag, reference.schedule_dag);
+    assert_eq!(pruned.counters.commits, reference.counters.commits);
+}
+
+/// The golden zoo's 18-task synthetic graph (seed 77) at P = 7, in both
+/// overlap regimes: walks reuse memoized successors there, and the
+/// schedule-DAG still equals the exhaustive reference's, which reuses none.
+#[test]
+fn memoized_walk_steps_keep_the_reference_schedule_dag() {
+    let g = synthetic_graph(&SyntheticConfig {
+        n_tasks: 18,
+        ccr: 0.5,
+        seed: 77,
+        ..Default::default()
+    });
+    for cluster in [
+        Cluster::new(7, 50.0),
+        Cluster::new(7, 50.0).without_overlap(),
+    ] {
+        let pruned = LocMps::default().schedule(&g, &cluster).unwrap();
+        let reference = LocMps::new(LocMpsConfig::exhaustive())
+            .schedule(&g, &cluster)
+            .unwrap();
+        assert!(
+            pruned.counters.successors_reused > 0,
+            "no walk step took a memoized successor: {:?}",
+            pruned.counters
+        );
+        assert_eq!(reference.counters.successors_reused, 0);
+        assert_matches_reference(&pruned, &reference);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -54,7 +109,8 @@ proptest! {
     /// indistinguishable in everything but effort. Identical commit counts
     /// mean the two walked the same commit/mark trajectory (the same entry
     /// was selected in every improving round); identical serialized
-    /// schedules and allocations mean not one placement bit drifted.
+    /// schedules, allocations and schedule-DAGs (pseudo-edge order
+    /// included) mean not one placement bit drifted.
     #[test]
     fn pruned_search_matches_exhaustive_reference(
         g in arb_graph(),
@@ -76,9 +132,11 @@ proptest! {
             pruned.allocation.as_slice(),
             reference.allocation.as_slice()
         );
+        prop_assert_eq!(serialized_dag(&pruned), serialized_dag(&reference));
         prop_assert_eq!(pruned.counters.commits, reference.counters.commits);
         // The reference by construction does none of the accelerated work.
         prop_assert_eq!(reference.counters.pass_memo_hits, 0);
+        prop_assert_eq!(reference.counters.successors_reused, 0);
         prop_assert_eq!(reference.counters.probes_aborted, 0);
         prop_assert_eq!(reference.counters.branches_pruned, 0);
         prop_assert_eq!(reference.counters.lookahead_cutoffs, 0);
