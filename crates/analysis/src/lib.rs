@@ -116,9 +116,9 @@ pub mod codes {
     /// `LM202` (Info): idle-gap accounting per processor.
     pub const IDLE_GAPS: &str = "LM202";
     /// `LM210` (Info): search-effort counters of the scheduler run that
-    /// produced the schedule (LoCBS passes, memo hits, aborted probes,
-    /// replayed placements, reused transfer prices, pruned corner probes,
-    /// commits).
+    /// produced the schedule, as `SearchCounters::reported` lists them
+    /// (LoCBS passes, memo hits, reused walk successors, replayed
+    /// placements, reused transfer prices, pruned corner probes, commits).
     pub const SEARCH_EFFORT: &str = "LM210";
     /// `LM300` (Info): fault/recovery summary of an execution trace.
     pub const FAULT_SUMMARY: &str = "LM300";

@@ -397,31 +397,17 @@ pub fn search_effort_diagnostic(counters: &locmps_core::SearchCounters) -> Optio
     if !counters.any() {
         return None;
     }
+    let diagnostic = Diagnostic::new(
+        codes::SEARCH_EFFORT,
+        Severity::Info,
+        "scheduler",
+        counters.to_string(),
+    );
     Some(
-        Diagnostic::new(
-            codes::SEARCH_EFFORT,
-            Severity::Info,
-            "scheduler",
-            format!(
-                "{} LoCBS passes ({} memoized, {} probes aborted, {} placements replayed), \
-                 {} successors reused, {} transfers reused, over {} commit(s)",
-                counters.locbs_passes,
-                counters.pass_memo_hits,
-                counters.probes_aborted,
-                counters.placements_replayed,
-                counters.successors_reused,
-                counters.transfers_reused,
-                counters.commits
-            ),
-        )
-        .with("locbs_passes", counters.locbs_passes)
-        .with("pass_memo_hits", counters.pass_memo_hits)
-        .with("successors_reused", counters.successors_reused)
-        .with("placements_replayed", counters.placements_replayed)
-        .with("transfers_reused", counters.transfers_reused)
-        .with("probes_aborted", counters.probes_aborted)
-        .with("branches_pruned", counters.branches_pruned)
-        .with("commits", counters.commits),
+        counters
+            .reported()
+            .iter()
+            .fold(diagnostic, |d, c| d.with(c.key, c.value)),
     )
 }
 

@@ -1,6 +1,6 @@
 //! Ablation study over LoC-MPS's design choices (the knobs DESIGN.md calls
-//! out): look-ahead depth (§III.E), candidate-inspection width (§III.C),
-//! backfilling (§III.F / Fig 6) and wide-corner restarts.
+//! out): look-ahead depth (§III.E), backfilling (§III.F / Fig 6),
+//! wide-corner restarts and communication awareness (iCASLB).
 //!
 //! For each variant: mean executed makespan relative to the default
 //! configuration (values > 1 mean the variant is worse) and mean
@@ -41,20 +41,6 @@ fn variants() -> Vec<(&'static str, LocMpsConfig)> {
             "lookahead=50",
             LocMpsConfig {
                 lookahead_depth: 50,
-                ..d
-            },
-        ),
-        (
-            "inspect=2",
-            LocMpsConfig {
-                inspect_at_least: 2,
-                ..d
-            },
-        ),
-        (
-            "inspect=4",
-            LocMpsConfig {
-                inspect_at_least: 4,
                 ..d
             },
         ),

@@ -12,12 +12,11 @@
 //!   diffing the report.
 //! * **`locmps`** — times the full `LocMps::schedule` search at the same
 //!   three scale points, once with the default configuration (the
-//!   corner-probe bound, bounded-horizon probes, the memo of passes and
-//!   walk steps, prefix replay)
-//!   and once with [`LocMpsConfig::exhaustive`] — the pre-optimization
-//!   reference that runs every LoCBS pass to completion — and writes both
-//!   wall times, the deterministic [`SearchCounters`] (all but
-//!   `lookahead_cutoffs`, which is always 0) and the full-pass reduction to
+//!   corner-probe bound, the memo of passes and walk steps, prefix
+//!   replay) and once with [`LocMpsConfig::exhaustive`] — the
+//!   pre-optimization reference that runs every LoCBS pass from scratch —
+//!   and writes both wall times, the deterministic counters of
+//!   [`SearchCounters::reported`] and the full-pass reduction to
 //!   `BENCH_locmps.json` (second CLI argument overrides the path). The two
 //!   runs must produce bit-identical makespans and allocations; the
 //!   harness asserts it on every case. The larger cases cap `max_rounds`
@@ -166,8 +165,8 @@ impl LocmpsCase {
         self.exhaustive_s / self.default_s
     }
 
-    /// Fraction of the exhaustive run's full LoCBS passes the optimized
-    /// search never executes (memoized, aborted or pruned outright).
+    /// Fraction of the exhaustive run's LoCBS passes the optimized search
+    /// never executes (memoized or pruned outright).
     fn full_pass_reduction(&self) -> f64 {
         1.0 - self.default_counters.locbs_passes as f64 / self.exhaustive_passes as f64
     }
@@ -206,10 +205,10 @@ fn time_locmps_case(n_tasks: usize, p: usize, max_rounds: usize) -> LocmpsCase {
         "pruned search chose a different allocation"
     );
     // The exhaustive reference does strictly no memoized, replayed or
-    // aborted work.
+    // pruned work.
     assert_eq!(exhaustive_out.counters.pass_memo_hits, 0);
+    assert_eq!(exhaustive_out.counters.successors_reused, 0);
     assert_eq!(exhaustive_out.counters.placements_replayed, 0);
-    assert_eq!(exhaustive_out.counters.probes_aborted, 0);
     assert_eq!(exhaustive_out.counters.branches_pruned, 0);
 
     LocmpsCase {
@@ -227,15 +226,17 @@ fn time_locmps_case(n_tasks: usize, p: usize, max_rounds: usize) -> LocmpsCase {
 fn render_locmps_json(cases: &[LocmpsCase]) -> Result<String, serde_json::NonFiniteFloat> {
     let mut json = String::from("{\n  \"bench\": \"locmps_search\",\n  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
-        let k = &c.default_counters;
+        let counters: Vec<String> = c
+            .default_counters
+            .reported()
+            .iter()
+            .map(|k| format!("\"{}\": {}", k.key, k.value))
+            .collect();
         json.push_str(&format!(
             "    {{\"n_tasks\": {}, \"p\": {}, \"max_rounds\": {}, \
              \"default_s\": {}, \"exhaustive_s\": {}, \"speedup\": {}, \
              \"makespan\": {}, \"exhaustive_passes\": {}, \
-             \"full_pass_reduction\": {}, \"counters\": {{\
-             \"locbs_passes\": {}, \"pass_memo_hits\": {}, \"successors_reused\": {}, \
-             \"probes_aborted\": {}, \"placements_replayed\": {}, \"transfers_reused\": {}, \
-             \"branches_pruned\": {}, \"commits\": {}}}}}{}\n",
+             \"full_pass_reduction\": {}, \"counters\": {{{}}}}}{}\n",
             c.n_tasks,
             c.p,
             c.max_rounds,
@@ -245,14 +246,7 @@ fn render_locmps_json(cases: &[LocmpsCase]) -> Result<String, serde_json::NonFin
             serde_json::fmt_float_fixed(c.makespan, 6)?,
             c.exhaustive_passes,
             serde_json::fmt_float_fixed(c.full_pass_reduction(), 4)?,
-            k.locbs_passes,
-            k.pass_memo_hits,
-            k.successors_reused,
-            k.probes_aborted,
-            k.placements_replayed,
-            k.transfers_reused,
-            k.branches_pruned,
-            k.commits,
+            counters.join(", "),
             if i + 1 < cases.len() { "," } else { "" }
         ));
     }

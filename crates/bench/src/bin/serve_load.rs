@@ -364,7 +364,7 @@ fn recovery_experiment(quick: bool, tmp: &std::path::Path) -> RecoveryStats {
     let svc = Service::start_with_journal(build, &journal).expect("fresh journal");
     let mut acked = 0u64;
     for i in 0..jobs {
-        match svc.submit(&build, recovery_spec(i)) {
+        match svc.submit(recovery_spec(i)) {
             Ok(_) => acked += 1,
             Err(e) => panic!("admission-only burst refused a job: {e:?}"),
         }

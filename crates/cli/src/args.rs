@@ -36,8 +36,9 @@ impl Args {
     /// argument as its value; a flag takes none.
     ///
     /// # Errors
-    /// Rejects an option `accepted` does not list, and a value option
-    /// followed by nothing or by another option.
+    /// Rejects an option `accepted` does not list, an option given more
+    /// than once, and a value option followed by nothing or by another
+    /// option.
     pub fn parse(argv: &[String], command: &str, accepted: &[Opt]) -> Result<Self, String> {
         let mut out = Args::default();
         let mut i = 0;
@@ -58,7 +59,9 @@ impl Args {
                         _ => return Err(format!("option --{key} needs a value")),
                     },
                 };
-                out.options.insert(key.to_string(), value);
+                if out.options.insert(key.to_string(), value).is_some() {
+                    return Err(format!("option --{key} given more than once"));
+                }
             } else {
                 out.positional.push(a.clone());
             }
@@ -152,6 +155,20 @@ mod tests {
             "unknown option --no-overlp for 'locmps schedule'"
         );
         assert!(try_parse(&["--algo", "cpr", "--bandwith", "1"]).is_err());
+    }
+
+    #[test]
+    fn a_repeated_option_is_refused() {
+        for (words, key) in [
+            (&["--procs", "2", "--procs", "4"][..], "procs"),
+            (&["--gantt", "--procs", "2", "--gantt"], "gantt"),
+        ] {
+            assert_eq!(
+                try_parse(words).unwrap_err(),
+                format!("option --{key} given more than once"),
+                "{words:?}"
+            );
+        }
     }
 
     #[test]

@@ -371,20 +371,7 @@ fn schedule(args: &Args) -> Result<(), String> {
     println!("utilization        : {:.1} %", 100.0 * rep.utilization);
     println!("scheduling took    : {took:.4} s");
     if out.counters.any() {
-        let c = out.counters;
-        println!(
-            "search effort      : {} LoCBS passes, {} memo hits, {} successors reused, \
-             {} probes aborted, {} placements replayed, {} transfers reused, \
-             {} branches pruned, {} commits",
-            c.locbs_passes,
-            c.pass_memo_hits,
-            c.successors_reused,
-            c.probes_aborted,
-            c.placements_replayed,
-            c.transfers_reused,
-            c.branches_pruned,
-            c.commits
-        );
+        println!("search effort      : {}", out.counters);
     }
     if args.has("gantt") {
         println!();

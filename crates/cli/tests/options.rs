@@ -1,5 +1,7 @@
-//! The `locmps` binary refuses options its command does not declare: a
-//! misspelled option is an error, not a silently ignored default.
+//! The `locmps` binary refuses options its command does not declare and
+//! options given twice: a misspelled option is an error, not a silently
+//! ignored default, and a repeated one does not silently keep its last
+//! value.
 
 use std::process::Command;
 
@@ -99,6 +101,37 @@ fn a_refused_option_value_prints_nothing() {
         assert!(!ok, "{args:?} must exit nonzero");
         assert!(stdout.is_empty(), "{args:?} printed:\n{stdout}");
         assert!(stderr.starts_with(want), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+/// An option given twice is refused by name instead of keeping its last
+/// value.
+#[test]
+fn a_repeated_option_is_refused() {
+    let path = graph_file("repeated");
+    let g = path.to_str().unwrap();
+    for (args, key) in [
+        (
+            &[
+                "generate",
+                "synthetic",
+                "--tasks",
+                "3",
+                "--seed",
+                "1",
+                "--tasks",
+                "5",
+            ][..],
+            "tasks",
+        ),
+        (&["schedule", g, "--procs", "2", "--procs", "4"], "procs"),
+    ] {
+        let (ok, stdout, stderr) = cli(args);
+        assert!(!ok, "{args:?} must exit nonzero");
+        assert!(stdout.is_empty(), "{args:?} printed:\n{stdout}");
+        let want = format!("error: option --{key} given more than once");
+        assert!(stderr.starts_with(&want), "{args:?}: {stderr}");
     }
     let _ = std::fs::remove_file(path);
 }

@@ -44,7 +44,7 @@ pub use locbs::{Locbs, LocbsOptions, LocbsResult, LocbsScratch, PlacementLog};
 pub use locmps::{LocMps, LocMpsConfig};
 pub use residual::ResidualDag;
 pub use schedule::{GanttOptions, Schedule, ScheduleError, ScheduledTask};
-pub use scheduler::{SchedError, Scheduler, SchedulerOutput, SearchCounters};
+pub use scheduler::{ReportedCounter, SchedError, Scheduler, SchedulerOutput, SearchCounters};
 
 #[cfg(test)]
 mod paper_figures;

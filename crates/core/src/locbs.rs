@@ -91,8 +91,8 @@ struct LoggedStep {
 /// the graph, the model, the task's own width and what the positions
 /// before it built, and the pick order depends only on the priorities,
 /// so a log left by any pass of the same [`Locbs`] over the same data
-/// graph is a valid source: any allocation, complete or aborted. A log of
-/// another graph or another model is not.
+/// graph is a valid source, whatever its allocation. A log of another
+/// graph or another model is not.
 #[derive(Debug, Default)]
 pub struct PlacementLog {
     steps: Vec<LoggedStep>,
@@ -134,10 +134,9 @@ impl PlacementLog {
 /// A pass fills them in this order: the validating sort (`order`, with
 /// `unplaced_preds` as its working memory), `et(t, np(t))` once per task
 /// (`et`), the priority inputs (`edge_est`, a bottom-level sweep into
-/// `bottom`, then `priority`), for bounded passes the zero-communication
-/// chain below each task (`chain_below`, from a second bottom sweep), and
-/// then the placement loop (`unplaced_preds`, `ready`, `placed`, the chart
-/// and the per-candidate buffers of `place`).
+/// `bottom`, then `priority`), and then the placement loop
+/// (`unplaced_preds`, `ready`, `placed`, the chart and the per-candidate
+/// buffers of `place`).
 ///
 /// The sets `place` keeps per call, the best placement's processors and
 /// the selection its transfer memo was priced for, are [`ProcSet`]s,
@@ -151,7 +150,6 @@ pub struct LocbsScratch {
     edge_est: Vec<f64>,
     bottom: Vec<f64>,
     priority: Vec<f64>,
-    chain_below: Vec<f64>,
     ready: Vec<TaskId>,
     placed: Vec<Option<ScheduledTask>>,
     scores: Vec<f64>,
@@ -206,74 +204,22 @@ impl<'a> Locbs<'a> {
         alloc: &Allocation,
         scratch: &mut LocbsScratch,
     ) -> Result<(Schedule, f64), SchedError> {
-        match self.run_into_bounded(dag, alloc, scratch, f64::INFINITY)? {
-            Some(out) => Ok(out),
-            // No finite finish time exceeds an infinite horizon.
-            None => unreachable!("an unbounded pass never aborts"),
-        }
+        Ok(self.pass(dag, alloc, scratch, None)?.0)
     }
 
-    /// [`Locbs::run_into`] with an abort **horizon** for probe passes.
-    ///
-    /// The pass aborts — `Ok(None)` is returned immediately — as soon as
-    /// the final makespan provably exceeds `horizon`:
-    ///
-    /// * before any placement, when the allocation's zero-communication
-    ///   critical path or its processor-area `Σ np·et / P` already exceeds
-    ///   the horizon (both are admissible lower bounds on any schedule of
-    ///   this allocation);
-    /// * during placement, when some placed task's finish time plus the
-    ///   zero-communication bottom level of its successors exceeds the
-    ///   horizon — placements never move once made and every successor
-    ///   chain still has to execute after that finish, so the completed
-    ///   pass would have ended past the horizon.
-    ///
-    /// Every early trigger implies the plain `finish > horizon` test would
-    /// have fired on the completed pass (the makespan-achieving task's
-    /// finish *is* the makespan), so the set of aborting passes — and with
-    /// it every deterministic search counter — is identical to detecting
-    /// the overrun late; the probe just stops paying for placements whose
-    /// outcome is already decided. A caller probing against an incumbent
-    /// of length `horizon` learns everything it needs from the abort
-    /// alone. LoC-MPS aborts its corner-restart probes this way; passes
-    /// whose schedule is consumed (committed passes, look-ahead steps that
-    /// feed the next refinement) must use the unbounded form.
-    ///
-    /// On abort, `dag` may carry a partial set of this pass's pseudo-edges;
-    /// it remains valid scratch for the next `run_into`, which strips them
-    /// on entry.
-    ///
-    /// # Errors
-    /// Exactly those of [`Locbs::run_into`]; input validation happens
-    /// before any placement, so an abort can only occur on valid inputs.
-    pub fn run_into_bounded(
-        &self,
-        dag: &mut TaskGraph,
-        alloc: &Allocation,
-        scratch: &mut LocbsScratch,
-        horizon: f64,
-    ) -> Result<Option<(Schedule, f64)>, SchedError> {
-        Ok(self.pass(dag, alloc, scratch, horizon, None)?.0)
-    }
-
-    /// [`Locbs::run_into_bounded`] resumed from `log`, the placement log of
-    /// an earlier pass of this scheduler over the same data graph (see
+    /// [`Locbs::run_into`] resumed from `log`, the placement log of an
+    /// earlier pass of this scheduler over the same data graph (see
     /// [`PlacementLog`]). Also returns how many placements were copied
     /// from the log.
     ///
     /// While the task the pass picks and that task's width match the
     /// log's step at the same position, the logged placement and its
     /// pseudo-edges are copied instead of placed; the chart is still
-    /// booked and the horizon test still runs on every copied step. From
-    /// the first mismatch on, the pass places as [`Locbs::run_into_bounded`]
-    /// does and logs what it places. The schedule, the makespan, the
-    /// schedule-DAG (pseudo-edge order included) and the abort decision
-    /// are bit-identical to the unresumed pass.
-    ///
-    /// A completed pass leaves its own log behind. An aborted pass leaves
-    /// the placements it booked, or the log as it was when it aborted
-    /// before the first mismatch; either is a valid source for the next
-    /// pass.
+    /// booked on every copied step. From the first mismatch on, the pass
+    /// places as [`Locbs::run_into`] does and logs what it places. The
+    /// schedule, the makespan and the schedule-DAG (pseudo-edge order
+    /// included) are bit-identical to the unresumed pass, and the pass
+    /// leaves its own log behind.
     ///
     /// # Errors
     /// Exactly those of [`Locbs::run_into`]; they leave `log` untouched.
@@ -282,30 +228,27 @@ impl<'a> Locbs<'a> {
         dag: &mut TaskGraph,
         alloc: &Allocation,
         scratch: &mut LocbsScratch,
-        horizon: f64,
         log: &mut PlacementLog,
-    ) -> Result<(Option<(Schedule, f64)>, u64), SchedError> {
-        self.pass(dag, alloc, scratch, horizon, Some(log))
+    ) -> Result<((Schedule, f64), u64), SchedError> {
+        self.pass(dag, alloc, scratch, Some(log))
     }
 
-    /// The pass behind [`Locbs::run_into_bounded`] and
-    /// [`Locbs::run_into_resumed`]; without a log it neither copies nor
-    /// records placements.
+    /// The pass behind [`Locbs::run_into`] and [`Locbs::run_into_resumed`];
+    /// without a log it neither copies nor records placements.
     fn pass(
         &self,
         dag: &mut TaskGraph,
         alloc: &Allocation,
         scratch: &mut LocbsScratch,
-        horizon: f64,
         mut log: Option<&mut PlacementLog>,
-    ) -> Result<(Option<(Schedule, f64)>, u64), SchedError> {
+    ) -> Result<((Schedule, f64), u64), SchedError> {
         dag.clear_pseudo_edges();
         crate::invariant!(
             dag.edges()
                 .all(|(_, e)| e.kind == locmps_taskgraph::EdgeKind::Data),
             "schedule-DAG buffer must enter the placement loop pseudo-free"
         );
-        // The validating sort; its order also feeds both level sweeps.
+        // The validating sort; its order also feeds the bottom-level sweep.
         dag.topo_order_into(&mut scratch.order, &mut scratch.unplaced_preds)
             .map_err(SchedError::Graph)?;
         let p_total = self.model.cluster().n_procs;
@@ -363,44 +306,9 @@ impl<'a> Locbs<'a> {
             "scratch priority/estimate buffers must cover the whole graph"
         );
 
-        // Bounded passes precompute the zero-communication bottom levels:
-        // `chain_below[t]` is the longest pure-compute successor chain of
-        // `t` at the current widths, an admissible lower bound on the time
-        // that must still elapse after `t` finishes. Unbounded (committed)
-        // passes skip all of this.
-        let bounded = horizon.is_finite();
-        if bounded {
-            dag.bottom_levels_along(
-                &scratch.order,
-                |t| et[t.index()],
-                |_| 0.0,
-                &mut scratch.bottom,
-            );
-            scratch.chain_below.clear();
-            scratch.chain_below.extend(
-                dag.task_ids()
-                    .map(|t| scratch.bottom[t.index()] - et[t.index()]),
-            );
-            // Whole-allocation lower bounds: the zero-communication critical
-            // path and the processor-area bound. Either above the horizon
-            // decides the probe before a single task is placed.
-            let cp0 = dag
-                .task_ids()
-                .map(|t| scratch.chain_below[t.index()] + et[t.index()])
-                .fold(0.0f64, f64::max);
-            let area = dag
-                .task_ids()
-                .map(|t| alloc.np(t) as f64 * et[t.index()])
-                .sum::<f64>()
-                / p_total as f64;
-            if cp0.max(area) > horizon {
-                return Ok((None, 0));
-            }
-        }
-
         // The chart and the placements are moved out of the scratch for
         // the pass, so `place` can borrow them and the scratch together;
-        // every exit below puts them back.
+        // the end of the pass puts them back.
         let mut timeline = std::mem::take(&mut scratch.timeline);
         timeline.reset(p_total);
         let mut placed = std::mem::take(&mut scratch.placed);
@@ -455,20 +363,6 @@ impl<'a> Locbs<'a> {
                     (entry, Some(p.ready))
                 }
             };
-            let below = if bounded {
-                scratch.chain_below[t.index()]
-            } else {
-                0.0
-            };
-            if entry.finish + below > horizon {
-                // Placements are final and every successor chain of `t`
-                // still has to run after this finish: the completed
-                // schedule would end past the horizon, so the pass cannot
-                // beat the caller's incumbent. Stop paying for the rest.
-                scratch.timeline = timeline;
-                scratch.placed = placed;
-                return Ok((None, replayed));
-            }
             timeline.occupy(&entry.procs, entry.start, entry.finish);
 
             // Pseudo-edges: the task is resource-blocked when it occupies
@@ -528,7 +422,7 @@ impl<'a> Locbs<'a> {
         debug_assert!(dag.validate().is_ok(), "pseudo edges must keep G' acyclic");
         scratch.timeline = timeline;
         scratch.placed = placed;
-        Ok((Some((schedule, makespan)), replayed))
+        Ok(((schedule, makespan), replayed))
     }
 
     /// Finds the minimum-finish-time placement for `t` (Algorithm 2, steps
@@ -1046,48 +940,6 @@ mod tests {
             assert_eq!(makespan, fresh.makespan);
             assert_eq!(dag, fresh.schedule_dag);
         }
-    }
-
-    #[test]
-    fn scratch_reused_after_an_aborted_pass_matches_a_fresh_run() {
-        // A bounded pass that aborts mid-placement leaves bookings and
-        // pseudo-edges behind; the next full pass on the same scratch and
-        // dag must still match a fresh `run` exactly.
-        let mut g = TaskGraph::new();
-        let a = g.add_task("a", profiled(&[30.0, 16.0, 9.0, 6.0]));
-        let b = g.add_task("b", profiled(&[24.0, 13.0, 8.0, 6.5]));
-        let c = g.add_task("c", profiled(&[28.0, 15.0, 9.0, 7.0]));
-        let d = g.add_task("d", profiled(&[20.0, 11.0, 7.0, 5.5]));
-        g.add_edge(a, b, 300.0).unwrap();
-        g.add_edge(a, c, 10.0).unwrap();
-        g.add_edge(b, d, 250.0).unwrap();
-        g.add_edge(c, d, 10.0).unwrap();
-        let cluster = Cluster::new(4, 12.5);
-        let model = CommModel::new(&cluster);
-        let locbs = Locbs::new(model, LocbsOptions::default());
-        let mut dag = g.clone();
-        let mut scratch = LocbsScratch::new();
-
-        // All-ones: the zero-communication critical path a-c-d is 78, so a
-        // horizon of 78 passes the up-front bounds and the abort comes from
-        // a placement, once the 10 MB transfer to c pushes it past 78.
-        let ones = Allocation::ones(4);
-        assert!(locbs.run(&g, &ones).unwrap().makespan > 78.0);
-        let aborted = locbs
-            .run_into_bounded(&mut dag, &ones, &mut scratch, 78.0)
-            .unwrap();
-        assert!(aborted.is_none(), "the bounded pass must abort");
-        assert!(
-            (0..4).any(|p| !scratch.timeline.bookings(p).is_empty()),
-            "the chart of the aborted pass is handed back to the scratch"
-        );
-
-        let alloc = Allocation::from_vec(vec![2, 1, 3, 4]);
-        let fresh = locbs.run(&g, &alloc).unwrap();
-        let (schedule, makespan) = locbs.run_into(&mut dag, &alloc, &mut scratch).unwrap();
-        assert_eq!(schedule, fresh.schedule);
-        assert_eq!(makespan.to_bits(), fresh.makespan.to_bits());
-        assert_eq!(dag, fresh.schedule_dag);
     }
 
     #[test]

@@ -21,13 +21,11 @@
 //! At scale the dominant cost is the LoCBS passes run inside look-ahead
 //! branches. Lossless accelerations, all switched by
 //! [`LocMpsConfig::prune`] (on by default), cut that work while keeping
-//! every schedule bit-identical:
+//! every schedule bit-identical; a pass they do not skip always runs to
+//! its last placement:
 //!
-//! * corner-restart probes are checked against the allocation's
-//!   admissible lower bound ([`allocation_lower_bound`]) and then run
-//!   under a bounded horizon ([`Locbs::run_into_bounded`]): placements
-//!   are final, so the first one past the incumbent aborts the pass; the
-//!   last pass of each look-ahead walk runs bounded by the branch best;
+//! * a corner-restart probe whose allocation's admissible lower bound
+//!   ([`allocation_lower_bound`]) cannot beat the incumbent is skipped;
 //! * a look-ahead pass whose allocation was already placed is answered
 //!   from an allocation-keyed memo;
 //! * a look-ahead step at an allocation that an earlier walk already
@@ -79,14 +77,6 @@ pub struct LocMpsConfig {
     /// Look-ahead bound (paper: "a bound of 20 iterations was found to
     /// yield good results").
     pub lookahead_depth: usize,
-    /// Lower bound on how many top-gain tasks are inspected (default 1 —
-    /// the paper's literal `⌈10 %⌉` rule, which on the short critical
-    /// paths of 10–50-task graphs inspects a single task, i.e. pure
-    /// max-gain almost everywhere). Raising it widens the
-    /// concurrency-ratio tie-break's influence (the Figure 2 rationale);
-    /// ablations show values > 1 hurt on random DAGs because `cr` is a
-    /// static, structure-only metric.
-    pub inspect_at_least: usize,
     /// Schedule with full backfilling (`true`, the paper's default) or the
     /// cheaper last-free-time variant (Figure 6's ablation).
     pub backfill: bool,
@@ -103,15 +93,13 @@ pub struct LocMpsConfig {
     /// data-parallel optimum, but on larger graphs at high CCR the valley
     /// can exceed any fixed depth.
     pub corner_starts: bool,
-    /// Skip or shorten search work whose outcome is already provable or
-    /// already computed: corner probes whose allocation lower bound cannot
-    /// beat the incumbent are skipped, the rest and the last pass of each
-    /// look-ahead walk run under a bounded horizon
-    /// ([`Locbs::run_into_bounded`]) so they abort at the first placement
-    /// past the value they must beat, look-ahead passes and look-ahead
+    /// Skip search work whose outcome is already provable or already
+    /// computed: corner probes whose allocation lower bound cannot beat
+    /// the incumbent are skipped, look-ahead passes and look-ahead
     /// refinement steps are answered from an allocation-keyed memo, and
-    /// every LoCBS pass resumes from the previous pass's placement log.
-    /// Lossless — the schedule, allocation and schedule-DAG are
+    /// every LoCBS pass resumes from the previous pass's placement log
+    /// ([`Locbs::run_into_resumed`]); no pass stops before its last
+    /// placement. Lossless — the schedule, allocation and schedule-DAG are
     /// bit-identical either way — so this defaults to on; `false` exists
     /// as the reference for the equivalence property tests and for
     /// measuring the win itself.
@@ -122,7 +110,6 @@ impl Default for LocMpsConfig {
     fn default() -> Self {
         Self {
             lookahead_depth: 20,
-            inspect_at_least: 1,
             backfill: true,
             comm_aware: true,
             max_rounds: 10_000,
@@ -161,12 +148,12 @@ impl LocMpsConfig {
         }
     }
 
-    /// The exhaustive reference: no corner bound, no bounded probes, no
-    /// memo of passes or walk steps, no prefix replay. Produces
-    /// bit-identical schedules to [`Default`] while doing every LoCBS pass
-    /// in full, placing every task of it and refining at every walk step —
-    /// the baseline the equivalence property tests and the `BENCH_locmps`
-    /// report compare against.
+    /// The exhaustive reference: no corner bound, no memo of passes or
+    /// walk steps, no prefix replay. Produces bit-identical schedules to
+    /// [`Default`] while running every LoCBS pass, placing every task of
+    /// it from scratch and refining at every walk step — the baseline the
+    /// equivalence property tests and the `BENCH_locmps` report compare
+    /// against.
     pub fn exhaustive() -> Self {
         Self {
             prune: false,
@@ -198,8 +185,8 @@ struct MemoEntry {
     next: Option<Option<Entry>>,
 }
 
-/// Allocation-keyed memo of completed look-ahead passes and of the walk
-/// steps taken from them.
+/// Allocation-keyed memo of look-ahead passes and of the walk steps taken
+/// from them.
 ///
 /// [`Locbs::run_into`] strips all pseudo-edges on entry, so a pass is a
 /// pure function of the data graph and the allocation — two branches that
@@ -411,7 +398,7 @@ impl LocMps {
     }
 
     /// Best candidate task on the critical path (§III.C): filter widenable,
-    /// rank by gain, inspect the top fraction, pick minimum concurrency
+    /// rank by gain, inspect the top `⌈10 %⌉`, pick minimum concurrency
     /// ratio. `cands` is the buffer the ranking is refilled into.
     fn best_candidate_task(
         &self,
@@ -435,9 +422,8 @@ impl LocMps {
             return None;
         }
         cands.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let k = ((TOP_FRACTION * cands.len() as f64).ceil() as usize)
-            .max(self.config.inspect_at_least.max(1).min(cands.len()))
-            .min(cands.len());
+        // At least one: `cands` is not empty.
+        let k = (TOP_FRACTION * cands.len() as f64).ceil() as usize;
         cands[..k]
             .iter()
             .copied()
@@ -607,9 +593,11 @@ impl Scheduler for LocMps {
 
         // Steps 1–4: pure task-parallel start.
         let mut best_alloc = Allocation::ones(g.n_tasks());
-        let mut best = match Self::probe(&ctx, &mut st, &best_alloc, None)? {
-            Some(res) => res,
-            None => unreachable!("an unbounded pass never aborts"),
+        let (schedule, makespan) = Self::pass(&ctx, &mut st, &best_alloc)?;
+        let mut best = LocbsResult {
+            schedule,
+            schedule_dag: st.dag.clone(),
+            makespan,
         };
         self.search(&ctx, &mut st, &mut best_alloc, &mut best)?;
 
@@ -636,26 +624,25 @@ impl Scheduler for LocMps {
                     // A corner only matters if its probe beats the incumbent
                     // by more than the commit epsilon. The allocation-level
                     // bound settles many corners without placing a single
-                    // task; the rest run under a bounded horizon so the
-                    // first placement past the incumbent aborts the pass.
-                    // Both tests leave an epsilon of slack, so floating-
-                    // point noise in the bound cannot veto a real winner.
+                    // task; it compares against the incumbent itself, so
+                    // floating-point noise in the bound cannot veto a real
+                    // winner.
                     if self.config.prune
                         && allocation_lower_bound(g, &alloc, p_total) >= best.makespan
                     {
                         st.counters.branches_pruned += 1;
                         continue;
                     }
-                    let horizon = self
-                        .config
-                        .prune
-                        .then(|| best.makespan - time_eps(best.makespan));
-                    let Some(res) = Self::probe(&ctx, &mut st, &alloc, horizon)? else {
-                        continue;
-                    };
-                    if res.makespan < best.makespan - time_eps(best.makespan) {
+                    // Only a winning probe copies its schedule-DAG out of
+                    // the search's buffer.
+                    let (schedule, makespan) = Self::pass(&ctx, &mut st, &alloc)?;
+                    if makespan < best.makespan - time_eps(best.makespan) {
                         let mut corner_alloc = alloc;
-                        let mut corner_best = res;
+                        let mut corner_best = LocbsResult {
+                            schedule,
+                            schedule_dag: st.dag.clone(),
+                            makespan,
+                        };
                         self.search(&ctx, &mut st, &mut corner_alloc, &mut corner_best)?;
                         if corner_best.makespan < best.makespan - time_eps(best.makespan) {
                             best_alloc = corner_alloc;
@@ -679,54 +666,25 @@ impl Scheduler for LocMps {
 }
 
 impl LocMps {
-    /// One LoCBS pass into the search's buffers — under `horizon` when the
-    /// caller can prove an over-horizon pass is useless, and resumed from
-    /// the previous pass's placement log when the search keeps one.
-    /// Returns `None` exactly on a horizon abort.
+    /// One LoCBS pass into the search's buffers, resumed from the previous
+    /// pass's placement log when the search keeps one.
     fn pass(
         ctx: &SearchCtx<'_>,
         st: &mut SearchState,
         alloc: &Allocation,
-        horizon: Option<f64>,
-    ) -> Result<Option<(Schedule, f64)>, SchedError> {
-        let horizon = horizon.unwrap_or(f64::INFINITY);
+    ) -> Result<(Schedule, f64), SchedError> {
         let result = match &mut st.log {
             Some(log) => {
-                let (result, replayed) = ctx.locbs.run_into_resumed(
-                    &mut st.dag,
-                    alloc,
-                    &mut st.scratch,
-                    horizon,
-                    log,
-                )?;
+                let (result, replayed) =
+                    ctx.locbs
+                        .run_into_resumed(&mut st.dag, alloc, &mut st.scratch, log)?;
                 st.counters.placements_replayed += replayed;
                 result
             }
-            None => ctx
-                .locbs
-                .run_into_bounded(&mut st.dag, alloc, &mut st.scratch, horizon)?,
+            None => ctx.locbs.run_into(&mut st.dag, alloc, &mut st.scratch)?,
         };
-        match result {
-            Some(_) => st.counters.locbs_passes += 1,
-            None => st.counters.probes_aborted += 1,
-        }
+        st.counters.locbs_passes += 1;
         Ok(result)
-    }
-
-    /// A top-level probe: one [`LocMps::pass`], kept whole with a copy of
-    /// its schedule-DAG.
-    fn probe(
-        ctx: &SearchCtx<'_>,
-        st: &mut SearchState,
-        alloc: &Allocation,
-        horizon: Option<f64>,
-    ) -> Result<Option<LocbsResult>, SchedError> {
-        let result = Self::pass(ctx, st, alloc, horizon)?;
-        Ok(result.map(|(schedule, makespan)| LocbsResult {
-            schedule,
-            schedule_dag: st.dag.clone(),
-            makespan,
-        }))
     }
 
     /// One bounded look-ahead trajectory (steps 10–35) from `alloc`, the
@@ -741,34 +699,22 @@ impl LocMps {
     ///
     /// With pruning on, repeated allocations (branch walks merge quickly
     /// once they leave their entry point) are answered from the memo, both
-    /// their pass and, through [`LocMps::walk_step`], their refinement;
-    /// and the final pass of a walk runs under a bounded horizon because
-    /// nothing downstream consumes an over-horizon result.
+    /// their pass and, through [`LocMps::walk_step`], their refinement.
     fn lookahead_branch(
         &self,
         ctx: &SearchCtx<'_>,
         st: &mut SearchState,
         alloc: &mut Allocation,
     ) -> Result<f64, SchedError> {
-        let (makespan, mut kept) = match Self::branch_pass(ctx, st, alloc, None)? {
-            Some(pass) => pass,
-            None => unreachable!("an unbounded pass never aborts"),
-        };
+        let (makespan, mut kept) = Self::branch_pass(ctx, st, alloc)?;
         st.keep_branch_best(alloc, makespan, kept);
 
-        let depth = self.config.lookahead_depth.max(1);
-        for step in 1..depth {
+        for _ in 1..self.config.lookahead_depth.max(1) {
             if !self.walk_step(ctx, st, alloc, kept)? {
                 break;
             }
-            // The final pass feeds no further refinement: its only
-            // consumer is the branch-best update, so it may run under
-            // a bounded horizon and abort once that update is settled.
             let best = st.branch.makespan;
-            let horizon = (self.config.prune && step + 1 == depth).then(|| best - time_eps(best));
-            let Some((makespan, next)) = Self::branch_pass(ctx, st, alloc, horizon)? else {
-                break;
-            };
+            let (makespan, next) = Self::branch_pass(ctx, st, alloc)?;
             kept = next;
             if makespan < best - time_eps(best) {
                 st.keep_branch_best(alloc, makespan, kept);
@@ -833,24 +779,20 @@ impl LocMps {
 
     /// One look-ahead [`LocMps::pass`], answered from the memo when this
     /// allocation was already placed; a hit touches neither `st.dag` nor
-    /// `st.schedule`. Returns the makespan and where the pass is kept, or
-    /// `None` on a horizon abort.
+    /// `st.schedule`. Returns the makespan and where the pass is kept.
     fn branch_pass(
         ctx: &SearchCtx<'_>,
         st: &mut SearchState,
         alloc: &Allocation,
-        horizon: Option<f64>,
-    ) -> Result<Option<(f64, Kept)>, SchedError> {
+    ) -> Result<(f64, Kept), SchedError> {
         if let Some(memo) = &st.memo {
             if let Some(&at) = memo.index.get(alloc.as_slice()) {
                 st.counters.pass_memo_hits += 1;
                 let kept = Kept::Memo { at, placed: false };
-                return Ok(Some((memo.entries[at].makespan, kept)));
+                return Ok((memo.entries[at].makespan, kept));
             }
         }
-        let Some((schedule, makespan)) = Self::pass(ctx, st, alloc, horizon)? else {
-            return Ok(None);
-        };
+        let (schedule, makespan) = Self::pass(ctx, st, alloc)?;
         let kept = match &mut st.memo {
             Some(memo) => {
                 let mut pseudo = Vec::with_capacity(pseudo_edges(&st.dag).count());
@@ -870,7 +812,7 @@ impl LocMps {
                 Kept::Own
             }
         };
-        Ok(Some((makespan, kept)))
+        Ok((makespan, kept))
     }
 
     /// The outer commit/mark loop of Algorithm 1, refining `best_alloc` /

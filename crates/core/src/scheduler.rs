@@ -69,10 +69,11 @@ impl std::error::Error for SchedError {}
 /// run no search report all zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchCounters {
-    /// Full LoCBS placement passes run to completion.
+    /// LoCBS placement passes run, each to its last placement.
     pub locbs_passes: u64,
-    /// Bounded-horizon probe passes aborted once the partial schedule
-    /// length provably exceeded the incumbent makespan.
+    /// Always 0: no pass stops before its last placement any more. The
+    /// field stays because the `perfbench` benchmark package sums it by
+    /// name.
     pub probes_aborted: u64,
     /// Corner-restart probes skipped entirely because the allocation's
     /// admissible lower bound could not beat the incumbent.
@@ -107,6 +108,61 @@ impl SearchCounters {
     /// all-zero counters).
     pub fn any(&self) -> bool {
         *self != Self::default()
+    }
+
+    /// The counters the search-effort surfaces report, in the one order
+    /// they all use: the `locmps schedule` effort line, the `LM210`
+    /// diagnostic and `BENCH_locmps.json`. `probes_aborted` and
+    /// `lookahead_cutoffs`, always 0, are left out.
+    pub fn reported(&self) -> [ReportedCounter; 7] {
+        let entry = |key, label, value| ReportedCounter { key, label, value };
+        [
+            entry("locbs_passes", "LoCBS passes", self.locbs_passes),
+            entry("pass_memo_hits", "memo hits", self.pass_memo_hits),
+            entry(
+                "successors_reused",
+                "successors reused",
+                self.successors_reused,
+            ),
+            entry(
+                "placements_replayed",
+                "placements replayed",
+                self.placements_replayed,
+            ),
+            entry(
+                "transfers_reused",
+                "transfers reused",
+                self.transfers_reused,
+            ),
+            entry("branches_pruned", "branches pruned", self.branches_pruned),
+            entry("commits", "commits", self.commits),
+        ]
+    }
+}
+
+/// One entry of [`SearchCounters::reported`]. Text shows it as
+/// `value label`; machine-readable output pairs `key` with `value`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReportedCounter {
+    /// The machine-readable name: the `LM210` data key and the
+    /// `BENCH_locmps.json` key.
+    pub key: &'static str,
+    /// The words that follow the value in text, e.g. `successors reused`.
+    pub label: &'static str,
+    /// The counter's value.
+    pub value: u64,
+}
+
+/// The reported counters as text, `value label` each, comma-separated in
+/// the order of [`SearchCounters::reported`]: the `locmps schedule`
+/// effort line and the `LM210` message.
+impl std::fmt::Display for SearchCounters {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, c) in self.reported().iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{} {}", c.value, c.label)?;
+        }
+        Ok(())
     }
 }
 

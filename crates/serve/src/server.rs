@@ -217,7 +217,7 @@ fn handle_connection(mut stream: TcpStream, svc: &Service, cfg: &ServeConfig, st
     let (resp, line) = match read_request(&stream) {
         Ok(req) => {
             let line = format!("{} {}", req.method, req.path);
-            (route(&req, svc, cfg, stop), line)
+            (route(&req, svc, stop), line)
         }
         Err(ParseError::ConnectionClosed) => return,
         Err(e) => (
@@ -253,7 +253,7 @@ fn log_request(peer: &str, line: &str, status: u16, started: Instant) {
     let _ = writeln!(std::io::stderr(), "{rendered}");
 }
 
-fn route(req: &Request, svc: &Service, cfg: &ServeConfig, stop: &AtomicBool) -> Resp {
+fn route(req: &Request, svc: &Service, stop: &AtomicBool) -> Resp {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             // Liveness plus the health-machine state; assessed on read so
@@ -294,7 +294,7 @@ fn route(req: &Request, svc: &Service, cfg: &ServeConfig, stop: &AtomicBool) -> 
             )
         }
         ("GET", "/v1/diagnostics") => Resp::new(200, svc.service_report().to_json()),
-        ("POST", "/v1/jobs") => submit(req, svc, cfg),
+        ("POST", "/v1/jobs") => submit(req, svc),
         ("GET", path) if path.starts_with("/v1/jobs/") => job_get(path, svc),
         ("POST", "/v1/analyze") => analyze(req),
         ("POST", "/v1/shutdown") => {
@@ -371,12 +371,12 @@ fn job_get(path: &str, svc: &Service) -> Resp {
 }
 
 /// `POST /v1/jobs`: parse, submit, map [`SubmitError`] to a status.
-fn submit(req: &Request, svc: &Service, cfg: &ServeConfig) -> Resp {
+fn submit(req: &Request, svc: &Service) -> Resp {
     let (spec, wait) = match parse_submit(req) {
         Ok(parsed) => parsed,
         Err(msg) => return Resp::new(400, http::error_body(&msg)),
     };
-    match svc.submit(cfg, spec) {
+    match svc.submit(spec) {
         Ok(ack) => {
             let status = if wait {
                 svc.wait(ack.job_id).map(|s| s.state)

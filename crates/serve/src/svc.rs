@@ -454,9 +454,8 @@ struct Inner {
     /// the record order on disk always agrees with the state-commit order
     /// it describes.
     journal: Option<Mutex<Journal>>,
-    /// The boot-time config: retry, backoff and health thresholds. The
-    /// admission bounds still come from the `cfg` passed to `submit`, so
-    /// a future per-tenant override needs no lock-layout change.
+    /// The boot-time config: admission bounds, retry, backoff and health
+    /// thresholds.
     cfg: ServeConfig,
 }
 
@@ -577,14 +576,13 @@ impl Service {
     /// pressure the fresh path may swap in the degraded fallback
     /// scheduler, and past the shed threshold nothing is admitted at all.
     ///
-    /// `cfg` carries the quota and queue bounds (kept out of the state so
-    /// a future per-tenant override needs no lock-layout change); retry
-    /// and health thresholds come from the boot-time config.
+    /// The tenant quota and the queue cap, like the retry and health
+    /// thresholds, come from the config the service booted with.
     ///
     /// # Errors
     /// [`SubmitError`] — invalid spec, quota, backpressure, overload,
     /// journal refusal, or draining.
-    pub fn submit(&self, cfg: &ServeConfig, mut spec: JobSpec) -> Result<SubmitAck, SubmitError> {
+    pub fn submit(&self, mut spec: JobSpec) -> Result<SubmitAck, SubmitError> {
         // Validate everything a worker would need *before* taking the
         // admission decision, so accepted jobs can only fail inside the
         // scheduler itself.
@@ -654,11 +652,11 @@ impl Service {
         }
 
         let load = st.tenant_load.get(&spec.tenant).copied().unwrap_or(0);
-        if load >= cfg.tenant_quota {
+        if load >= self.inner.cfg.tenant_quota {
             st.stats.rejected_quota += 1;
             return Err(SubmitError::QuotaExceeded {
                 tenant: spec.tenant.clone(),
-                limit: cfg.tenant_quota,
+                limit: self.inner.cfg.tenant_quota,
             });
         }
 
@@ -752,9 +750,11 @@ impl Service {
         }
 
         // Fresh fingerprint: bounded queue admission.
-        if st.queue.len() >= cfg.queue_cap {
+        if st.queue.len() >= self.inner.cfg.queue_cap {
             st.stats.rejected_queue += 1;
-            return Err(SubmitError::QueueFull { cap: cfg.queue_cap });
+            return Err(SubmitError::QueueFull {
+                cap: self.inner.cfg.queue_cap,
+            });
         }
         // Under pressure, expensive schedulers fall back to the cheap
         // baseline. The job keeps its original fingerprint for the ack,
@@ -1561,11 +1561,11 @@ mod tests {
     fn duplicate_submissions_hit_the_cache() {
         let cfg = ServeConfig::default();
         let svc = Service::start(cfg);
-        let a = svc.submit(&cfg, spec("alice", 10.0)).unwrap();
+        let a = svc.submit(spec("alice", 10.0)).unwrap();
         assert!(!a.cached);
         let done = svc.wait(a.job_id).unwrap();
         assert_eq!(done.state, JobState::Done);
-        let b = svc.submit(&cfg, spec("bob", 10.0)).unwrap();
+        let b = svc.submit(spec("bob", 10.0)).unwrap();
         assert!(b.cached, "identical DAG must be answered from cache");
         assert_eq!(b.fingerprint, a.fingerprint);
         assert_eq!(
@@ -1589,14 +1589,14 @@ mod tests {
             ..ServeConfig::default()
         };
         let svc = Service::start(cfg);
-        assert!(svc.submit(&cfg, spec("alice", 11.0)).is_ok());
-        assert!(svc.submit(&cfg, spec("alice", 12.0)).is_ok());
-        match svc.submit(&cfg, spec("alice", 13.0)) {
+        assert!(svc.submit(spec("alice", 11.0)).is_ok());
+        assert!(svc.submit(spec("alice", 12.0)).is_ok());
+        match svc.submit(spec("alice", 13.0)) {
             Err(SubmitError::QuotaExceeded { limit, .. }) => assert_eq!(limit, 2),
             other => panic!("expected quota rejection, got {other:?}"),
         }
         // Another tenant is unaffected; the queue bound is independent.
-        assert!(svc.submit(&cfg, spec("bob", 14.0)).is_ok());
+        assert!(svc.submit(spec("bob", 14.0)).is_ok());
         assert_eq!(svc.stats().rejected_quota, 1);
     }
 
@@ -1612,15 +1612,15 @@ mod tests {
             ..ServeConfig::default()
         };
         let svc = Service::start(cfg);
-        assert!(svc.submit(&cfg, spec("alice", 11.0)).is_ok());
-        assert!(svc.submit(&cfg, spec("bob", 12.0)).is_ok());
-        match svc.submit(&cfg, spec("carol", 13.0)) {
+        assert!(svc.submit(spec("alice", 11.0)).is_ok());
+        assert!(svc.submit(spec("bob", 12.0)).is_ok());
+        match svc.submit(spec("carol", 13.0)) {
             Err(SubmitError::QueueFull { cap }) => assert_eq!(cap, 2),
             other => panic!("expected queue backpressure, got {other:?}"),
         }
         // A duplicate of a queued graph coalesces instead of queueing, so
         // backpressure never rejects work that needs no new computation.
-        let dup = svc.submit(&cfg, spec("carol", 11.0)).unwrap();
+        let dup = svc.submit(spec("carol", 11.0)).unwrap();
         assert!(dup.coalesced);
         assert_eq!(svc.stats().rejected_queue, 1);
     }
@@ -1631,7 +1631,7 @@ mod tests {
         let svc = Service::start(cfg);
         let mut s = spec("alice", 10.0);
         s.mode = Mode::Run(RunParams::default());
-        let ack = svc.submit(&cfg, s).unwrap();
+        let ack = svc.submit(s).unwrap();
         let done = svc.wait(ack.job_id).unwrap();
         assert_eq!(done.state, JobState::Done, "{:?}", done.error);
         let trace = svc.trace_json(ack.job_id).expect("run mode has a trace");
@@ -1645,23 +1645,17 @@ mod tests {
         let svc = Service::start(cfg);
         let mut bad_algo = spec("alice", 10.0);
         bad_algo.algo = "nope".into();
-        assert!(matches!(
-            svc.submit(&cfg, bad_algo),
-            Err(SubmitError::Invalid(_))
-        ));
+        assert!(matches!(svc.submit(bad_algo), Err(SubmitError::Invalid(_))));
         let mut bad_cv = spec("alice", 10.0);
         bad_cv.mode = Mode::Run(RunParams {
             exec_cv: f64::NAN,
             ..RunParams::default()
         });
-        assert!(matches!(
-            svc.submit(&cfg, bad_cv),
-            Err(SubmitError::Invalid(_))
-        ));
+        assert!(matches!(svc.submit(bad_cv), Err(SubmitError::Invalid(_))));
         let mut bad_procs = spec("alice", 10.0);
         bad_procs.procs = 0;
         assert!(matches!(
-            svc.submit(&cfg, bad_procs),
+            svc.submit(bad_procs),
             Err(SubmitError::Invalid(_))
         ));
         svc.shutdown();
@@ -1671,7 +1665,7 @@ mod tests {
     fn a_poisoned_lock_does_not_wedge_the_service() {
         let cfg = ServeConfig::default();
         let svc = Service::start(cfg);
-        let a = svc.submit(&cfg, spec("alice", 10.0)).unwrap();
+        let a = svc.submit(spec("alice", 10.0)).unwrap();
         assert_eq!(svc.wait(a.job_id).unwrap().state, JobState::Done);
 
         svc.poison_for_tests();
@@ -1679,12 +1673,12 @@ mod tests {
         // Reads, admission, computation and drain all still work.
         assert!(svc.stats().submitted >= 1);
         assert_eq!(svc.active_jobs(), 0);
-        let b = svc.submit(&cfg, spec("bob", 20.0)).unwrap();
+        let b = svc.submit(spec("bob", 20.0)).unwrap();
         let done = svc.wait(b.job_id).unwrap();
         assert_eq!(done.state, JobState::Done, "{:?}", done.error);
         svc.drain();
         assert!(matches!(
-            svc.submit(&cfg, spec("carol", 30.0)),
+            svc.submit(spec("carol", 30.0)),
             Err(SubmitError::Draining)
         ));
         svc.shutdown();
@@ -1702,7 +1696,7 @@ mod tests {
             }),
             ..spec("alice", work)
         };
-        let a = svc.submit(&cfg, adaptive(10.0)).unwrap();
+        let a = svc.submit(adaptive(10.0)).unwrap();
         let done = svc.wait(a.job_id).unwrap();
         assert_eq!(done.state, JobState::Done, "{:?}", done.error);
         let trace = svc.trace_json(a.job_id).unwrap();
@@ -1719,7 +1713,7 @@ mod tests {
                 > 0,
             "the daemon store must have learned from the completed run"
         );
-        let b = svc.submit(&cfg, adaptive(10.0)).unwrap();
+        let b = svc.submit(adaptive(10.0)).unwrap();
         assert!(!b.cached, "store epoch changed → cache must miss");
         assert_ne!(b.fingerprint, a.fingerprint);
         assert_eq!(svc.wait(b.job_id).unwrap().state, JobState::Done);
@@ -1731,7 +1725,7 @@ mod tests {
         let cfg = ServeConfig::default();
         let svc = Service::start(cfg);
         let acks: Vec<_> = (0..6)
-            .map(|i| svc.submit(&cfg, spec("alice", 10.0 + i as f64)).unwrap())
+            .map(|i| svc.submit(spec("alice", 10.0 + i as f64)).unwrap())
             .collect();
         svc.drain();
         for ack in &acks {
@@ -1739,7 +1733,7 @@ mod tests {
             assert_eq!(st.state, JobState::Done, "{:?}", st.error);
         }
         assert!(matches!(
-            svc.submit(&cfg, spec("alice", 99.0)),
+            svc.submit(spec("alice", 99.0)),
             Err(SubmitError::Draining)
         ));
         svc.shutdown();
@@ -1760,21 +1754,21 @@ mod tests {
             panic_per_mille: 1000,
             ..ChaosConfig::default()
         });
-        let a = svc.submit(&cfg, spec("alice", 10.0)).unwrap();
+        let a = svc.submit(spec("alice", 10.0)).unwrap();
         let failed = svc.wait(a.job_id).unwrap();
         assert_eq!(failed.state, JobState::Failed);
         assert_eq!(failed.error_kind, Some(JobErrorKind::Panic));
         svc.set_chaos(ChaosConfig::default());
-        let b = svc.submit(&cfg, spec("alice", 11.0)).unwrap();
+        let b = svc.submit(spec("alice", 11.0)).unwrap();
         assert_eq!(svc.wait(b.job_id).unwrap().state, JobState::Done);
         // Deadline failures release the slot too.
         let mut dead = spec("alice", 12.0);
         dead.deadline_ms = Some(0);
-        let c = svc.submit(&cfg, dead).unwrap();
+        let c = svc.submit(dead).unwrap();
         let st = svc.wait(c.job_id).unwrap();
         assert_eq!(st.state, JobState::Failed);
         assert_eq!(st.error_kind, Some(JobErrorKind::Deadline));
-        let d = svc.submit(&cfg, spec("alice", 13.0)).unwrap();
+        let d = svc.submit(spec("alice", 13.0)).unwrap();
         assert_eq!(svc.wait(d.job_id).unwrap().state, JobState::Done);
         assert_eq!(svc.stats().deadline_failures, 1);
         svc.shutdown();
@@ -1793,7 +1787,7 @@ mod tests {
             panic_first: 1,
             ..ChaosConfig::default()
         });
-        let a = svc.submit(&cfg, spec("alice", 10.0)).unwrap();
+        let a = svc.submit(spec("alice", 10.0)).unwrap();
         let done = svc.wait(a.job_id).unwrap();
         assert_eq!(done.state, JobState::Done, "{:?}", done.error);
         assert_eq!(svc.stats().retried_attempts, 1);
@@ -1812,7 +1806,7 @@ mod tests {
             panic_per_mille: 1000,
             ..ChaosConfig::default()
         });
-        let a = svc.submit(&cfg, spec("alice", 10.0)).unwrap();
+        let a = svc.submit(spec("alice", 10.0)).unwrap();
         let failed = svc.wait(a.job_id).unwrap();
         assert_eq!(failed.state, JobState::Failed);
         assert_eq!(failed.error_kind, Some(JobErrorKind::RetriesExhausted));
@@ -1845,14 +1839,14 @@ mod tests {
             ..ServeConfig::default()
         };
         let svc = Service::start(cfg);
-        let a = svc.submit(&cfg, spec("alice", 10.0)).unwrap();
+        let a = svc.submit(spec("alice", 10.0)).unwrap();
         assert!(a.degraded);
         let done = svc.wait(a.job_id).unwrap();
         assert_eq!(done.state, JobState::Done, "{:?}", done.error);
         assert!(done.degraded);
         // The degraded result is not in the shared cache: an identical
         // resubmission computes again instead of hitting.
-        let b = svc.submit(&cfg, spec("bob", 10.0)).unwrap();
+        let b = svc.submit(spec("bob", 10.0)).unwrap();
         assert!(!b.cached);
         assert_eq!(svc.wait(b.job_id).unwrap().state, JobState::Done);
         let stats = svc.stats();
@@ -1871,7 +1865,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let svc = Service::start(cfg);
-        match svc.submit(&cfg, spec("alice", 10.0)) {
+        match svc.submit(spec("alice", 10.0)) {
             Err(SubmitError::Overloaded { retry_after_secs }) => {
                 assert_eq!(retry_after_secs, RETRY_AFTER_SECS);
             }
@@ -1885,7 +1879,7 @@ mod tests {
             ..cfg
         };
         let svc2 = Service::start(off);
-        let ack = svc2.submit(&off, spec("alice", 10.0)).unwrap();
+        let ack = svc2.submit(spec("alice", 10.0)).unwrap();
         assert!(!ack.degraded);
     }
 
@@ -1898,7 +1892,7 @@ mod tests {
         };
         let svc = Service::start_with_journal(cfg, &path).unwrap();
         let acks: Vec<_> = (0..5)
-            .map(|i| svc.submit(&cfg, spec("alice", 10.0 + i as f64)).unwrap())
+            .map(|i| svc.submit(spec("alice", 10.0 + i as f64)).unwrap())
             .collect();
         // Simulate kill -9: drop the service without drain. Every ack was
         // fsync'd before `submit` returned, so the journal has them all.
@@ -1939,14 +1933,14 @@ mod tests {
         let path = temp_journal("terminal");
         let cfg = ServeConfig::default();
         let svc = Service::start_with_journal(cfg, &path).unwrap();
-        let ok = svc.submit(&cfg, spec("alice", 10.0)).unwrap();
+        let ok = svc.submit(spec("alice", 10.0)).unwrap();
         assert_eq!(svc.wait(ok.job_id).unwrap().state, JobState::Done);
         // A failed job (chaos panic, no retries budgeted via deadline).
         svc.set_chaos(ChaosConfig {
             panic_per_mille: 1000,
             ..ChaosConfig::default()
         });
-        let bad = svc.submit(&cfg, spec("alice", 20.0)).unwrap();
+        let bad = svc.submit(spec("alice", 20.0)).unwrap();
         let failed = svc.wait(bad.job_id).unwrap();
         assert_eq!(failed.state, JobState::Failed);
         svc.shutdown();
@@ -1959,9 +1953,7 @@ mod tests {
         assert_eq!(b.state, JobState::Failed);
         assert_eq!(b.error_kind, Some(JobErrorKind::RetriesExhausted));
         // New ids continue after the recovered ones.
-        let c = svc2
-            .submit(&ServeConfig::default(), spec("bob", 30.0))
-            .unwrap();
+        let c = svc2.submit(spec("bob", 30.0)).unwrap();
         assert!(c.job_id > bad.job_id);
         svc2.shutdown();
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
@@ -1971,7 +1963,7 @@ mod tests {
     fn service_report_flags_conservation_and_recovery() {
         let cfg = ServeConfig::default();
         let svc = Service::start(cfg);
-        let a = svc.submit(&cfg, spec("alice", 10.0)).unwrap();
+        let a = svc.submit(spec("alice", 10.0)).unwrap();
         svc.wait(a.job_id).unwrap();
         let report = svc.service_report();
         assert!(

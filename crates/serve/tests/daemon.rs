@@ -327,7 +327,7 @@ fn concurrent_submissions_preserve_every_invariant() {
                         mode: Mode::Schedule,
                         deadline_ms: None,
                     };
-                    match svc.submit(&cfg, spec) {
+                    match svc.submit(spec) {
                         Ok(ack) => acks.push(ack),
                         Err(SubmitError::QuotaExceeded { .. }) => rejected_quota += 1,
                         Err(SubmitError::QueueFull { .. }) => rejected_queue += 1,
@@ -396,18 +396,15 @@ fn concurrent_submissions_preserve_every_invariant() {
 
     // Drained services refuse new work.
     assert!(matches!(
-        svc.submit(
-            &cfg,
-            JobSpec {
-                tenant: "late".into(),
-                graph: diamond(1.0, 1.0),
-                procs: 4,
-                bandwidth: 125.0,
-                algo: "locmps".into(),
-                mode: Mode::Schedule,
-                deadline_ms: None,
-            }
-        ),
+        svc.submit(JobSpec {
+            tenant: "late".into(),
+            graph: diamond(1.0, 1.0),
+            procs: 4,
+            bandwidth: 125.0,
+            algo: "locmps".into(),
+            mode: Mode::Schedule,
+            deadline_ms: None,
+        }),
         Err(SubmitError::Draining)
     ));
     Arc::try_unwrap(svc)
@@ -434,11 +431,11 @@ fn run_mode_jobs_key_the_cache_on_engine_parameters() {
         }),
         deadline_ms: None,
     };
-    let a = svc.submit(&cfg, run(1)).unwrap();
-    let b = svc.submit(&cfg, run(2)).unwrap();
+    let a = svc.submit(run(1)).unwrap();
+    let b = svc.submit(run(2)).unwrap();
     assert_ne!(a.fingerprint, b.fingerprint, "seed is part of the key");
     svc.wait(a.job_id);
-    let c = svc.submit(&cfg, run(1)).unwrap();
+    let c = svc.submit(run(1)).unwrap();
     assert_eq!(c.fingerprint, a.fingerprint);
     assert!(c.cached || c.coalesced);
     svc.drain();
@@ -489,7 +486,7 @@ fn crash_images_from_a_100_job_burst_recover_every_acked_job_exactly_once() {
             mode: Mode::Schedule,
             deadline_ms: None,
         };
-        acks.push(svc.submit(&cfg, spec).expect("burst submission"));
+        acks.push(svc.submit(spec).expect("burst submission"));
         if SNAP_AT.contains(&acks.len()) {
             images.push((acks.len(), std::fs::read(&path).expect("snapshot journal")));
         }

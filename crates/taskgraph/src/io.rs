@@ -113,7 +113,7 @@ impl TaskGraph {
                 out,
                 "  {} [label=\"{} ({:.1})\"];",
                 id.index(),
-                t.name,
+                dot_escape(&t.name),
                 t.profile.seq_time()
             )
             .unwrap();
@@ -140,6 +140,22 @@ impl TaskGraph {
         out.push_str("}\n");
         out
     }
+}
+
+/// `text` escaped for a DOT double-quoted label: a backslash or quote
+/// gets a backslash, and a line break becomes `\n`, so untrusted task
+/// names cannot end the label or the statement.
+fn dot_escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -237,6 +253,40 @@ mod tests {
             .unwrap()
             .replace("\"Linear\"", "{\"Amdahl\":{\"serial_fraction\":3.0}}");
         assert!(TaskGraph::from_json(&json).is_err());
+    }
+
+    /// Task names come from untrusted JSON: each stays inside its own
+    /// quoted label, one node statement per task, and reads back verbatim.
+    #[test]
+    fn dot_labels_escape_task_names() {
+        let names = ["a\"] ; x [label=\"pwn", "back\\slash", "two\nlines"];
+        let mut g = TaskGraph::new();
+        for name in names {
+            g.add_task(name, ExecutionProfile::linear(1.0));
+        }
+        let dot = g.to_dot();
+        let nodes: Vec<&str> = dot.lines().filter(|l| l.contains("[label=")).collect();
+        assert_eq!(nodes.len(), names.len(), "{dot}");
+        for (i, (line, name)) in nodes.iter().zip(names).enumerate() {
+            let quoted = line
+                .strip_prefix(&format!("  {i} [label=\""))
+                .and_then(|rest| rest.strip_suffix("\"];"))
+                .unwrap_or_else(|| panic!("not one node statement: {line}"));
+            let mut label = String::new();
+            let mut chars = quoted.chars();
+            while let Some(c) = chars.next() {
+                match c {
+                    '\\' => match chars.next() {
+                        Some('n') => label.push('\n'),
+                        Some(escaped) => label.push(escaped),
+                        None => panic!("dangling backslash: {line}"),
+                    },
+                    '"' => panic!("a quote ends the label early: {line}"),
+                    c => label.push(c),
+                }
+            }
+            assert_eq!(label, format!("{name} (1.0)"));
+        }
     }
 
     #[test]

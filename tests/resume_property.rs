@@ -1,15 +1,12 @@
 //! Prefix replay is exact: a LoCBS pass resumed from the placement log of
 //! an earlier pass over the same graph (`Locbs::run_into_resumed`) must
 //! give the byte-identical schedule, the same makespan bits and the same
-//! schedule-DAG — pseudo-edge order included — as a fresh pass, and must
-//! abort under a horizon exactly when a fresh bounded pass does.
+//! schedule-DAG — pseudo-edge order included — as a fresh pass.
 //!
 //! The resume sources are the ones the LoC-MPS search hands over: the log
 //! of the previous step of a look-ahead walk (one or two tasks a processor
-//! narrower), the log of an unrelated allocation, and the log a pass left
-//! when it aborted under a finite horizon.
+//! narrower) and the log of an unrelated allocation.
 
-use locmps::core::bounds::allocation_lower_bound;
 use locmps::core::{Allocation, CommModel, Locbs, LocbsOptions, LocbsScratch, PlacementLog};
 use locmps::prelude::*;
 use locmps::taskgraph::EdgeKind;
@@ -74,45 +71,20 @@ struct Resumer<'a> {
 }
 
 impl Resumer<'_> {
-    /// Runs one pass resumed from the current log and checks it against
-    /// fresh passes. Returns the makespan (`None` on an abort) and the
-    /// number of placements copied from the log.
-    fn check(
-        &mut self,
-        alloc: &Allocation,
-        horizon: f64,
-    ) -> Result<(Option<f64>, u64), TestCaseError> {
-        let (out, replayed) = self
+    /// Runs one pass resumed from the current log and checks it against a
+    /// fresh pass. Returns the number of placements copied from the log.
+    fn check(&mut self, alloc: &Allocation) -> Result<u64, TestCaseError> {
+        let ((schedule, makespan), replayed) = self
             .locbs
-            .run_into_resumed(
-                &mut self.dag,
-                alloc,
-                &mut self.scratch,
-                horizon,
-                &mut self.log,
-            )
+            .run_into_resumed(&mut self.dag, alloc, &mut self.scratch, &mut self.log)
             .unwrap();
-        let mut bounded_dag = self.g.clone();
-        let bounded = self
-            .locbs
-            .run_into_bounded(&mut bounded_dag, alloc, &mut LocbsScratch::new(), horizon)
-            .unwrap();
-        prop_assert_eq!(
-            out.is_none(),
-            bounded.is_none(),
-            "resumed and fresh passes disagree on the abort under horizon {}",
-            horizon
-        );
-        let Some((schedule, makespan)) = out else {
-            return Ok((None, replayed));
-        };
         let fresh = self.locbs.run(self.g, alloc).unwrap();
         prop_assert_eq!(
             fingerprint(&schedule, makespan, &self.dag),
             fingerprint(&fresh.schedule, fresh.makespan, &fresh.schedule_dag)
         );
         prop_assert_eq!(&self.dag, &fresh.schedule_dag);
-        Ok((Some(makespan), replayed))
+        Ok(replayed)
     }
 }
 
@@ -127,7 +99,6 @@ proptest! {
         backfill in any::<bool>(),
         moves in proptest::collection::vec(any::<u64>(), 3..9),
         unrelated in proptest::collection::vec(1usize..9, 16..17),
-        cut in 0.0..1.0f64,
     ) {
         let cluster = if overlap {
             Cluster::new(p, 25.0)
@@ -146,41 +117,22 @@ proptest! {
 
         // A pass resumed from its own allocation's log copies every placement.
         let mut alloc = Allocation::ones(n);
-        r.check(&alloc, f64::INFINITY)?;
-        let (_, replayed) = r.check(&alloc, f64::INFINITY)?;
-        prop_assert_eq!(replayed, n as u64);
+        r.check(&alloc)?;
+        prop_assert_eq!(r.check(&alloc)?, n as u64);
 
         for (k, &m) in moves.iter().enumerate() {
-            let (makespan, _) = r.check(&alloc, f64::INFINITY)?;
-            let makespan = makespan.expect("unbounded passes complete");
-            // The same allocation under a horizon between its lower bound
-            // and its makespan: every placement is a copied one, so any
-            // abort must come from the test on a copied step. The log is
-            // left as it was.
-            let lb = allocation_lower_bound(&g, &alloc, p);
-            let horizon = lb + (0.01 + 0.98 * cut) * (makespan - lb);
-            r.check(&alloc, horizon)?;
-
+            r.check(&alloc)?;
             // The next walk step widens one or two tasks by one processor.
             alloc.widen(TaskId((m % n as u64) as u32), p);
             if m >> 63 == 1 {
                 alloc.widen(TaskId(((m >> 32) % n as u64) as u32), p);
             }
-            match k % 3 {
-                // Source of the next step: the previous walk step's log.
-                0 => {}
-                // Source: the log of an unrelated allocation.
-                1 => {
-                    r.check(&unrelated, f64::INFINITY)?;
-                }
-                // Source: whatever a pass of the next step left under the
-                // previous step's horizon — an aborted prefix or, when it
-                // beat the horizon, its complete log.
-                _ => {
-                    r.check(&alloc, horizon)?;
-                }
+            // Source of the next step: the previous walk step's log, or
+            // on odd steps the log of an unrelated allocation.
+            if k % 2 == 1 {
+                r.check(&unrelated)?;
             }
         }
-        r.check(&alloc, f64::INFINITY)?;
+        r.check(&alloc)?;
     }
 }

@@ -7,10 +7,10 @@
 //! list). The search is sequential, so its allocation count is a pure
 //! function of the input and the toolchain; this gate pins it at no more
 //! than [`BUDGET`] allocations per look-ahead step, where a step is one
-//! LoCBS pass, completed or aborted, or one pass-memo hit.
+//! LoCBS pass or one pass-memo hit.
 //!
-//! Debug builds add two allocations per completed pass (a `debug_assert!`
-//! checks `G'` with a validating sort), which the budget covers.
+//! Debug builds add two allocations per pass (a `debug_assert!` checks
+//! `G'` with a validating sort), which the budget covers.
 //!
 //! This file is its own test binary, so its counting allocator sees no
 //! other test's work; the count is per thread, so tests that run in
@@ -79,7 +79,7 @@ fn allocations_per_step(g: &TaskGraph, cluster: &Cluster) -> (f64, u64) {
         .expect("the input schedules");
     let made = allocations() - before;
     let c = out.counters;
-    let steps = c.locbs_passes + c.probes_aborted + c.pass_memo_hits;
+    let steps = c.locbs_passes + c.pass_memo_hits;
     assert!(steps > 0, "the search ran");
     (made as f64 / steps as f64, steps)
 }

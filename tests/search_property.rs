@@ -1,10 +1,9 @@
 //! Pruning-exactness properties: the accelerations of the LoC-MPS
-//! refinement search (the corner-probe bound, bounded-horizon probes, the
-//! allocation-keyed memo of passes and walk steps, the prefix replay) must
-//! be **lossless** —
+//! refinement search (the corner-probe bound, the allocation-keyed memo of
+//! passes and walk steps, the prefix replay) must be **lossless** —
 //! the search with them on selects the same commits and produces the
 //! byte-identical schedule, allocation and schedule-DAG as the exhaustive
-//! reference that runs every LoCBS pass to completion — and the bounds
+//! reference that runs every LoCBS pass from scratch — and the bounds
 //! must be admissible (never above a true LoCBS makespan).
 
 use locmps::core::bounds::{allocation_lower_bound, WideningBounds};
