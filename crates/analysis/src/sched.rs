@@ -616,6 +616,14 @@ mod tests {
             out.counters.placements_replayed
         )));
         assert_eq!(
+            get("candidates_examined"),
+            out.counters.candidates_examined.to_string()
+        );
+        assert!(d.message.contains(&format!(
+            "{} candidates examined",
+            out.counters.candidates_examined
+        )));
+        assert_eq!(
             get("successors_reused"),
             out.counters.successors_reused.to_string()
         );

@@ -9,7 +9,9 @@
 //!   writes the wall times to `BENCH_locbs.json` (first CLI argument
 //!   overrides the path). The schedule makespans are recorded alongside so
 //!   a speed change that silently alters scheduling decisions is caught by
-//!   diffing the report.
+//!   diffing the report, and so are the candidate starts the pass examined,
+//!   an exact count of the kernel's work that a loosened candidate bound
+//!   raises without changing any schedule.
 //! * **`locmps`** — times the full `LocMps::schedule` search at the same
 //!   three scale points, once with the default configuration (the
 //!   corner-probe bound, the memo of passes and walk steps, prefix
@@ -32,7 +34,8 @@
 use std::time::Instant;
 
 use locmps_core::{
-    Allocation, CommModel, LocMps, LocMpsConfig, Locbs, LocbsOptions, Scheduler, SearchCounters,
+    Allocation, CommModel, LocMps, LocMpsConfig, Locbs, LocbsOptions, LocbsScratch, PlacementLog,
+    Scheduler, SearchCounters,
 };
 use locmps_platform::Cluster;
 use locmps_taskgraph::TaskGraph;
@@ -47,6 +50,8 @@ struct Case {
     min_ms: f64,
     mean_ms: f64,
     makespan: f64,
+    /// Candidate starts one pass examined (exact).
+    candidates_examined: u64,
 }
 
 fn build(n_tasks: usize) -> TaskGraph {
@@ -73,11 +78,17 @@ fn time_case(n_tasks: usize, p: usize) -> Case {
     let locbs = Locbs::new(model, LocbsOptions::default());
     let alloc = mixed_alloc(&g, p);
 
-    // Warm-up run; also pins the makespan the timed runs must reproduce.
-    let makespan = locbs
-        .run(&g, &alloc)
-        .expect("benchmark graph schedules")
-        .makespan;
+    // Warm-up run; also pins the makespan the timed runs must reproduce
+    // and counts the pass's candidate starts. Resumed from an empty log, it
+    // copies nothing and places every task, as `Locbs::run` does.
+    let ((_, makespan), work) = locbs
+        .run_into_resumed(
+            &mut g.clone(),
+            &alloc,
+            &mut LocbsScratch::new(),
+            &mut PlacementLog::new(),
+        )
+        .expect("benchmark graph schedules");
 
     // Enough repetitions to dampen timer noise without letting the large
     // cases dominate total harness time.
@@ -103,6 +114,7 @@ fn time_case(n_tasks: usize, p: usize) -> Case {
         min_ms,
         mean_ms,
         makespan,
+        candidates_examined: work.candidates_examined,
     }
 }
 
@@ -114,13 +126,14 @@ fn render_locbs_json(cases: &[Case]) -> Result<String, serde_json::NonFiniteFloa
     for (i, c) in cases.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"n_tasks\": {}, \"p\": {}, \"runs\": {}, \"min_ms\": {}, \
-             \"mean_ms\": {}, \"makespan\": {}}}{}\n",
+             \"mean_ms\": {}, \"makespan\": {}, \"candidates_examined\": {}}}{}\n",
             c.n_tasks,
             c.p,
             c.runs,
             serde_json::fmt_float_fixed(c.min_ms, 3)?,
             serde_json::fmt_float_fixed(c.mean_ms, 3)?,
             serde_json::fmt_float_fixed(c.makespan, 6)?,
+            c.candidates_examined,
             if i + 1 < cases.len() { "," } else { "" }
         ));
     }
@@ -135,8 +148,8 @@ fn locbs_mode(out_path: &str) -> Result<(), String> {
             eprintln!("timing locbs placement: |V|={n} P={p} ...");
             let c = time_case(n, p);
             eprintln!(
-                "  min {:.2} ms  mean {:.2} ms over {} runs (makespan {:.3})",
-                c.min_ms, c.mean_ms, c.runs, c.makespan
+                "  min {:.2} ms  mean {:.2} ms over {} runs (makespan {:.3}, {} candidates)",
+                c.min_ms, c.mean_ms, c.runs, c.makespan, c.candidates_examined
             );
             c
         })
@@ -320,6 +333,7 @@ mod tests {
             min_ms,
             mean_ms: 1.5,
             makespan: 1234.5,
+            candidates_examined: 42,
         }
     }
 

@@ -22,8 +22,8 @@ impl Opt {
     }
 }
 
-/// Parsed command line: positional arguments plus `--key value` options
-/// (a flag stores an empty string).
+/// Parsed command line: the command's positional arguments plus
+/// `--key value` options (a flag stores an empty string).
 #[derive(Debug, Default)]
 pub struct Args {
     positional: Vec<String>,
@@ -31,15 +31,21 @@ pub struct Args {
 }
 
 impl Args {
-    /// Splits `argv`, the arguments of `locmps <command>`, into positionals
-    /// and the options in `accepted`. A value option takes the next
-    /// argument as its value; a flag takes none.
+    /// Splits `argv`, the arguments after `locmps <command>`, into at most
+    /// as many positionals as `positionals` names and the options in
+    /// `accepted`. A value option takes the next argument as its value; a
+    /// flag takes none.
     ///
     /// # Errors
-    /// Rejects an option `accepted` does not list, an option given more
-    /// than once, and a value option followed by nothing or by another
-    /// option.
-    pub fn parse(argv: &[String], command: &str, accepted: &[Opt]) -> Result<Self, String> {
+    /// Rejects a positional beyond those `positionals` names, an option
+    /// `accepted` does not list, an option given more than once, and a
+    /// value option followed by nothing or by another option.
+    pub fn parse(
+        argv: &[String],
+        command: &str,
+        positionals: &[&str],
+        accepted: &[Opt],
+    ) -> Result<Self, String> {
         let mut out = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -62,8 +68,10 @@ impl Args {
                 if out.options.insert(key.to_string(), value).is_some() {
                     return Err(format!("option --{key} given more than once"));
                 }
-            } else {
+            } else if out.positional.len() < positionals.len() {
                 out.positional.push(a.clone());
+            } else {
+                return Err(format!("unexpected argument {a:?} for 'locmps {command}'"));
             }
             i += 1;
         }
@@ -109,7 +117,7 @@ mod tests {
 
     fn try_parse(words: &[&str]) -> Result<Args, String> {
         let argv: Vec<String> = words.iter().map(|s| s.to_string()).collect();
-        Args::parse(&argv, "schedule", ACCEPTED)
+        Args::parse(&argv, "schedule", &["<graph.json>"], ACCEPTED)
     }
 
     fn parse(words: &[&str]) -> Args {
@@ -118,11 +126,9 @@ mod tests {
 
     #[test]
     fn positionals_and_options_mix() {
-        let a = parse(&[
-            "schedule", "g.json", "--procs", "32", "--gantt", "--algo", "cpr",
-        ]);
-        assert_eq!(a.positional(0), Some("schedule"));
-        assert_eq!(a.positional(1), Some("g.json"));
+        let a = parse(&["g.json", "--procs", "32", "--gantt", "--algo", "cpr"]);
+        assert_eq!(a.positional(0), Some("g.json"));
+        assert_eq!(a.positional(1), None);
         assert_eq!(a.option("procs"), Some("32"));
         assert_eq!(a.option("algo"), Some("cpr"));
         assert!(a.has("gantt"));
@@ -144,14 +150,23 @@ mod tests {
         let a = parse(&["--gantt", "--procs", "4"]);
         assert_eq!(a.option("gantt"), Some(""));
         assert_eq!(a.option("procs"), Some("4"));
-        let b = parse(&["schedule", "--gantt", "g.json"]);
-        assert_eq!(b.positional(1), Some("g.json"));
+        let b = parse(&["--gantt", "g.json"]);
+        assert_eq!(b.positional(0), Some("g.json"));
+    }
+
+    #[test]
+    fn an_extra_positional_is_refused() {
+        assert_eq!(
+            try_parse(&["g.json", "other.json", "--procs", "4"]).unwrap_err(),
+            "unexpected argument \"other.json\" for 'locmps schedule'"
+        );
+        assert!(try_parse(&["--procs", "4", "g.json", "--gantt", "x"]).is_err());
     }
 
     #[test]
     fn unknown_options_are_refused() {
         assert_eq!(
-            try_parse(&["schedule", "g.json", "--no-overlp"]).unwrap_err(),
+            try_parse(&["g.json", "--no-overlp"]).unwrap_err(),
             "unknown option --no-overlp for 'locmps schedule'"
         );
         assert!(try_parse(&["--algo", "cpr", "--bandwith", "1"]).is_err());

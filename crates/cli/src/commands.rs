@@ -81,10 +81,11 @@ commands:
                                   (see docs/SERVE.md)
 ";
 
-/// One subcommand: its name, the options it accepts (those [`USAGE`]
-/// lists for it) and what runs it.
+/// One subcommand: its name, the positional arguments and options it
+/// accepts (those [`USAGE`] lists for it) and what runs it.
 struct Command {
     name: &'static str,
+    positionals: &'static [&'static str],
     options: &'static [Opt],
     run: fn(&Args) -> Result<(), String>,
 }
@@ -93,6 +94,7 @@ struct Command {
 const COMMANDS: &[Command] = &[
     Command {
         name: "generate",
+        positionals: &["<synthetic|ccsd|strassen>"],
         options: &[
             Opt::Value("tasks"),
             Opt::Value("ccr"),
@@ -108,21 +110,25 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "stats",
+        positionals: &["<graph.json>"],
         options: &[Opt::Value("bandwidth")],
         run: stats,
     },
     Command {
         name: "dot",
+        positionals: &["<graph.json>"],
         options: &[],
         run: dot,
     },
     Command {
         name: "svg",
+        positionals: &["<graph.json>"],
         options: &[Opt::Value("out")],
         run: svg,
     },
     Command {
         name: "schedule",
+        positionals: &["<graph.json>"],
         options: &[
             Opt::Value("procs"),
             Opt::Value("bandwidth"),
@@ -135,6 +141,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "compare",
+        positionals: &["<graph.json>"],
         options: &[
             Opt::Value("procs"),
             Opt::Value("bandwidth"),
@@ -144,6 +151,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "analyze",
+        positionals: &["<graph.json>"],
         options: &[
             Opt::Value("procs"),
             Opt::Value("bandwidth"),
@@ -156,6 +164,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "run",
+        positionals: &["<graph.json>"],
         options: &[
             Opt::Value("procs"),
             Opt::Value("bandwidth"),
@@ -179,6 +188,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "chaos",
+        positionals: &[],
         options: &[
             Opt::Value("procs"),
             Opt::Value("seeds"),
@@ -196,6 +206,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "serve",
+        positionals: &[],
         options: &[
             Opt::Value("addr"),
             Opt::Value("workers"),
@@ -210,7 +221,7 @@ const COMMANDS: &[Command] = &[
 ];
 
 /// Dispatches one invocation: `argv[0]` names the command, and the rest
-/// may use only the options that command declares.
+/// may use only the positionals and options that command declares.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let name = match argv.first() {
         Some(name) if !name.starts_with("--") => name,
@@ -220,11 +231,16 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         .iter()
         .find(|c| c.name == name)
         .ok_or_else(|| format!("unknown command {name:?}"))?;
-    (command.run)(&Args::parse(argv, name, command.options)?)
+    (command.run)(&Args::parse(
+        &argv[1..],
+        name,
+        command.positionals,
+        command.options,
+    )?)
 }
 
 fn load_graph(args: &Args) -> Result<TaskGraph, String> {
-    let path = args.positional(1).ok_or("missing <graph.json> argument")?;
+    let path = args.positional(0).ok_or("missing <graph.json> argument")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     TaskGraph::from_json(&text)
 }
@@ -255,7 +271,7 @@ fn cluster_from(args: &Args) -> Result<Cluster, String> {
 }
 
 fn generate(args: &Args) -> Result<(), String> {
-    let kind = args.positional(1).ok_or("generate needs a workload kind")?;
+    let kind = args.positional(0).ok_or("generate needs a workload kind")?;
     let g = match kind {
         "synthetic" => {
             let cfg = SyntheticConfig {
@@ -853,6 +869,21 @@ mod tests {
                     "{name} accepts {opt:?}, which USAGE does not list"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn each_command_declares_the_positionals_usage_lists() {
+        for command in COMMANDS {
+            let line = USAGE
+                .lines()
+                .find(|l| l.get(2..).is_some_and(|l| l.starts_with(command.name)))
+                .unwrap();
+            let listed: Vec<&str> = line
+                .split_whitespace()
+                .filter(|w| w.starts_with('<'))
+                .collect();
+            assert_eq!(listed, command.positionals, "{}", command.name);
         }
     }
 

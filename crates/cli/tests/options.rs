@@ -1,7 +1,8 @@
-//! The `locmps` binary refuses options its command does not declare and
-//! options given twice: a misspelled option is an error, not a silently
-//! ignored default, and a repeated one does not silently keep its last
-//! value.
+//! The `locmps` binary refuses options its command does not declare,
+//! options given twice and positional arguments beyond those its command
+//! takes: a misspelled option is an error, not a silently ignored default,
+//! a repeated one does not silently keep its last value, and a second file
+//! is not silently left unread.
 
 use std::process::Command;
 
@@ -131,6 +132,32 @@ fn a_repeated_option_is_refused() {
         assert!(!ok, "{args:?} must exit nonzero");
         assert!(stdout.is_empty(), "{args:?} printed:\n{stdout}");
         let want = format!("error: option --{key} given more than once");
+        assert!(stderr.starts_with(&want), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+/// A positional argument the command does not take is refused by name
+/// before the command runs.
+#[test]
+fn an_extra_positional_is_refused() {
+    let path = graph_file("extra");
+    let g = path.to_str().unwrap();
+    for (args, extra) in [
+        (
+            &["schedule", g, "other.json", "--procs", "4"][..],
+            "other.json",
+        ),
+        (&["generate", "synthetic", "extra"], "extra"),
+        (&["stats", g, g], g),
+    ] {
+        let (ok, stdout, stderr) = cli(args);
+        assert!(!ok, "{args:?} must exit nonzero");
+        assert!(stdout.is_empty(), "{args:?} printed:\n{stdout}");
+        let want = format!(
+            "error: unexpected argument {extra:?} for 'locmps {}'",
+            args[0]
+        );
         assert!(stderr.starts_with(&want), "{args:?}: {stderr}");
     }
     let _ = std::fs::remove_file(path);

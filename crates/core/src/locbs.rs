@@ -72,6 +72,17 @@ struct Placement {
     procs: ProcSet,
 }
 
+/// The work of one LoCBS pass, as [`Locbs::run_into_resumed`] reports it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PassWork {
+    /// Placements copied from the log instead of placed.
+    pub replayed: u64,
+    /// Candidate starts the placed tasks examined, each taken from the
+    /// candidate cursor or, without backfill, from the last-end list. A
+    /// copied placement examines none.
+    pub candidates_examined: u64,
+}
+
 /// One position of a logged LoCBS pass.
 #[derive(Debug)]
 struct LoggedStep {
@@ -209,8 +220,9 @@ impl<'a> Locbs<'a> {
 
     /// [`Locbs::run_into`] resumed from `log`, the placement log of an
     /// earlier pass of this scheduler over the same data graph (see
-    /// [`PlacementLog`]). Also returns how many placements were copied
-    /// from the log.
+    /// [`PlacementLog`]). Also returns the pass's [`PassWork`]: how many
+    /// placements were copied from the log and how many candidate starts
+    /// the others examined.
     ///
     /// While the task the pass picks and that task's width match the
     /// log's step at the same position, the logged placement and its
@@ -229,19 +241,19 @@ impl<'a> Locbs<'a> {
         alloc: &Allocation,
         scratch: &mut LocbsScratch,
         log: &mut PlacementLog,
-    ) -> Result<((Schedule, f64), u64), SchedError> {
+    ) -> Result<((Schedule, f64), PassWork), SchedError> {
         self.pass(dag, alloc, scratch, Some(log))
     }
 
     /// The pass behind [`Locbs::run_into`] and [`Locbs::run_into_resumed`];
     /// without a log it neither copies nor records placements.
-    fn pass(
+    pub(crate) fn pass(
         &self,
         dag: &mut TaskGraph,
         alloc: &Allocation,
         scratch: &mut LocbsScratch,
         mut log: Option<&mut PlacementLog>,
-    ) -> Result<((Schedule, f64), u64), SchedError> {
+    ) -> Result<((Schedule, f64), PassWork), SchedError> {
         dag.clear_pseudo_edges();
         crate::invariant!(
             dag.edges()
@@ -327,7 +339,7 @@ impl<'a> Locbs<'a> {
         // `pos` counts the steps taken; while `resuming`, every one of
         // them matched the log's step at the same position.
         let mut pos = 0usize;
-        let mut replayed = 0u64;
+        let mut work = PassWork::default();
         let mut resuming = log.is_some();
         while let Some(i) = pick_highest_priority(&scratch.ready, &scratch.priority) {
             let t = scratch.ready.swap_remove(i);
@@ -348,11 +360,12 @@ impl<'a> Locbs<'a> {
                         dag.add_pseudo_edge(other, t)
                             .expect("pseudo edge endpoints exist");
                     }
-                    replayed += 1;
+                    work.replayed += 1;
                     (step.entry.clone(), None)
                 }
                 None => {
-                    let p = self.place(dag, alloc, t, &placed, &timeline, scratch);
+                    let (p, examined) = self.place(dag, alloc, t, &placed, &timeline, scratch);
+                    work.candidates_examined += examined;
                     let entry = ScheduledTask {
                         task: t,
                         procs: p.procs,
@@ -422,17 +435,19 @@ impl<'a> Locbs<'a> {
         debug_assert!(dag.validate().is_ok(), "pseudo edges must keep G' acyclic");
         scratch.timeline = timeline;
         scratch.placed = placed;
-        Ok(((schedule, makespan), replayed))
+        Ok(((schedule, makespan), work))
     }
 
     /// Finds the minimum-finish-time placement for `t` (Algorithm 2, steps
     /// 5–16), backfilling over holes or, in the no-backfill variant, after
     /// the last free times only.
     ///
-    /// Candidate starts stream from the timeline's event-list cursor with
-    /// the current best finish as the horizon, so candidates that cannot
-    /// improve the placement are never enumerated, and every per-candidate
-    /// buffer (free set, score vector, selection) lives in `scratch`.
+    /// Candidate starts stream from the timeline's event-list cursor (or,
+    /// without backfill, the last-end list) up to the exact finish bound
+    /// of the current best, so candidates that cannot improve the
+    /// placement are never examined, and every per-candidate buffer (free
+    /// set, score vector, selection) lives in `scratch`. Also returns how
+    /// many candidates it examined.
     fn place(
         &self,
         g: &TaskGraph,
@@ -441,7 +456,7 @@ impl<'a> Locbs<'a> {
         placed: &[Option<ScheduledTask>],
         timeline: &Timeline,
         scratch: &mut LocbsScratch,
-    ) -> Placement {
+    ) -> (Placement, u64) {
         let np = alloc.np(t);
         let et = scratch.et[t.index()];
         let p_total = self.model.cluster().n_procs;
@@ -479,9 +494,11 @@ impl<'a> Locbs<'a> {
         // block-cyclic walks entirely on those repeats.
         let mut memo_sel = ProcSet::new();
         let mut memo_cost = f64::NAN;
+        let mut examined = 0u64;
         loop {
-            // No later hole can finish earlier than the current best.
-            let horizon = best.as_ref().map_or(f64::INFINITY, |b| b.finish);
+            let horizon = best
+                .as_ref()
+                .map_or(f64::INFINITY, |b| finish_horizon(b.finish, et));
             let s = if self.opts.backfill {
                 match cursor.next_below(horizon) {
                     Some(s) => s,
@@ -496,6 +513,7 @@ impl<'a> Locbs<'a> {
                     _ => break,
                 }
             };
+            examined += 1;
             if self.opts.backfill {
                 timeline.free_set_into(s, s + et, &mut scratch.free);
             } else {
@@ -593,8 +611,28 @@ impl<'a> Locbs<'a> {
                 }
             }
         }
-        best.expect("the all-free horizon candidate always fits")
+        (
+            best.expect("the all-free horizon candidate always fits"),
+            examined,
+        )
     }
+}
+
+/// The first candidate start that cannot displace a best placement
+/// finishing at `best_finish`, for a task of execution time `et`.
+///
+/// A candidate at `s` starts at `max(s, ·) ≥ s` and finishes at
+/// `start + et` or `start + comm + et`, so at or after `s + et` in both
+/// overlap regimes; f64 addition is monotone, so that holds after
+/// rounding too. It displaces the best only by finishing earlier by more
+/// than `time_eps(finish)`, or within that tolerance and starting earlier.
+/// Both need `finish - best_finish <= time_eps(finish)`, which a finish at
+/// or past `best_finish + 2 · time_eps(best_finish)` never meets: the
+/// tolerance is relative, and the margin left is many orders of magnitude
+/// above the rounding of `horizon - et + et`. Since candidates ascend,
+/// the scan stops at the first one at or past the horizon.
+fn finish_horizon(best_finish: f64, et: f64) -> f64 {
+    best_finish + 2.0 * time_eps(best_finish) - et
 }
 
 /// Index of the highest-priority ready task (ties toward lower task id).

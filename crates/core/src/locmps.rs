@@ -673,17 +673,12 @@ impl LocMps {
         st: &mut SearchState,
         alloc: &Allocation,
     ) -> Result<(Schedule, f64), SchedError> {
-        let result = match &mut st.log {
-            Some(log) => {
-                let (result, replayed) =
-                    ctx.locbs
-                        .run_into_resumed(&mut st.dag, alloc, &mut st.scratch, log)?;
-                st.counters.placements_replayed += replayed;
-                result
-            }
-            None => ctx.locbs.run_into(&mut st.dag, alloc, &mut st.scratch)?,
-        };
+        let (result, work) =
+            ctx.locbs
+                .pass(&mut st.dag, alloc, &mut st.scratch, st.log.as_mut())?;
         st.counters.locbs_passes += 1;
+        st.counters.placements_replayed += work.replayed;
+        st.counters.candidates_examined += work.candidates_examined;
         Ok(result)
     }
 

@@ -94,6 +94,13 @@ pub struct SearchCounters {
     /// instead of placing them (the shared prefix of the two passes; see
     /// [`Locbs::run_into_resumed`](crate::Locbs::run_into_resumed)).
     pub placements_replayed: u64,
+    /// Candidate starts the LoCBS placements examined, summed over the
+    /// search's passes: each start a placement took from the candidate
+    /// cursor or, without backfill, from the last-end list. A placement
+    /// copied from the log examines none. The scan stops at an exact
+    /// finish bound, so where it stops changes no schedule, only this
+    /// count.
+    pub candidates_examined: u64,
     /// Schedule-DAG edge weights of refinement steps taken from the
     /// previous exact pricing of the same edge instead of the transfer
     /// kernel, because the edge's source group, destination group and
@@ -114,7 +121,7 @@ impl SearchCounters {
     /// they all use: the `locmps schedule` effort line, the `LM210`
     /// diagnostic and `BENCH_locmps.json`. `probes_aborted` and
     /// `lookahead_cutoffs`, always 0, are left out.
-    pub fn reported(&self) -> [ReportedCounter; 7] {
+    pub fn reported(&self) -> [ReportedCounter; 8] {
         let entry = |key, label, value| ReportedCounter { key, label, value };
         [
             entry("locbs_passes", "LoCBS passes", self.locbs_passes),
@@ -128,6 +135,11 @@ impl SearchCounters {
                 "placements_replayed",
                 "placements replayed",
                 self.placements_replayed,
+            ),
+            entry(
+                "candidates_examined",
+                "candidates examined",
+                self.candidates_examined,
             ),
             entry(
                 "transfers_reused",

@@ -56,11 +56,13 @@ impl Default for ProcSet {
 }
 
 impl Clone for ProcSet {
+    #[inline]
     fn clone(&self) -> Self {
         Self::from_words(self.words())
     }
 
     /// Copies `source` into this set, reusing a heap buffer if it has one.
+    #[inline]
     fn clone_from(&mut self, source: &Self) {
         match &mut self.words {
             Words::Heap(v) => {
@@ -103,6 +105,7 @@ impl ProcSet {
     }
 
     /// A set holding exactly `words`, inline when they fit.
+    #[inline]
     fn from_words(words: &[u64]) -> Self {
         if words.len() <= INLINE {
             let mut buf = [0; INLINE];
@@ -138,6 +141,7 @@ impl ProcSet {
 
     /// Resizes the bitmap to `n` words; new words are zero. Spills to the
     /// heap past [`INLINE`] words; a heap buffer stays, whatever `n`.
+    #[inline]
     fn set_word_len(&mut self, n: usize) {
         match &mut self.words {
             Words::Heap(v) => v.resize(n, 0),
@@ -157,6 +161,7 @@ impl ProcSet {
     }
 
     /// Inserts `p`; returns whether it was newly added.
+    #[inline]
     pub fn insert(&mut self, p: ProcId) -> bool {
         let (w, b) = (p as usize / BITS, p as usize % BITS);
         if w >= self.words().len() {
@@ -180,6 +185,7 @@ impl ProcSet {
     }
 
     /// Membership test.
+    #[inline]
     pub fn contains(&self, p: ProcId) -> bool {
         let (w, b) = (p as usize / BITS, p as usize % BITS);
         self.words()
@@ -188,6 +194,7 @@ impl ProcSet {
     }
 
     /// Number of processors in the set.
+    #[inline]
     pub fn len(&self) -> usize {
         self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -198,6 +205,7 @@ impl ProcSet {
     }
 
     /// The bitmap words, lowest ids first; may end in zero words.
+    #[inline]
     pub(crate) fn words(&self) -> &[u64] {
         match &self.words {
             Words::Inline { len, buf } => &buf[..*len],
@@ -205,6 +213,7 @@ impl ProcSet {
         }
     }
 
+    #[inline]
     fn words_mut(&mut self) -> &mut [u64] {
         match &mut self.words {
             Words::Inline { len, buf } => &mut buf[..*len],
@@ -213,6 +222,7 @@ impl ProcSet {
     }
 
     /// Iterates members in increasing id order.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = ProcId> + '_ {
         self.words().iter().enumerate().flat_map(|(wi, &w)| {
             let mut bits = w;
@@ -272,6 +282,7 @@ impl ProcSet {
     }
 
     /// In-place difference: removes every member of `other`.
+    #[inline]
     pub fn difference_with(&mut self, other: &ProcSet) {
         for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= !b;
@@ -279,6 +290,7 @@ impl ProcSet {
     }
 
     /// Number of shared processors — the heart of the locality metric.
+    #[inline]
     pub fn intersection_len(&self, other: &ProcSet) -> usize {
         self.words()
             .iter()
@@ -288,6 +300,7 @@ impl ProcSet {
     }
 
     /// Whether the sets share no processor.
+    #[inline]
     pub fn is_disjoint(&self, other: &ProcSet) -> bool {
         self.words()
             .iter()
@@ -307,6 +320,7 @@ impl ProcSet {
     /// Removes every member and every word, keeping a heap buffer so the
     /// set can be refilled without reallocating (scratch-buffer reuse in
     /// hot scheduling loops).
+    #[inline]
     pub fn clear(&mut self) {
         self.set_word_len(0);
     }
@@ -318,6 +332,7 @@ impl ProcSet {
 }
 
 impl PartialEq for ProcSet {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         let (a, b) = (self.words(), other.words());
         (0..a.len().max(b.len()))

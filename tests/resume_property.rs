@@ -74,7 +74,7 @@ impl Resumer<'_> {
     /// Runs one pass resumed from the current log and checks it against a
     /// fresh pass. Returns the number of placements copied from the log.
     fn check(&mut self, alloc: &Allocation) -> Result<u64, TestCaseError> {
-        let ((schedule, makespan), replayed) = self
+        let ((schedule, makespan), work) = self
             .locbs
             .run_into_resumed(&mut self.dag, alloc, &mut self.scratch, &mut self.log)
             .unwrap();
@@ -84,7 +84,7 @@ impl Resumer<'_> {
             fingerprint(&fresh.schedule, fresh.makespan, &fresh.schedule_dag)
         );
         prop_assert_eq!(&self.dag, &fresh.schedule_dag);
-        Ok(replayed)
+        Ok(work.replayed)
     }
 }
 

@@ -5,7 +5,10 @@
 //! transfer prices shows up as a counter drift long before it is
 //! measurable as flaky wall-clock. (Neither reuse changes an output bit,
 //! so `successors_reused` and `transfers_reused` are the only checks that
-//! they still happen.) `lookahead_cutoffs` and `probes_aborted` are
+//! they still happen.) `candidates_examined` is likewise the only check
+//! that the placement scan still stops at its exact finish bound: a
+//! candidate past the bound can never win, so a loosened bound changes no
+//! schedule, only this count. `lookahead_cutoffs` and `probes_aborted` are
 //! pinned at 0 because nothing cuts a look-ahead walk or a LoCBS pass
 //! short any more.
 //!
@@ -137,6 +140,7 @@ fn pinned_200x32_search_effort() {
         pass_memo_hits: 4_257,
         successors_reused: 3_976,
         placements_replayed: 2_567_805,
+        candidates_examined: 140_944_798,
         transfers_reused: 15_083_562,
         probes_aborted: 0,
         branches_pruned: 2,
