@@ -11,6 +11,7 @@ use locmps_baselines::registry::scheduler_names;
 use locmps_platform::MAX_PROCS;
 use locmps_runtime::PerfModelStore;
 use locmps_serve::{ServeConfig, Server, ServerHandle};
+use locmps_speedup::{ExecutionProfile, SpeedupModel};
 use locmps_taskgraph::TaskGraph;
 use locmps_workloads::synthetic::{synthetic_graph, SyntheticConfig};
 use serde::Value;
@@ -357,4 +358,133 @@ fn the_daemon_refuses_faults_outside_the_run() {
         assert!(reply.contains(want), "{spec}: {reply}");
     }
     server.shutdown();
+}
+
+/// `locmps schedule` on a graph file that cannot be loaded: whether it
+/// exited with status 1 and its stderr.
+fn cli_refusal(path: &str) -> (bool, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_locmps"))
+        .args(["schedule", path, "--procs", "4"])
+        .output()
+        .expect("run the locmps binary");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    (
+        out.status.code() == Some(1) && out.stdout.is_empty(),
+        stderr,
+    )
+}
+
+/// A three-task chain whose first task has a Downey profile, as compact
+/// JSON, so that each malformed variant below is one textual edit.
+fn chain_json() -> String {
+    let mut g = TaskGraph::new();
+    let downey = SpeedupModel::downey(8.0, 1.0).unwrap();
+    let a = g.add_task("a", ExecutionProfile::new(4.0, downey).unwrap());
+    let b = g.add_task("b", ExecutionProfile::linear(2.0));
+    let c = g.add_task("c", ExecutionProfile::linear(3.0));
+    g.add_edge(a, b, 5.0).unwrap();
+    g.add_edge(b, c, 7.0).unwrap();
+    serde_json::to_string(&parse(&g.to_json())).unwrap()
+}
+
+/// Malformed graphs, each as an edit of [`chain_json`], with a piece of
+/// the refusal each must get. The first two hold literals that overflow
+/// to infinity.
+const MALFORMED_GRAPHS: [(&str, &str, &str, &str); 6] = [
+    (
+        "an overflowing seq_time",
+        "\"seq_time\":2.0",
+        "\"seq_time\":1e999",
+        "sequential time must be finite and positive (got inf)",
+    ),
+    (
+        "an overflowing Downey a",
+        "\"a\":8.0",
+        "\"a\":1e999",
+        "Downey average parallelism A must be finite and >= 1 (got inf)",
+    ),
+    (
+        "a negative volume",
+        "\"volume\":7.0",
+        "\"volume\":-1.0",
+        "edge volume must be finite and >= 0",
+    ),
+    (
+        "a cycle",
+        "\"edges\":[",
+        "\"edges\":[{\"src\":2,\"dst\":0,\"volume\":1.0},",
+        "graph contains a cycle",
+    ),
+    (
+        "an edge to an unknown task",
+        "\"dst\":2",
+        "\"dst\":9",
+        "unknown task t9",
+    ),
+    (
+        "a missing profile",
+        ",\"profile\":{\"seq_time\":3.0,\"model\":\"Linear\"}",
+        "",
+        "missing field `profile`",
+    ),
+];
+
+/// The CLI and the daemon run one graph decode (the spec decode and its
+/// `build`), so a graph either refuses is refused by both with the same
+/// text: the CLI's error line is the daemon's 400 `error` less its
+/// `graph: ` prefix. The two overflowing literals once read `(got NaN)`
+/// from the daemon, which re-parsed the graph from text where infinity
+/// had become `null`.
+#[test]
+fn a_refused_graph_names_the_same_problem_on_every_surface() {
+    let dir = scratch("refused-graph");
+    let chain = chain_json();
+    let server = daemon();
+    for (what, from, to, want) in MALFORMED_GRAPHS {
+        assert!(chain.contains(from), "{what}: {from} not in {chain}");
+        let graph = chain.replacen(from, to, 1);
+        let path = dir.join("bad.json");
+        std::fs::write(&path, &graph).unwrap();
+        let (refused, stderr) = cli_refusal(path.to_str().unwrap());
+        assert!(refused, "{what}: {stderr}");
+        let cli_error = stderr
+            .lines()
+            .next()
+            .and_then(|l| l.strip_prefix("error: "))
+            .unwrap_or_else(|| panic!("{what}: {stderr}"));
+        assert!(cli_error.contains(want), "{what}: {cli_error}");
+
+        let body = format!("{{\"procs\":4,\"bandwidth\":125.0,\"wait\":true,\"graph\":{graph}}}");
+        for endpoint in ["/v1/jobs", "/v1/analyze"] {
+            let (status, reply) = exchange(server.addr(), "POST", endpoint, &body);
+            assert_eq!(status, 400, "{what} at {endpoint}: {reply}");
+            let error = field(&parse(&reply), "error").as_str().unwrap().to_string();
+            assert_eq!(
+                error.strip_prefix("graph: "),
+                Some(cli_error),
+                "{what} at {endpoint}"
+            );
+        }
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A graph file nested deeper than the JSON parser's 128-level limit is
+/// an input error like any other: exit 1 and one `error:` line, where
+/// parsing it without the limit overflowed the stack and aborted.
+#[test]
+fn a_deeply_nested_graph_file_is_one_error_line() {
+    let dir = scratch("deep-file");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(1 << 20)).unwrap();
+    let (refused, stderr) = cli_refusal(path.to_str().unwrap());
+    assert!(refused, "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(
+        errors,
+        ["error: recursion limit exceeded at byte 128"],
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }

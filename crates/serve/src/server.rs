@@ -422,14 +422,12 @@ fn submit(req: &Request, svc: &Service) -> Resp {
 /// ([`analyze_schedulers`]).
 fn analyze(req: &Request) -> Resp {
     let parsed = (|| -> Result<String, String> {
-        let body = req.body_utf8()?;
-        let value: Value = serde_json::from_str(body).map_err(|e| e.to_string())?;
-        let obj = value.as_object().ok_or("request body must be an object")?;
-        let graph = graph_from(obj)?;
-        let procs = get_usize(obj, "procs")?;
-        let bandwidth = get_f64(obj, "bandwidth")?;
+        let obj = body_object(req)?;
+        let graph = graph_from(&obj)?;
+        let procs = get_usize(&obj, "procs")?;
+        let bandwidth = get_f64(&obj, "bandwidth")?;
         let cluster = Cluster::try_new(procs, bandwidth).map_err(|e| e.to_string())?;
-        let algo = get_str_or(obj, "algo", "locmps")?;
+        let algo = get_str_or(&obj, "algo", "locmps")?;
         Ok(analyze_schedulers(&graph, &cluster, &[&algo])?.to_json())
     })();
     match parsed {
@@ -438,14 +436,25 @@ fn analyze(req: &Request) -> Resp {
     }
 }
 
+/// The request body's top-level object, parsed once: every field,
+/// the graph included, is read from this one tree.
+fn body_object(req: &Request) -> Result<Vec<(String, Value)>, String> {
+    match serde_json::from_str(req.body_utf8()?).map_err(|e| e.to_string())? {
+        Value::Object(entries) => Ok(entries),
+        _ => Err("request body must be an object".into()),
+    }
+}
+
 /// Hand-rolled submit-body parsing: the vendored derive has no optional
 /// fields, and half of this payload is optional by design.
 fn parse_submit(req: &Request) -> Result<(JobSpec, bool), String> {
-    let body = req.body_utf8()?;
-    let value: Value = serde_json::from_str(body).map_err(|e| e.to_string())?;
-    let obj = value.as_object().ok_or("request body must be an object")?;
+    let obj = body_object(req)?;
+    let graph = graph_from(&obj)?;
+    submit_spec(&obj, graph)
+}
 
-    let graph = graph_from(obj)?;
+/// The job around `graph` that the rest of a submit body asks for.
+fn submit_spec(obj: &[(String, Value)], graph: TaskGraph) -> Result<(JobSpec, bool), String> {
     let procs = get_usize(obj, "procs")?;
     let bandwidth = get_f64(obj, "bandwidth")?;
     let tenant = get_str_or(obj, "tenant", "default")?;
@@ -492,13 +501,12 @@ fn parse_submit(req: &Request) -> Result<(JobSpec, bool), String> {
     ))
 }
 
-/// Extracts the `graph` field and rebuilds it through the canonical
-/// `TaskGraphSpec` validation path (cycles, bad volumes, … all rejected
-/// with its error text).
+/// Builds the `graph` field's graph straight from the parsed body with
+/// [`TaskGraph::from_value`], which runs the checks of `TaskGraph::from_json`
+/// (cycles, bad volumes, … all rejected with its error text).
 fn graph_from(obj: &[(String, Value)]) -> Result<TaskGraph, String> {
     let spec = field(obj, "graph").map_err(|e| e.to_string())?;
-    TaskGraph::from_json(&serde_json::to_string(spec).map_err(|e| e.to_string())?)
-        .map_err(|e| format!("graph: {e}"))
+    TaskGraph::from_value(spec).map_err(|e| format!("graph: {e}"))
 }
 
 fn find<'v>(obj: &'v [(String, Value)], name: &str) -> Option<&'v Value> {
@@ -555,5 +563,185 @@ fn number_of(v: &Value, name: &str) -> Result<f64, String> {
         Value::UInt(n) => Ok(*n as f64),
         Value::Int(n) => Ok(*n as f64),
         _ => Err(format!("`{name}` must be a number")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::OnceLock;
+
+    use locmps_taskgraph::TaskGraphSpec;
+    use locmps_workloads::strassen::{strassen_graph, StrassenConfig};
+    use locmps_workloads::synthetic::{synthetic_graph, SyntheticConfig};
+    use locmps_workloads::tce::{ccsd_t1_graph, TceConfig};
+    use locmps_workloads::toys::{chain, fork_join, independent};
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::graph_fingerprint;
+
+    /// The golden zoo's graphs (`tests/golden_zoo.rs`), built once.
+    fn zoo() -> &'static [TaskGraph] {
+        static ZOO: OnceLock<Vec<TaskGraph>> = OnceLock::new();
+        ZOO.get_or_init(|| {
+            vec![
+                chain(6, 10.0, 20.0),
+                fork_join(5, 8.0, 15.0),
+                independent(6, 12.0, 0.2),
+                synthetic_graph(&SyntheticConfig {
+                    n_tasks: 18,
+                    ccr: 0.5,
+                    seed: 77,
+                    ..Default::default()
+                }),
+                strassen_graph(&StrassenConfig {
+                    n: 512,
+                    ..Default::default()
+                }),
+                ccsd_t1_graph(&TceConfig {
+                    n_occ: 16,
+                    n_virt: 64,
+                    ..Default::default()
+                }),
+            ]
+        })
+    }
+
+    /// Zoo graph `source`, or past the zoo a synthetic graph drawn from
+    /// `seed` (2–30 tasks, CCR 0, 0.1 or 1).
+    fn graph(source: usize, seed: u64) -> TaskGraph {
+        zoo().get(source).cloned().unwrap_or_else(|| {
+            synthetic_graph(&SyntheticConfig {
+                n_tasks: 2 + (seed % 29) as usize,
+                ccr: [0.0, 0.1, 1.0][(seed / 29 % 3) as usize],
+                seed,
+                ..Default::default()
+            })
+        })
+    }
+
+    /// A submit body around `g`, compact or pretty, with the graph between
+    /// the required fields and the optional ones, so damage lands in both.
+    fn body(g: &TaskGraph, pretty: bool) -> String {
+        let text = |s: &str| Value::Str(s.into());
+        let value = Value::Object(vec![
+            ("procs".into(), Value::UInt(16)),
+            ("bandwidth".into(), Value::Float(125.0)),
+            (
+                "graph".into(),
+                serde::Serialize::to_value(&TaskGraphSpec::from(g)),
+            ),
+            ("tenant".into(), text("alice")),
+            ("algo".into(), text("cpa")),
+            ("wait".into(), Value::Bool(true)),
+            ("deadline_ms".into(), Value::UInt(5_000)),
+            (
+                "run".into(),
+                Value::Object(vec![
+                    ("seed".into(), Value::UInt(3)),
+                    ("exec_cv".into(), Value::Float(0.1)),
+                    ("faults".into(), text("fail:0@1")),
+                ]),
+            ),
+        ]);
+        let rendered = if pretty {
+            serde_json::to_string_pretty(&value)
+        } else {
+            serde_json::to_string(&value)
+        };
+        rendered.expect("a finite tree renders")
+    }
+
+    /// The decode `parse_submit` replaced, kept as its oracle: the `graph`
+    /// member rendered back to text and parsed a second time.
+    fn two_pass(req: &Request) -> Result<(JobSpec, bool), String> {
+        let obj = body_object(req)?;
+        let graph = field(&obj, "graph").map_err(|e| e.to_string())?;
+        let text = serde_json::to_string(graph).map_err(|e| e.to_string())?;
+        let graph = TaskGraph::from_json(&text).map_err(|e| format!("graph: {e}"))?;
+        submit_spec(&obj, graph)
+    }
+
+    /// `parse_submit` accepts `body` exactly when the two-pass decode
+    /// does, into the same job, and refuses it with the same text unless
+    /// the text names a non-finite value: the round trip rendered
+    /// infinity as `null` and read it back as NaN.
+    fn decodes_like_two_passes(body: Vec<u8>) -> Result<(), TestCaseError> {
+        let req = Request {
+            method: "POST".into(),
+            path: "/v1/jobs".into(),
+            body,
+        };
+        match (parse_submit(&req), two_pass(&req)) {
+            (Ok((one, wait)), Ok((two, wait_two))) => {
+                prop_assert!(one.graph == two.graph, "graphs differ");
+                prop_assert_eq!(graph_fingerprint(&one.graph), graph_fingerprint(&two.graph));
+                prop_assert_eq!(format!("{one:?} {wait}"), format!("{two:?} {wait_two}"));
+            }
+            (Err(one), Err(two)) => {
+                let non_finite = |e: &str| e.contains("inf") || e.contains("NaN");
+                if !non_finite(&one) && !non_finite(&two) {
+                    prop_assert_eq!(one, two);
+                }
+            }
+            (one, two) => prop_assert!(
+                false,
+                "one pass: {:?}; two passes: {:?}",
+                one.map(|_| "accepted"),
+                two.map(|_| "accepted")
+            ),
+        }
+        Ok(())
+    }
+
+    /// The non-random anchor: every zoo graph, compact and pretty, is
+    /// accepted as the same job both ways.
+    #[test]
+    fn undamaged_zoo_bodies_decode_like_two_passes() {
+        for g in zoo() {
+            for pretty in [false, true] {
+                let req = Request {
+                    method: "POST".into(),
+                    path: "/v1/jobs".into(),
+                    body: body(g, pretty).into_bytes(),
+                };
+                let (spec, wait) = parse_submit(&req).expect("a zoo body is accepted");
+                assert!(spec.graph == *g && wait);
+                decodes_like_two_passes(req.body).unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A body cut at any offset decodes as the two-pass path decoded it.
+        #[test]
+        fn truncated_bodies_decode_like_two_passes(
+            source in 0usize..12,
+            seed in any::<u64>(),
+            pretty in any::<bool>(),
+            frac in 0.0..1.0f64,
+        ) {
+            let full = body(&graph(source, seed), pretty).into_bytes();
+            let cut = (frac * full.len() as f64) as usize;
+            decodes_like_two_passes(full[..cut].to_vec())?;
+        }
+
+        /// A body with any one bit flipped decodes as the two-pass path
+        /// decoded it.
+        #[test]
+        fn bit_flipped_bodies_decode_like_two_passes(
+            source in 0usize..12,
+            seed in any::<u64>(),
+            pretty in any::<bool>(),
+            frac in 0.0..1.0f64,
+            bit in 0u8..8,
+        ) {
+            let mut damaged = body(&graph(source, seed), pretty).into_bytes();
+            let pos = ((frac * damaged.len() as f64) as usize).min(damaged.len() - 1);
+            damaged[pos] ^= 1 << bit;
+            decodes_like_two_passes(damaged)?;
+        }
     }
 }

@@ -651,3 +651,36 @@ fn a_stalled_client_gets_408_and_does_not_pin_the_daemon() {
     assert_eq!(status, 200);
     handle.shutdown();
 }
+
+/// A body nested deeper than the parser's limit is a 400 naming where the
+/// limit was crossed, on both endpoints that parse a body, and the daemon
+/// keeps serving. Parsed without the limit, 200,000 bytes of `[` overflow
+/// the connection thread's stack, which aborts the whole process.
+#[test]
+fn a_deeply_nested_body_is_refused_and_the_daemon_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.addr();
+    let handle = server.spawn();
+
+    let deep = "[".repeat(200_000);
+    for path in ["/v1/jobs", "/v1/analyze"] {
+        let (status, body) = exchange(addr, "POST", path, &deep);
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(
+            body.contains("recursion limit exceeded at byte 128"),
+            "{path}: {body}"
+        );
+        let (status, body) = exchange(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200, "{body}");
+    }
+    // A legal submission still goes through afterwards.
+    let (status, body) = exchange(
+        addr,
+        "POST",
+        "/v1/jobs",
+        &submit_body(&diamond(10.0, 100.0), "alice", true),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"state\":\"done\""), "{body}");
+    handle.shutdown();
+}

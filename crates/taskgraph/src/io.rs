@@ -1,7 +1,7 @@
 //! Serialization: a JSON-friendly spec type and Graphviz DOT export.
 
 use locmps_speedup::ExecutionProfile;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::graph::{EdgeKind, GraphError, TaskGraph, TaskId};
 
@@ -93,13 +93,30 @@ impl TaskGraph {
             .expect("task graph spec serialization cannot fail")
     }
 
-    /// Parses a graph from JSON produced by [`TaskGraph::to_json`].
+    /// Parses a graph from JSON produced by [`TaskGraph::to_json`], with
+    /// the checks and error texts of [`TaskGraph::from_value`]. The text is
+    /// decoded into the spec while it is parsed, so the parse tree is freed
+    /// before the graph is built: a graph built beside its live parse tree
+    /// measured slower to run on.
     ///
     /// # Errors
-    /// Propagates JSON syntax errors as `Err(String)` and graph-validity
-    /// errors via [`GraphError`]'s display text.
+    /// Propagates JSON syntax errors as `Err(String)`, and everything
+    /// [`TaskGraph::from_value`] refuses with its text.
     pub fn from_json(json: &str) -> Result<TaskGraph, String> {
         let spec: TaskGraphSpec = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        spec.build().map_err(|e| e.to_string())
+    }
+
+    /// Builds the graph an already parsed [`TaskGraph::to_json`] document
+    /// describes: the spec decode and [`TaskGraphSpec::build`] that
+    /// [`TaskGraph::from_json`] runs. The serve daemon parses each request
+    /// body once and hands its `graph` member here.
+    ///
+    /// # Errors
+    /// Shape mismatches as the deserializer's text, and graph-validity
+    /// errors via [`GraphError`]'s display text.
+    pub fn from_value(value: &Value) -> Result<TaskGraph, String> {
+        let spec = TaskGraphSpec::from_value(value).map_err(|e| e.to_string())?;
         spec.build().map_err(|e| e.to_string())
     }
 
@@ -180,6 +197,19 @@ mod tests {
         let json = g.to_json();
         let back = TaskGraph::from_json(&json).unwrap();
         assert_eq!(g, back);
+    }
+
+    #[test]
+    fn from_value_builds_the_graph_of_a_parsed_document() {
+        let json = sample().to_json();
+        let value: Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(TaskGraph::from_value(&value).unwrap(), sample());
+        // An overflowing literal parses as infinity, and the refusal names it.
+        let overflow = json.replace("\"seq_time\": 3.0", "\"seq_time\": 1e999");
+        let value: Value = serde_json::from_str(&overflow).unwrap();
+        let err = TaskGraph::from_value(&value).unwrap_err();
+        assert!(err.ends_with("(got inf)"), "{err}");
+        assert!(TaskGraph::from_value(&Value::Array(Vec::new())).is_err());
     }
 
     #[test]
