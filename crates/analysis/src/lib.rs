@@ -7,8 +7,9 @@
 //! * `LM0xx` — input lints ([`input::lint_input`]) over a
 //!   [`TaskGraph`](locmps_taskgraph::TaskGraph) + profiles +
 //!   [`Cluster`](locmps_platform::Cluster);
-//! * `LM1xx` — schedule correctness, an exhaustive generalization of
-//!   `Schedule::validate` ([`sched::analyze_schedule`]);
+//! * `LM1xx` — schedule correctness ([`sched::analyze_schedule`]): every
+//!   finding of `Schedule::violations`, the checker whose first finding
+//!   `Schedule::validate` returns;
 //! * `LM2xx` — schedule performance observations (utilization, locality,
 //!   idle gaps), always [`Severity::Info`];
 //! * `LM3xx` — execution-trace audits over the online runtime's event log

@@ -1,21 +1,15 @@
-//! The schedule analyzer (`LM1xx` correctness, `LM2xx` metrics): an
-//! exhaustive generalization of `Schedule::validate`.
+//! The schedule analyzer (`LM1xx` correctness, `LM2xx` metrics).
 //!
-//! `validate` answers "is this schedule legal?" with the *first* violation
-//! it meets; the analyzer keeps going and reports *every* violation, adds
-//! checks `validate` does not perform (stray entries, the critical-path
-//! lower bound), and appends performance observations (utilization,
-//! locality, idle gaps) as [`Severity::Info`] diagnostics.
-//!
-//! The correctness checks reuse `validate`'s exact tolerance
-//! ([`locmps_core::schedule::time_eps`]), so the two agree: a schedule with
-//! no `LM1xx` Error diagnostics passes `Schedule::validate`, and vice
-//! versa.
+//! The `LM1xx` findings are [`Schedule::violations`], the checker behind
+//! `Schedule::validate`: this module only names each finding's code and
+//! subject and attaches the values it prints. So a schedule has no `LM1xx`
+//! error exactly when `validate` accepts it, and `validate`'s error is the
+//! report's first `LM1xx` finding. The performance observations
+//! (utilization, locality, idle gaps) follow as [`Severity::Info`]
+//! diagnostics when every graph task has a sound entry.
 
-use locmps_core::schedule::time_eps;
-use locmps_core::{CommModel, Schedule};
-use locmps_platform::CommOverlap;
-use locmps_taskgraph::{EdgeKind, TaskGraph, TaskId};
+use locmps_core::{CommModel, Schedule, ScheduleError};
+use locmps_taskgraph::{EdgeKind, TaskGraph};
 
 use crate::codes;
 use crate::diag::{Diagnostic, Report, Severity};
@@ -25,249 +19,84 @@ use crate::diag::{Diagnostic, Report, Severity};
 /// [`Report`].
 pub fn analyze_schedule(s: &Schedule, g: &TaskGraph, model: &CommModel<'_>) -> Report {
     let mut report = Report::new();
-    let cluster = model.cluster();
-    let n_procs = cluster.n_procs;
-
-    // LM109: entries for tasks the graph does not contain. `validate`
-    // ignores these entirely (it iterates graph tasks), yet a stray entry
-    // still occupies processors and corrupts every downstream metric.
-    for e in s.entries() {
-        if e.task.index() >= g.n_tasks() {
-            report.push(
-                Diagnostic::new(
-                    codes::STRAY_ENTRY,
-                    Severity::Error,
-                    e.task.to_string(),
-                    "schedule entry for a task that is not in the graph",
-                )
-                .with("n_tasks", g.n_tasks()),
-            );
-        }
+    let mut sound = true;
+    for v in s.violations(g, model) {
+        sound &= !matches!(
+            v,
+            ScheduleError::Unscheduled(_)
+                | ScheduleError::EmptyProcSet(_)
+                | ScheduleError::ProcOutOfRange(_)
+                | ScheduleError::BadTiming { .. }
+        );
+        report.push(diagnostic(&v, s, g, model.cluster().n_procs));
     }
-
-    // Per-task placement and timing checks (LM101–LM104). `usable[t]`
-    // records whether the entry is structurally sound enough for the edge,
-    // booking and critical-path checks below to consume.
-    let mut usable = vec![false; g.n_tasks()];
-    for t in g.task_ids() {
-        let Some(e) = s.get(t) else {
-            report.push(Diagnostic::new(
-                codes::UNSCHEDULED,
-                Severity::Error,
-                t.to_string(),
-                "task was never scheduled",
-            ));
-            continue;
-        };
-        let mut ok = true;
-        if e.procs.is_empty() {
-            report.push(Diagnostic::new(
-                codes::EMPTY_PROCSET,
-                Severity::Error,
-                t.to_string(),
-                "task has an empty processor set",
-            ));
-            ok = false;
-        } else if e.procs.iter().any(|p| p as usize >= n_procs) {
-            report.push(
-                Diagnostic::new(
-                    codes::PROC_OUT_OF_RANGE,
-                    Severity::Error,
-                    t.to_string(),
-                    "task uses a processor outside the cluster",
-                )
-                .with("n_procs", n_procs),
-            );
-            ok = false;
-        }
-        let et = g.task(t).profile.time(e.np().max(1));
-        let eps = time_eps(e.finish);
-        if e.start > e.compute_start + eps
-            || e.compute_start > e.finish + eps
-            || (e.finish - (e.compute_start + et)).abs() > eps
-        {
-            report.push(
-                Diagnostic::new(
-                    codes::BAD_TIMING,
-                    Severity::Error,
-                    t.to_string(),
-                    "timing fields are inconsistent \
-                     (start <= compute_start <= finish = compute_start + et violated)",
-                )
-                .with("start", e.start)
-                .with("compute_start", e.compute_start)
-                .with("finish", e.finish)
-                .with("et", et),
-            );
-            ok = false;
-        }
-        usable[t.index()] = ok;
-    }
-
-    // Edge checks (LM105, LM107), mirroring `validate` exactly but without
-    // stopping, and skipping edges whose endpoints are too broken to judge.
-    for t in g.task_ids() {
-        let Some(dst) = s.get(t) else { continue };
-        let mut inbound = 0.0;
-        let mut inbound_complete = true;
-        for eid in g.in_edges(t) {
-            let edge = g.edge(eid);
-            let Some(src) = s.get(edge.src) else {
-                inbound_complete = false;
-                continue;
-            };
-            let eps = time_eps(src.finish.max(dst.finish));
-            match cluster.overlap {
-                CommOverlap::Full => {
-                    let ct = model.transfer_time(&src.procs, &dst.procs, edge.volume);
-                    let required = src.finish + ct;
-                    if dst.compute_start + eps < required {
-                        report.push(
-                            Diagnostic::new(
-                                codes::PRECEDENCE_VIOLATED,
-                                Severity::Error,
-                                format!("edge {}->{}", edge.src, t),
-                                "consumer computes before producer output arrives",
-                            )
-                            .with("required", required)
-                            .with("actual", dst.compute_start)
-                            .with("transfer", ct),
-                        );
-                    }
-                }
-                CommOverlap::None => {
-                    if dst.start + eps < src.finish {
-                        report.push(
-                            Diagnostic::new(
-                                codes::PRECEDENCE_VIOLATED,
-                                Severity::Error,
-                                format!("edge {}->{}", edge.src, t),
-                                "consumer starts before producer finishes",
-                            )
-                            .with("required", src.finish)
-                            .with("actual", dst.start),
-                        );
-                    }
-                    inbound += model.transfer_time(&src.procs, &dst.procs, edge.volume);
-                }
-            }
-        }
-        if cluster.overlap == CommOverlap::None && inbound_complete {
-            let window = dst.compute_start - dst.start;
-            if window + time_eps(dst.finish) < inbound {
-                report.push(
-                    Diagnostic::new(
-                        codes::COMM_WINDOW_TOO_SHORT,
-                        Severity::Error,
-                        t.to_string(),
-                        "communication window is shorter than the inbound redistribution",
-                    )
-                    .with("window", window)
-                    .with("inbound", inbound),
-                );
-            }
-        }
-    }
-
-    // Double-booking sweep (LM106), per processor, reporting every
-    // overlapping adjacent pair instead of the first.
-    let mut by_proc: Vec<Vec<(f64, f64, TaskId)>> = vec![Vec::new(); n_procs];
-    for e in s.entries() {
-        for p in e.procs.iter() {
-            if (p as usize) < n_procs {
-                by_proc[p as usize].push((e.start, e.finish, e.task));
-            }
-        }
-    }
-    let mut booked = std::collections::HashSet::new();
-    for (p, intervals) in by_proc.iter_mut().enumerate() {
-        intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for w in intervals.windows(2) {
-            let eps = time_eps(w[1].1);
-            if w[1].0 + eps < w[0].1 && booked.insert((w[0].2, w[1].2)) {
-                report.push(
-                    Diagnostic::new(
-                        codes::DOUBLE_BOOKING,
-                        Severity::Error,
-                        format!("proc {p}"),
-                        format!("tasks {} and {} overlap in time", w[0].2, w[1].2),
-                    )
-                    .with("first_finish", w[0].1)
-                    .with("second_start", w[1].0),
-                );
-            }
-        }
-    }
-
-    // LM110: the makespan must respect the critical path of the *realized*
-    // schedule — earliest finishes recomputed over the graph with the
-    // schedule's own allocations, placements and transfer times. Any
-    // violation means some timestamp is impossible. Needs every entry to be
-    // structurally sound and the graph acyclic.
-    if usable.iter().all(|&ok| ok) {
-        if let Ok(order) = g.topo_order() {
-            let bound = critical_path_bound(s, g, model, &order);
-            // Earliest-finish slack compounds once per level, so scale the
-            // tolerance by the task count to avoid false positives on deep
-            // graphs.
-            let tol = time_eps(bound) * g.n_tasks() as f64;
-            if s.makespan() + tol < bound {
-                report.push(
-                    Diagnostic::new(
-                        codes::MAKESPAN_BELOW_BOUND,
-                        Severity::Error,
-                        "schedule",
-                        "makespan is below the critical path of the realized schedule",
-                    )
-                    .with("makespan", s.makespan())
-                    .with("critical_path", bound),
-                );
-            }
-        }
-    }
-
-    // Performance observations (Info). Only meaningful on structurally
-    // sound schedules.
-    if usable.iter().all(|&ok| ok) {
+    // Performance observations (Info), only meaningful when every task has
+    // a sound entry.
+    if sound {
         push_metrics(s, g, model, &mut report);
     }
-
     report
 }
 
-/// Longest earliest-finish path through `g` given the schedule's realized
-/// allocations and placements: a hard lower bound on any legal makespan.
-fn critical_path_bound(
-    s: &Schedule,
-    g: &TaskGraph,
-    model: &CommModel<'_>,
-    order: &[TaskId],
-) -> f64 {
-    let cluster = model.cluster();
-    let mut ef = vec![0.0f64; g.n_tasks()];
-    for &t in order {
-        let e = s.get(t).expect("caller checked usability");
-        let et = g.task(t).profile.time(e.np());
-        let mut ready = 0.0f64;
-        let mut inbound = 0.0f64;
-        for eid in g.in_edges(t) {
-            let edge = g.edge(eid);
-            let src = s.get(edge.src).expect("caller checked usability");
-            let ct = model.transfer_time(&src.procs, &e.procs, edge.volume);
-            match cluster.overlap {
-                // Computation may begin once each producer's data arrived.
-                CommOverlap::Full => ready = ready.max(ef[edge.src.index()] + ct),
-                // Occupancy begins after every producer; the inbound
-                // transfers then serialize inside the window.
-                CommOverlap::None => {
-                    ready = ready.max(ef[edge.src.index()]);
-                    inbound += ct;
-                }
+/// The `LM1xx` diagnostic of one finding: its code and subject, its
+/// message, and the values it reports.
+fn diagnostic(v: &ScheduleError, s: &Schedule, g: &TaskGraph, n_procs: usize) -> Diagnostic {
+    let error =
+        |code, subject: String| Diagnostic::new(code, Severity::Error, subject, v.to_string());
+    match *v {
+        ScheduleError::StrayEntry(t) => {
+            error(codes::STRAY_ENTRY, t.to_string()).with("n_tasks", g.n_tasks())
+        }
+        ScheduleError::Unscheduled(t) => error(codes::UNSCHEDULED, t.to_string()),
+        ScheduleError::EmptyProcSet(t) => error(codes::EMPTY_PROCSET, t.to_string()),
+        ScheduleError::ProcOutOfRange(t) => {
+            error(codes::PROC_OUT_OF_RANGE, t.to_string()).with("n_procs", n_procs)
+        }
+        ScheduleError::BadTiming { task, et } => {
+            let d = error(codes::BAD_TIMING, task.to_string());
+            // A timing finding always names a scheduled task.
+            let Some(e) = s.get(task) else { return d };
+            d.with("start", e.start)
+                .with("compute_start", e.compute_start)
+                .with("finish", e.finish)
+                .with("et", et)
+        }
+        ScheduleError::PrecedenceViolated {
+            src,
+            dst,
+            required,
+            actual,
+            transfer,
+        } => {
+            let d = error(codes::PRECEDENCE_VIOLATED, format!("edge {src}->{dst}"))
+                .with("required", required)
+                .with("actual", actual);
+            match transfer {
+                Some(ct) => d.with("transfer", ct),
+                None => d,
             }
         }
-        ef[t.index()] = ready + inbound + et;
+        ScheduleError::CommWindowTooShort {
+            task,
+            window,
+            inbound,
+        } => error(codes::COMM_WINDOW_TOO_SHORT, task.to_string())
+            .with("window", window)
+            .with("inbound", inbound),
+        ScheduleError::Overlap {
+            proc,
+            first_finish,
+            second_start,
+            ..
+        } => error(codes::DOUBLE_BOOKING, format!("proc {proc}"))
+            .with("first_finish", first_finish)
+            .with("second_start", second_start),
+        ScheduleError::BelowCriticalPath { makespan, bound } => {
+            error(codes::MAKESPAN_BELOW_BOUND, "schedule".into())
+                .with("makespan", makespan)
+                .with("critical_path", bound)
+        }
     }
-    ef.iter().copied().fold(0.0, f64::max)
 }
 
 /// Appends the `LM2xx` Info diagnostics: utilization, locality and idle-gap
@@ -417,6 +246,7 @@ mod tests {
     use locmps_core::{ScheduledTask, Scheduler};
     use locmps_platform::{Cluster, ProcSet};
     use locmps_speedup::ExecutionProfile;
+    use locmps_taskgraph::TaskId;
 
     fn set(ids: &[u32]) -> ProcSet {
         ids.iter().copied().collect()

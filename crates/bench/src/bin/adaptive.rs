@@ -198,14 +198,7 @@ fn main() {
     struct BenchFile {
         stragglers: Vec<Cell>,
     }
-    let json = serde_json::to_string_pretty_checked(&BenchFile { stragglers: cells })
-        .expect("adaptive cells are finite and serialize");
-    let path = ctx.out_dir.join("BENCH_adaptive.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not save {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
+    ctx.emit_json("BENCH_adaptive.json", &BenchFile { stragglers: cells });
     if !ok {
         eprintln!(
             "error: adaptive re-molding did not strictly beat static replan at full completion"

@@ -305,15 +305,11 @@ fn main() {
         proc_failures: Vec<Cell>,
         stragglers: Vec<SlowdownCell>,
     }
-    let json = serde_json::to_string_pretty_checked(&BenchFile {
-        proc_failures: cells,
-        stragglers: slow_cells,
-    })
-    .expect("resilience cells are finite and serialize");
-    let path = ctx.out_dir.join("BENCH_resilience.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not save {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
+    ctx.emit_json(
+        "BENCH_resilience.json",
+        &BenchFile {
+            proc_failures: cells,
+            stragglers: slow_cells,
+        },
+    );
 }

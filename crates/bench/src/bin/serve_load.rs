@@ -581,12 +581,5 @@ fn main() {
         recovery,
         overload,
     };
-    let json = serde_json::to_string_pretty_checked(&file)
-        .expect("load statistics are finite and serialize");
-    let path = ctx.out_dir.join("BENCH_serve.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not save {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
+    ctx.emit_json("BENCH_serve.json", &file);
 }

@@ -12,6 +12,7 @@ use locmps_taskgraph::TaskGraph;
 use locmps_workloads::strassen::{strassen_graph, StrassenConfig};
 use locmps_workloads::synthetic::synthetic_suite;
 use locmps_workloads::tce::{ccsd_t1_graph, TceConfig};
+use serde::Serialize;
 
 use crate::report::Table;
 use crate::runner::{relative_performance, run_suite};
@@ -64,6 +65,22 @@ impl ExperimentCtx {
         println!("{table}");
         if let Err(e) = table.save(&self.out_dir, stem) {
             eprintln!("warning: could not save {stem}: {e}");
+        }
+    }
+
+    /// Writes `value` as pretty-printed JSON to `file` in the output
+    /// directory, then says where it went, or warns when the write fails.
+    ///
+    /// # Panics
+    /// If `value` holds a non-finite float: a BENCH file states only
+    /// numbers a reader can parse back.
+    pub fn emit_json(&self, file: &str, value: &impl Serialize) {
+        let json = serde_json::to_string_pretty_checked(value)
+            .expect("bench results are finite and serialize");
+        let path = self.out_dir.join(file);
+        match std::fs::write(&path, json) {
+            Ok(()) => println!("wrote {}", path.display()),
+            Err(e) => eprintln!("warning: could not save {}: {e}", path.display()),
         }
     }
 }

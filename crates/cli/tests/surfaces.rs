@@ -390,7 +390,7 @@ fn chain_json() -> String {
 /// Malformed graphs, each as an edit of [`chain_json`], with a piece of
 /// the refusal each must get. The first two hold literals that overflow
 /// to infinity.
-const MALFORMED_GRAPHS: [(&str, &str, &str, &str); 6] = [
+const MALFORMED_GRAPHS: [(&str, &str, &str, &str); 7] = [
     (
         "an overflowing seq_time",
         "\"seq_time\":2.0",
@@ -420,6 +420,12 @@ const MALFORMED_GRAPHS: [(&str, &str, &str, &str); 6] = [
         "\"dst\":2",
         "\"dst\":9",
         "unknown task t9",
+    ),
+    (
+        "an edge endpoint past the task-id range",
+        "\"dst\":2",
+        "\"dst\":5e9",
+        "expected u32",
     ),
     (
         "a missing profile",

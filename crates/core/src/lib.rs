@@ -7,7 +7,9 @@
 //!
 //! * [`allocation`] — per-task processor counts `np(t)` and area accounting;
 //! * [`schedule`] — the [`Schedule`] produced by every scheduler in this
-//!   workspace, its validity checker and a text Gantt renderer;
+//!   workspace, its legality checker ([`Schedule::violations`], behind
+//!   both `validate` and the analyzer's `LM1xx` diagnostics) and a text
+//!   Gantt renderer;
 //! * [`commcost`] — the communication-cost model: the paper's aggregate
 //!   estimate for planning and the exact block-cyclic single-port transfer
 //!   time for placement, with a *communication-blind* switch that turns the

@@ -5,7 +5,10 @@
 //! A *lock site* is any `….lock()` call. The lock's identity is the last
 //! path segment of the receiver (`self.inner.state.lock()` → `state`),
 //! which is stable across `self.`/local-variable spellings of the same
-//! mutex. A guard's *scope* runs
+//! mutex. A call of a lock helper, `….lock_<name>()`, is a lock site too:
+//! it takes the lock `<name>` (`inner.lock_state()` → `state`), so a
+//! mutex reached only through its accessor still shows in the graph. A
+//! guard's *scope* runs
 //!
 //! * from the call to the end of the enclosing statement, for guards that
 //!   are never bound (`x.lock().….field`), or
@@ -23,10 +26,12 @@
 use crate::report::{LockEdge, Violation};
 use crate::rules::FileCtx;
 
-/// One `….lock()` call and the scope its guard lives for.
+/// One `….lock()` or `….lock_<name>()` call and the scope its guard
+/// lives for.
 #[derive(Debug, Clone)]
 pub struct LockSite {
-    /// Lock identity: last receiver path segment before `.lock()`.
+    /// Lock identity: last receiver path segment before `.lock()`, or the
+    /// `<name>` of a `.lock_<name>()` helper.
     pub name: String,
     /// The bound guard variable, if the result was `let`-bound. The
     /// analysis encodes its effect in `scope_end`; kept for the scope
@@ -45,10 +50,9 @@ pub struct LockSite {
 pub fn lock_sites(ctx: &FileCtx<'_>) -> Vec<LockSite> {
     let mut sites = Vec::new();
     for k in 0..ctx.len() {
-        if ctx.text(k) != "lock" || ctx.text(k.wrapping_sub(1)) != "." || ctx.text(k + 1) != "(" {
+        let Some(name) = lock_name(ctx, k) else {
             continue;
-        }
-        let name = receiver_name(ctx, k);
+        };
         let stmt_start = statement_start(ctx, k);
         let guard = let_binding(ctx, stmt_start);
         let scope_end = match &guard {
@@ -64,6 +68,21 @@ pub fn lock_sites(ctx: &FileCtx<'_>) -> Vec<LockSite> {
         });
     }
     sites
+}
+
+/// The lock taken by a method call at token `k`, if it is one: `.lock()`
+/// takes the lock its receiver names, `.lock_<name>()` the lock `<name>`.
+fn lock_name(ctx: &FileCtx<'_>, k: usize) -> Option<String> {
+    if ctx.text(k.wrapping_sub(1)) != "." || ctx.text(k + 1) != "(" {
+        return None;
+    }
+    match ctx.text(k) {
+        "lock" => Some(receiver_name(ctx, k)),
+        method => method
+            .strip_prefix("lock_")
+            .filter(|name| !name.is_empty())
+            .map(str::to_string),
+    }
 }
 
 /// Last path segment of the receiver chain before `.lock()`.
@@ -324,6 +343,22 @@ mod tests {
         let edges = lock_edges(&c, &lock_sites(&c));
         assert!(edges.is_empty(), "{edges:?}");
         assert!(find_cycle(&edges).is_none());
+    }
+
+    #[test]
+    fn a_lock_helper_takes_the_lock_it_names() {
+        let src = "fn f(inner: &Inner) {\n    let journal = inner.lock_journal();\n    let st = inner.lock_state();\n    use2(&journal, &st);\n}\nfn lock_state(&self) -> G {\n    self.state.lock().unwrap()\n}\n";
+        let c = ctx(src);
+        let sites = lock_sites(&c);
+        let names: Vec<&str> = sites.iter().map(|s| s.name.as_str()).collect();
+        // The helper's definition is no call; the `.lock()` in its body is.
+        assert_eq!(names, ["journal", "state", "state"]);
+        let edges = lock_edges(&c, &sites);
+        let pairs: Vec<(&str, &str)> = edges
+            .iter()
+            .map(|e| (e.held.as_str(), e.acquired.as_str()))
+            .collect();
+        assert_eq!(pairs, [("journal", "state")]);
     }
 
     #[test]

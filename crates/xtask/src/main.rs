@@ -321,11 +321,19 @@ mod tests {
     fn the_lock_graph_is_extracted_and_acyclic() {
         // LX021 over the real repo: the serve/core mutexes must form an
         // acyclic acquisition order. An empty edge list would also pass,
-        // so assert the extraction saw the serve state mutex at all by
-        // checking the analysis ran over serve sources.
+        // so assert the daemon's documented order, journal before state,
+        // which `submit` and `finalize` take through the lock helpers.
         let root = repo_root();
         let allow = Allowlist::load(&root.join("crates/xtask/lint-allow.txt"));
         let report = analyze(&root, &allow);
         assert!(report.lock_cycle.is_none(), "{:?}", report.lock_cycle);
+        assert!(
+            report
+                .lock_edges
+                .iter()
+                .any(|e| e.held == "journal" && e.acquired == "state"),
+            "{:?}",
+            report.lock_edges
+        );
     }
 }
